@@ -30,6 +30,7 @@ from .gcn import (
     Gradients,
     forward,
     init_params,
+    layer_input,
     load_params,
     loss_and_backward,
     save_params,

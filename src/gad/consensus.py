@@ -20,6 +20,11 @@ from .gcn import Gradients
 
 DEFAULT_BETA = 1.0
 DEFAULT_PAIR_CAP = 4096
+# Pairs whose feature differences are held at once: 16,384 pairs at d = 32
+# take 4 MB, where the whole pair_cap**2 / 2 sample would take gigabytes.
+# On a 6250 x 32 block at pair_cap 2048 (2-core machine) this chunk ran
+# about 1.4x faster than 65,536, whose 16 MB blocks spill out of cache.
+PAIR_CHUNK = 16_384
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,13 +54,24 @@ def degree_probability(sub: AugmentedSubgraph) -> np.ndarray:
     return deg / total
 
 
-def _pair_distances(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, metric: str) -> np.ndarray:
-    diff = x[ii] - x[jj]
-    if metric == "l2":
-        return np.sqrt((diff * diff).sum(axis=1))
-    if metric == "per_dim_mean":
-        return np.abs(diff).mean(axis=1)
-    raise GadError(f"unknown zeta distance metric {metric!r}")
+def _pair_distances(
+    x: np.ndarray, ii: np.ndarray, jj: np.ndarray, metric: str, chunk: int
+) -> np.ndarray:
+    """Distance between rows ``x[ii[t]]`` and ``x[jj[t]]`` for every t.
+
+    Computed ``chunk`` pairs at a time; each pair's value does not depend
+    on the chunking.
+    """
+    if metric not in ("l2", "per_dim_mean"):
+        raise GadError(f"unknown zeta distance metric {metric!r}")
+    out = np.empty(len(ii), dtype=np.float64)
+    for start in range(0, len(ii), chunk):
+        diff = x[ii[start:start + chunk]] - x[jj[start:start + chunk]]
+        if metric == "l2":
+            out[start:start + chunk] = np.sqrt((diff * diff).sum(axis=1))
+        else:
+            out[start:start + chunk] = np.abs(diff).mean(axis=1)
+    return out
 
 
 def zeta(
@@ -91,7 +107,7 @@ def zeta(
             d = pdist(x, metric="euclidean")
         else:
             ii, jj = np.triu_indices(n, k=1)
-            d = _pair_distances(x, ii, jj, distance)
+            d = _pair_distances(x, ii, jj, distance, PAIR_CHUNK)
         ii, jj = np.triu_indices(n, k=1)
         terms = p[ii] * p[jj] / (d + beta)
         value = float(terms.sum())
@@ -104,7 +120,7 @@ def zeta(
         ii = rng.integers(0, n, size=m)
         jj = rng.integers(0, n - 1, size=m)
         jj = np.where(jj >= ii, jj + 1, jj)   # uniform over ordered pairs i != j
-        d = _pair_distances(x, ii, jj, distance)
+        d = _pair_distances(x, ii, jj, distance, PAIR_CHUNK)
         terms = p[ii] * p[jj] / (d + beta)
         # ordered-pair sample estimates the unordered sum after halving
         value = float(terms.mean() * n * (n - 1) / 2.0)

@@ -1,10 +1,11 @@
-"""Dense multi-layer GCN with an analytic backward pass, in float64.
+"""Multi-layer GCN with an analytic backward pass, in float64.
 
 Layer l computes H = relu(A_hat @ (H_prev @ W_l)); the final layer swaps
 relu for a row softmax.  The loss is masked categorical cross-entropy over
 the selected nodes (summed by default, mean optional) and gradients come
 from exact reverse-mode differentiation of that chain, so they can be
-checked against finite differences.
+checked against finite differences.  The input features may be a dense
+array or a CSR matrix (see :func:`layer_input`); every later layer is dense.
 """
 
 from __future__ import annotations
@@ -13,12 +14,17 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import rngs
 from .errors import GadError, NumericalError
 from .graph import NormalizedAdjacency
 
 PROB_FLOOR = 1e-12   # clip for log(y_hat)
+# Layer-0 inputs at most this dense are kept in CSR: bag-of-words features
+# (about 1% nonzero) then cost O(nnz * hidden) per product instead of
+# O(n * d * hidden), while dense features keep the BLAS path.
+SPARSE_MAX_DENSITY = 0.10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +92,32 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(params: GcnParams, adj: NormalizedAdjacency, features: np.ndarray) -> ForwardCache:
-    """Propagate features through every layer; softmax on the last."""
+def layer_input(features) -> np.ndarray | sp.csr_matrix:
+    """The features in the layout layer 0 multiplies fastest.
+
+    Sparse input is returned as float64 CSR (unchanged if it already is);
+    a dense array becomes CSR when at most ``SPARSE_MAX_DENSITY`` of its
+    entries are nonzero and stays a float64 array otherwise.  Call it once
+    per feature matrix and pass the result to every :func:`forward`.
+    """
+    if sp.issparse(features):
+        return features.tocsr().astype(np.float64, copy=False)
+    x = np.asarray(features, dtype=np.float64)
+    if np.count_nonzero(x) <= SPARSE_MAX_DENSITY * x.size:
+        return sp.csr_matrix(x)
+    return x
+
+
+def forward(params: GcnParams, adj: NormalizedAdjacency, features) -> ForwardCache:
+    """Propagate features through every layer; softmax on the last.
+
+    ``features`` is a dense array or a scipy sparse matrix; layer 0 keeps
+    the given layout, so a CSR input makes ``X @ W_0`` a sparse product.
+    """
     a = adj.matrix
     if features.shape[0] != a.shape[0]:
         raise GadError("feature rows must match adjacency dimension")
-    h = np.asarray(features, dtype=np.float64)
+    h = layer_input(features) if sp.issparse(features) else np.asarray(features, dtype=np.float64)
     activations = []
     pres = []
     for l, w in enumerate(params.weights):
@@ -110,7 +136,7 @@ def loss_and_backward(
     cache: ForwardCache,
     params: GcnParams,
     adj: NormalizedAdjacency,
-    features: np.ndarray,
+    features,
     labels: np.ndarray,
     loss_mask: np.ndarray,
     reduction: str = "sum",
@@ -119,7 +145,9 @@ def loss_and_backward(
 
     ``reduction`` picks between the summed loss over masked nodes and its
     mean.  Only masked rows contribute; replicas or unlabeled nodes are
-    simply left out of the mask by the caller.
+    simply left out of the mask by the caller.  The layer-0 input is read
+    from ``cache`` in the layout :func:`forward` was given, so a CSR input
+    makes ``X^T @ G`` a sparse product.
     """
     if reduction not in ("sum", "mean"):
         raise GadError(f"unknown loss reduction {reduction!r}")

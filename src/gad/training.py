@@ -4,7 +4,8 @@ Workers run as deterministic in-process tasks.  Each round every worker
 trains on its next assigned subgraph (forward, masked loss over its owned
 training nodes, backward); the coordinator folds the gradients into one
 update with either zeta weighting or the plain mean, and all workers apply
-the same step, so parameter replicas stay bit-identical between barriers.
+the same step.  The replicas are therefore identical between barriers, and
+the simulation keeps a single parameter set for all of them.
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -26,6 +27,7 @@ from .gcn import (
     Gradients,
     forward,
     init_params,
+    layer_input,
     loss_and_backward,
     sgd_update,
 )
@@ -132,21 +134,31 @@ class TrainReport:
 
 
 def evaluate(
-    params: GcnParams, g: Graph, mask: np.ndarray, features: np.ndarray | None = None
-) -> float:
+    params: GcnParams,
+    g: Graph,
+    masks: np.ndarray,
+    features=None,
+    adj: NormalizedAdjacency | None = None,
+):
     """Centralized accuracy: one forward over the whole graph, argmax vs labels.
 
-    ``features`` overrides ``g.features`` so callers can apply the same
-    normalization used in training.  Argmax ties resolve to the lowest
-    class id.
+    ``masks`` is one boolean node mask, giving one float, or a stack of
+    them (one mask per row), giving a tuple with one accuracy per mask, all
+    read from the same forward.  ``features`` is the layer input, dense or
+    CSR, and defaults to ``layer_input(g.features)``; pass it with ``adj``
+    (the full-graph normalized adjacency) to reuse both across calls.
+    Argmax ties resolve to the lowest class id.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    masks = np.asarray(masks, dtype=bool)
+    rows = np.atleast_2d(masks)
+    if not rows.any(axis=1).all():
         raise GadError("evaluation mask selects no nodes")
-    x = g.features if features is None else features
-    cache = forward(params, normalized_adjacency(full_view(g)), x)
-    pred = cache.probs.argmax(axis=1)
-    return float((pred[mask] == g.labels[mask]).mean())
+    x = layer_input(g.features) if features is None else features
+    if adj is None:
+        adj = normalized_adjacency(full_view(g))
+    pred = forward(params, adj, x).probs.argmax(axis=1)
+    accs = tuple(float((pred[m] == g.labels[m]).mean()) for m in rows)
+    return accs[0] if masks.ndim == 1 else accs
 
 
 def communication_size(
@@ -188,7 +200,7 @@ class _WorkerTask:
 
     part: int
     adj: NormalizedAdjacency
-    features: np.ndarray
+    features: object        # layer input: dense array or CSR, see gcn.layer_input
     labels: np.ndarray
     loss_mask: np.ndarray
     zeta: float
@@ -220,7 +232,7 @@ def _prepare_tasks(g, augmented, features_full, config):
             _WorkerTask(
                 part=aug.part,
                 adj=normalized_adjacency(view),
-                features=x,
+                features=layer_input(x),
                 labels=view.local_labels(),
                 loss_mask=mask,
                 zeta=zw.zeta,
@@ -243,7 +255,8 @@ def train(
 
     ``config`` is a :class:`gad.config.Config` (or anything with the same
     attributes).  ``on_barrier(epoch, round, params_list)`` is called after
-    every consensus update, mainly so tests can check replica consistency.
+    every consensus update with each worker's parameters, mainly so tests
+    can check replica consistency.
     """
     if not augmented:
         raise GadError("need at least one augmented subgraph")
@@ -256,8 +269,7 @@ def train(
     rounds = max((len(q) for q in queues), default=0)
 
     dims = (g.feature_dim,) + (config.hidden,) * (config.layers - 1) + (g.num_classes,)
-    params0 = init_params(dims, seed=config.seed)
-    replicas = [params0 for _ in range(workers)]
+    params = init_params(dims, seed=config.seed)
 
     comm = communication_size(
         g, p, augmented, config.layers, g.feature_dim, worker_of=worker_of
@@ -273,14 +285,21 @@ def train(
     if skipped:
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
-    report.initial_val_acc = evaluate(replicas[0], g, g.val_mask, features_full)
-    report.initial_test_acc = evaluate(replicas[0], g, g.test_mask, features_full)
+    eval_adj = normalized_adjacency(full_view(g))
+    eval_x = layer_input(features_full)
+    eval_masks = np.stack([g.val_mask, g.test_mask])
 
-    def _step(worker: int, task: _WorkerTask) -> Gradients:
-        cache = forward(replicas[worker], task.adj, task.features)
+    def _evaluate() -> tuple[float, float]:
+        return evaluate(params, g, eval_masks, eval_x, eval_adj)
+
+    report.initial_val_acc, report.initial_test_acc = _evaluate()
+    report.final_val_acc, report.final_test_acc = report.initial_val_acc, report.initial_test_acc
+
+    def _step(task: _WorkerTask) -> Gradients:
+        cache = forward(params, task.adj, task.features)
         try:
             grad = loss_and_backward(
-                cache, replicas[worker], task.adj, task.features,
+                cache, params, task.adj, task.features,
                 task.labels, task.loss_mask, reduction=config.loss_reduction,
             )
         except NumericalError as exc:
@@ -290,12 +309,17 @@ def train(
             grad = grad.scaled(task.grad_scale)
         return grad
 
+    def _apply(contributions: list[tuple[Gradients, float]], epoch: int, rnd: int) -> None:
+        nonlocal params
+        params = sgd_update(params, _combine(contributions, config.weighted), config.eta)
+        if on_barrier is not None:
+            on_barrier(epoch, rnd, [params] * workers)
+
     eval_every = max(1, int(getattr(config, "eval_every", 1)))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         epoch_losses: list[float] = []
-        epoch_grads: list[Gradients] = []
-        epoch_zetas: list[float] = []
+        epoch_contributions: list[tuple[Gradients, float]] = []
         for rnd in range(rounds):
             contributions: list[tuple[Gradients, float]] = []
             for w in range(workers):
@@ -304,42 +328,34 @@ def train(
                 task = tasks[queues[w][rnd]]
                 if not task.trainable:
                     continue
-                grad = _step(w, task)
+                grad = _step(task)
                 contributions.append((grad, task.zeta))
                 epoch_losses.append(grad.loss)
             if not contributions:
                 continue
             if config.consensus == "per_round":
-                combined = _combine(contributions, config.weighted)
-                replicas = [sgd_update(r, combined, config.eta) for r in replicas]
-                if on_barrier is not None:
-                    on_barrier(epoch, rnd, replicas)
+                _apply(contributions, epoch, rnd)
             else:
-                epoch_grads.extend(gr for gr, _ in contributions)
-                epoch_zetas.extend(z for _, z in contributions)
-        if config.consensus == "per_epoch" and epoch_grads:
-            combined = _combine(list(zip(epoch_grads, epoch_zetas)), config.weighted)
-            replicas = [sgd_update(r, combined, config.eta) for r in replicas]
-            if on_barrier is not None:
-                on_barrier(epoch, rounds - 1, replicas)
+                epoch_contributions.extend(contributions)
+        if config.consensus == "per_epoch" and epoch_contributions:
+            _apply(epoch_contributions, epoch, rounds - 1)
 
         report.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
-        is_eval = (epoch % eval_every == 0) or (epoch == config.epochs - 1)
-        report.val_acc.append(
-            evaluate(replicas[0], g, g.val_mask, features_full) if is_eval else None
-        )
-        report.test_acc.append(
-            evaluate(replicas[0], g, g.test_mask, features_full) if is_eval else None
-        )
+        # the last epoch is always evaluated, and gives the final accuracies
+        if epoch % eval_every == 0 or epoch == config.epochs - 1:
+            report.final_val_acc, report.final_test_acc = _evaluate()
+            report.val_acc.append(report.final_val_acc)
+            report.test_acc.append(report.final_test_acc)
+        else:
+            report.val_acc.append(None)
+            report.test_acc.append(None)
         report.epoch_seconds.append(time.perf_counter() - t0)
         report.epochs_run = epoch + 1
 
-    report.final_val_acc = evaluate(replicas[0], g, g.val_mask, features_full)
-    report.final_test_acc = evaluate(replicas[0], g, g.test_mask, features_full)
     evaluated = [(i, v) for i, v in enumerate(report.val_acc) if v is not None]
     if evaluated:
         report.best_val_epoch = int(max(evaluated, key=lambda t: (t[1], -t[0]))[0])
-    report._final_params = replicas[0]   # handy for callers; not serialized
+    report._final_params = params   # handy for callers; not serialized
     return report
 
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gad import consensus, rngs
 from gad.augment import augment_subgraph
 from gad.consensus import (
     degree_probability,
@@ -92,6 +93,30 @@ class TestZeta:
         approx = zeta(sub, x, beta=1.0, pair_cap=32, seed=5).zeta
         assert not zeta(sub, x, beta=1.0, pair_cap=32, seed=5).exact
         assert approx == pytest.approx(exact, rel=0.05)
+
+    @pytest.mark.parametrize("distance", ["l2", "per_dim_mean"])
+    def test_chunked_sample_bit_identical(self, monkeypatch, distance):
+        # the sampled path takes distances PAIR_CHUNK pairs at a time; with a
+        # chunk far below the 2048-pair sample (and not dividing it) the
+        # result must equal the whole-sample computation bit for bit
+        rng = np.random.default_rng(11)
+        n, cap, seed = 300, 64, 7
+        sub = sub_from_pairs(rng.integers(0, n, (900, 2)), n)
+        x = rng.normal(0, 1, (n, 6))
+        monkeypatch.setattr(consensus, "PAIR_CHUNK", 100)
+        got = zeta(sub, x, beta=1.0, pair_cap=cap, seed=seed, distance=distance)
+
+        draws = rngs.stream(seed, rngs.ZETA)
+        m = cap * cap // 2
+        ii = draws.integers(0, n, size=m)
+        jj = draws.integers(0, n - 1, size=m)
+        jj = np.where(jj >= ii, jj + 1, jj)
+        diff = x[ii] - x[jj]
+        d = np.sqrt((diff * diff).sum(axis=1)) if distance == "l2" else np.abs(diff).mean(axis=1)
+        p = degree_probability(sub)
+        assert not got.exact
+        assert got.zeta == float((p[ii] * p[jj] / (d + 1.0)).mean() * n * (n - 1) / 2.0)
+        assert got.mean_feature_distance == float(d.mean())
 
     def test_regularity_maximizes_zeta_exhaustive(self):
         # among all 6-node graphs with a fixed edge count and identical

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gad.errors import GadError
 from gad.gcn import (
+    SPARSE_MAX_DENSITY,
     GcnParams,
     forward,
     init_params,
+    layer_input,
     load_params,
     loss_and_backward,
     save_params,
@@ -192,6 +195,52 @@ class TestGradients:
             losses.append(gr.loss)
             params = sgd_update(params, gr, 0.05)
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def bag_of_words_graph(seed=0):
+    """120 nodes with binary features about 2% nonzero, 4 classes."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    feats = (rng.random((n, 300)) < 0.02).astype(np.float64)
+    return Graph.from_edges(n, rng.integers(0, n, (400, 2)), features=feats,
+                            labels=rng.integers(0, 4, n), train_mask=rng.random(n) < 0.5)
+
+
+class TestSparseLayerInput:
+    def test_layout_follows_density(self):
+        x = np.zeros((20, 50))
+        at_threshold = int(SPARSE_MAX_DENSITY * x.size)
+        x.flat[:at_threshold] = 1.0
+        assert sp.isspmatrix_csr(layer_input(x))
+        x.flat[at_threshold] = 1.0
+        dense = layer_input(x)
+        assert isinstance(dense, np.ndarray) and dense.dtype == np.float64
+
+    def test_sparse_input_passes_through(self):
+        csr = sp.csr_matrix(np.ones((5, 4)))        # dense content, sparse layout
+        assert layer_input(csr) is csr
+        out = layer_input(sp.coo_matrix(np.eye(5, 4, dtype=np.float32)))
+        assert sp.isspmatrix_csr(out) and out.dtype == np.float64
+        np.testing.assert_array_equal(out.toarray(), np.eye(5, 4))
+
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_csr_matches_dense(self, layers):
+        g = bag_of_words_graph(seed=layers)
+        assert np.count_nonzero(g.features) < 0.03 * g.features.size
+        adj = normalized_adjacency(full_view(g))
+        csr = layer_input(g.features)
+        assert sp.isspmatrix_csr(csr)
+        params = init_params((300,) + (16,) * (layers - 1) + (4,), seed=3)
+        results = []
+        for x in (g.features, csr):
+            cache = forward(params, adj, x)
+            results.append((cache, loss_and_backward(cache, params, adj, x, g.labels,
+                                                     g.train_mask)))
+        (dense_cache, dense_gr), (csr_cache, csr_gr) = results
+        np.testing.assert_allclose(csr_cache.probs, dense_cache.probs, rtol=1e-12)
+        assert csr_gr.loss == pytest.approx(dense_gr.loss, rel=1e-12)
+        for a, b in zip(csr_gr.grads, dense_gr.grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 class TestSgdUpdate:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gad import training
 from gad.augment import augment_partitions, augment_subgraph
 from gad.config import Config
 from gad.errors import GadError, NumericalError
@@ -176,6 +179,43 @@ class TestTrain:
                 params = sgd_update(params, gr, cfg.eta)
             assert np.allclose(rep.train_loss, oracle, rtol=0, atol=1e-12)
             assert np.max(np.abs(np.array(rep.train_loss) - np.array(oracle))) == 0.0
+
+    def test_one_adjacency_and_one_evaluate_per_evaluation_point(self, monkeypatch):
+        g = small_graph(seed=4)
+        p = partition_graph(g, 3, seed=4)
+        augs = bare_subgraphs(g, p)
+        calls = {"adj": 0, "eval": 0}
+        real_adj, real_eval = training.normalized_adjacency, training.evaluate
+
+        def counting_adj(view):
+            calls["adj"] += 1
+            return real_adj(view)
+
+        def counting_eval(*args, **kwargs):
+            calls["eval"] += 1
+            return real_eval(*args, **kwargs)
+
+        monkeypatch.setattr(training, "normalized_adjacency", counting_adj)
+        monkeypatch.setattr(training, "evaluate", counting_eval)
+        rep = train(g, p, augs, 2, quick_config(k=3, epochs=8, eval_every=3))
+        # one full-graph A_hat for evaluation, plus one per task
+        assert calls["adj"] == 1 + len(augs)
+        # initial, then epochs 0, 3, 6 and the last one, 7
+        assert [i for i, v in enumerate(rep.val_acc) if v is not None] == [0, 3, 6, 7]
+        assert calls["eval"] == 1 + 4
+        assert (rep.final_val_acc, rep.final_test_acc) == (rep.val_acc[-1], rep.test_acc[-1])
+        # one forward scores both masks exactly as separate calls would
+        monkeypatch.undo()
+        assert rep.final_val_acc == evaluate(rep._final_params, g, g.val_mask)
+        assert rep.final_test_acc == evaluate(rep._final_params, g, g.test_mask)
+
+    @pytest.mark.parametrize("empty", ["val_mask", "test_mask"])
+    def test_empty_evaluation_mask_rejected(self, empty):
+        g = small_graph(seed=4)
+        g = dataclasses.replace(g, **{empty: np.zeros(g.num_nodes, bool)})
+        p = single_partition(g)
+        with pytest.raises(GadError):
+            train(g, p, bare_subgraphs(g, p), 1, quick_config(k=1, workers=1))
 
     def test_zero_epochs_initial_eval_only(self):
         g = small_graph()
