@@ -47,9 +47,6 @@ class CoarseGraph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.targets[self.offsets[u]:self.offsets[u + 1]]
 
-    def edge_weights_of(self, u: int) -> np.ndarray:
-        return self.edge_weights[self.offsets[u]:self.offsets[u + 1]]
-
 
 @dataclass(frozen=True, eq=False)
 class Partitioning:
@@ -110,42 +107,43 @@ def _match_heavy_edges(cg: CoarseGraph, rng: np.random.Generator) -> np.ndarray:
     Nodes are visited in random order; an unmatched node pairs with its
     unmatched neighbor along the maximum-weight edge, ties to lowest id.
     """
-    n = cg.num_nodes
-    partner = np.full(n, -1, dtype=np.int64)
-    for u in rng.permutation(n):
+    # plain lists: this loop touches every edge, and indexing a list costs a
+    # fraction of reading one NumPy scalar
+    offsets, targets, weights = cg.offsets.tolist(), cg.targets.tolist(), cg.edge_weights.tolist()
+    partner = [-1] * cg.num_nodes
+    for u in rng.permutation(cg.num_nodes).tolist():
         if partner[u] != -1:
             continue
-        nbrs = cg.neighbors(u)
-        wts = cg.edge_weights_of(u)
         best_v, best_w = -1, 0
-        for v, w in zip(nbrs, wts):
+        for pos in range(offsets[u], offsets[u + 1]):
+            v = targets[pos]
             if partner[v] != -1 or v == u:
                 continue
+            w = weights[pos]
             if w > best_w or (w == best_w and (best_v == -1 or v < best_v)):
-                best_v, best_w = int(v), int(w)
+                best_v, best_w = v, w
         if best_v == -1:
             partner[u] = u
         else:
             partner[u] = best_v
             partner[best_v] = u
-    return partner
+    return np.asarray(partner, dtype=np.int64)
 
 
 def _contract(cg: CoarseGraph, partner: np.ndarray) -> CoarseGraph:
+    """Merge every matched pair (``partner`` is symmetric) into one node.
+
+    Coarse ids follow the smaller id of each pair (a node's own id when
+    unmatched), in increasing order.
+    """
     n = cg.num_nodes
-    coarse_id = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for u in range(n):
-        if coarse_id[u] != -1:
-            continue
-        coarse_id[u] = next_id
-        p = partner[u]
-        if p != u:
-            coarse_id[p] = next_id
-        next_id += 1
+    ids = np.arange(n, dtype=np.int64)
+    leads = partner >= ids
+    next_id = int(leads.sum())
+    coarse_id = (np.cumsum(leads) - 1)[np.minimum(ids, partner)]
 
     node_weight = np.bincount(coarse_id, weights=cg.node_weight, minlength=next_id)
-    rows = np.repeat(np.arange(n, dtype=np.int64), cg.degrees)
+    rows = np.repeat(ids, cg.degrees)
     cu = coarse_id[rows]
     cv = coarse_id[cg.targets]
     keep = cu != cv
@@ -197,15 +195,17 @@ def _weighted_cut(cg: CoarseGraph, assign: np.ndarray) -> int:
 def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """One seeded region-growing pass; returns a full assignment."""
     n = cg.num_nodes
-    assign = np.full(n, -1, dtype=np.int64)
-    seeds = rng.choice(n, size=k, replace=False)
-    part_weight = np.zeros(k, dtype=np.int64)
+    offsets, targets, weights = cg.offsets.tolist(), cg.targets.tolist(), cg.edge_weights.tolist()
+    node_weight = cg.node_weight.tolist()
+    assign = [-1] * n
+    seeds = rng.choice(n, size=k, replace=False).tolist()
+    part_weight = [0] * k
     frontiers: list[list] = [[] for _ in range(k)]
     for i, s in enumerate(seeds):
         assign[s] = i
-        part_weight[i] = cg.node_weight[s]
-        for v, w in zip(cg.neighbors(s), cg.edge_weights_of(s)):
-            heapq.heappush(frontiers[i], (-int(w), int(v)))
+        part_weight[i] = node_weight[s]
+        for pos in range(offsets[s], offsets[s + 1]):
+            heapq.heappush(frontiers[i], (-weights[pos], targets[pos]))
 
     open_parts = [True] * k
     while any(open_parts):
@@ -222,28 +222,29 @@ def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> 
             if v == -1:
                 open_parts[i] = False
                 continue
-            if part_weight[i] + cg.node_weight[v] > cap:
+            if part_weight[i] + node_weight[v] > cap:
                 open_parts[i] = False
                 continue
             assign[v] = i
-            part_weight[i] += cg.node_weight[v]
-            for t, w in zip(cg.neighbors(v), cg.edge_weights_of(v)):
+            part_weight[i] += node_weight[v]
+            for pos in range(offsets[v], offsets[v + 1]):
+                t = targets[pos]
                 if assign[t] == -1:
-                    heapq.heappush(heap, (-int(w), int(t)))
+                    heapq.heappush(heap, (-weights[pos], t))
 
     # Attach orphans to the adjacent part with the smallest weight; repeat
     # passes so chains of orphans resolve, then fall back to the globally
     # lightest part for nodes with no assigned neighbor at all.
-    orphans = [int(u) for u in np.flatnonzero(assign == -1)]
+    orphans = [u for u in range(n) if assign[u] == -1]
     while orphans:
         rest = []
         progress = False
         for u in orphans:
-            parts = {int(assign[v]) for v in cg.neighbors(u) if assign[v] != -1}
+            parts = {assign[v] for v in targets[offsets[u]:offsets[u + 1]] if assign[v] != -1}
             if parts:
                 tgt = min(parts, key=lambda p: (part_weight[p], p))
                 assign[u] = tgt
-                part_weight[tgt] += cg.node_weight[u]
+                part_weight[tgt] += node_weight[u]
                 progress = True
             else:
                 rest.append(u)
@@ -254,12 +255,12 @@ def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> 
                 stacklevel=2,
             )
             for u in rest:
-                tgt = int(np.argmin(part_weight))   # lightest part, lowest id on ties
+                tgt = part_weight.index(min(part_weight))   # lightest part, lowest id on ties
                 assign[u] = tgt
-                part_weight[tgt] += cg.node_weight[u]
+                part_weight[tgt] += node_weight[u]
             rest = []
         orphans = rest
-    return assign
+    return np.asarray(assign, dtype=np.int64)
 
 
 def partition_coarse(
@@ -291,34 +292,63 @@ def partition_coarse(
 
 
 def _rebalance_counts(level0: CoarseGraph, assign: np.ndarray, k: int, cap: int) -> np.ndarray:
-    """Move boundary nodes from over-full to under-full parts (one pass)."""
-    assign = assign.copy()
-    sizes = np.bincount(assign, minlength=k)
+    """Move boundary nodes from over-full to under-full parts (one pass).
+
+    While a part is over the cap, its lowest-id node with a neighbor in an
+    under-full part moves to the smallest such part (lowest id on ties); if
+    none has one, its lowest-id node moves to the smallest under-full part.
+    """
+    n = level0.num_nodes
+    offsets, targets = level0.offsets.tolist(), level0.targets.tolist()
+    assign = assign.tolist()
+    sizes = np.bincount(assign, minlength=k).tolist()
+
+    def target(u: int, part: int) -> int:
+        """Smallest under-full part next to u other than its own, or -1."""
+        under = [p for p in {assign[v] for v in targets[offsets[u]:offsets[u + 1]]}
+                 if p != part and sizes[p] < cap]
+        return min(under, key=lambda p: (sizes[p], p)) if under else -1
+
     for part in range(k):
+        if sizes[part] <= cap:
+            continue
+        # Members are scanned once, in id order.  Sizes of the other parts
+        # only grow here, so a scanned node that had no target gains one
+        # only when a neighbor moves out; those neighbors are looked at
+        # again, lowest id first, before the scan goes on.
+        members = [u for u in range(n) if assign[u] == part]
+        scanned = 0
+        recheck: list[int] = []
         while sizes[part] > cap:
-            moved = False
-            for u in np.flatnonzero(assign == part):
-                nbr_parts = {
-                    int(assign[v]) for v in level0.neighbors(u) if assign[v] != part
-                }
-                under = [p for p in nbr_parts if sizes[p] < cap]
-                if under:
-                    tgt = min(under, key=lambda p: (sizes[p], p))
-                    assign[u] = tgt
-                    sizes[part] -= 1
-                    sizes[tgt] += 1
-                    moved = True
-                    break
-            if not moved:
+            u = tgt = -1
+            bound = members[scanned] if scanned < len(members) else n
+            while recheck and recheck[0] < bound:
+                x = heapq.heappop(recheck)
+                if assign[x] == part:
+                    tgt = target(x, part)
+                    if tgt != -1:
+                        u = x
+                        break
+            while u == -1 and scanned < len(members):
+                x = members[scanned]
+                scanned += 1
+                if assign[x] == part:
+                    tgt = target(x, part)
+                    if tgt != -1:
+                        u = x
+            if u == -1:
                 under = [p for p in range(k) if sizes[p] < cap and p != part]
                 if not under:
                     raise BalanceError("rebalance failed: no under-full part available")
-                u = int(np.flatnonzero(assign == part)[0])
+                u = next(x for x in members if assign[x] == part)
                 tgt = min(under, key=lambda p: (sizes[p], p))
-                assign[u] = tgt
-                sizes[part] -= 1
-                sizes[tgt] += 1
-    return assign
+            assign[u] = tgt
+            sizes[part] -= 1
+            sizes[tgt] += 1
+            for v in targets[offsets[u]:offsets[u + 1]]:
+                if assign[v] == part:
+                    heapq.heappush(recheck, v)
+    return np.asarray(assign, dtype=np.int64)
 
 
 def uncoarsen(

@@ -105,6 +105,16 @@ class TestCoarsen:
         levels = coarsen(_graph([], n=5), 0.2, seed=0)
         assert levels[-1].num_nodes == 5
 
+    def test_contract_ids_follow_first_member(self):
+        # coarse ids are handed out in id order of each pair's smaller node
+        from gad.partition import _contract
+
+        g = level_zero(_graph([[0, 3], [1, 2], [2, 4], [3, 4]]))
+        partner = np.array([3, 1, 4, 0, 2])
+        cur = _contract(g, partner)
+        assert cur.fine_to_coarse.tolist() == [0, 1, 2, 0, 2]
+        assert cur.node_weight.tolist() == [2, 1, 2]
+
 
 class TestPartitionCoarse:
     def test_balance_cap_arithmetic(self):
@@ -168,6 +178,45 @@ class TestUncoarsen:
         p = uncoarsen(levels, coarse_assign, 2, epsilon=0.1)
         # cut recomputed on the original graph matches a direct edge scan
         assert p.edge_cut == brute_force_cut(g, p.assignment)
+
+    def test_rebalance_matches_rescan(self):
+        # the one-scan rebalance moves the same nodes, in the same order, as
+        # rescanning the over-full part from its lowest id before every move
+        from gad.partition import _rebalance_counts
+
+        def rescan(lv, assign, k, cap):
+            assign = assign.copy()
+            sizes = np.bincount(assign, minlength=k)
+            for part in range(k):
+                while sizes[part] > cap:
+                    for u in np.flatnonzero(assign == part):
+                        under = {int(assign[v]) for v in lv.neighbors(u)
+                                 if assign[v] != part and sizes[assign[v]] < cap}
+                        if under:
+                            break
+                    else:
+                        u = np.flatnonzero(assign == part)[0]
+                        under = [p for p in range(k) if p != part and sizes[p] < cap]
+                    tgt = min(under, key=lambda p: (sizes[p], p))
+                    assign[u] = tgt
+                    sizes[part] -= 1
+                    sizes[tgt] += 1
+            return assign
+
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            # odd seeds draw a sparse random graph with many isolated nodes,
+            # so the fallback to the part's lowest id runs too
+            if seed % 2:
+                g = _graph(rng.integers(0, 100, size=(30, 2)), n=100)
+            else:
+                g = sbm_graph([40, 25, 35], 0.08, 0.01, seed=seed)
+            lv = level_zero(g)
+            k = int(rng.integers(2, 6))
+            cap = balance_cap(g.num_nodes, k, float(rng.choice([0.0, 0.1])))
+            assign = rng.integers(0, k, size=g.num_nodes)
+            assign[rng.random(g.num_nodes) < 0.5] = 0
+            assert np.array_equal(_rebalance_counts(lv, assign, k, cap), rescan(lv, assign, k, cap))
 
     def test_balance_validated_on_counts(self):
         g = sbm_graph([50, 50], 0.1, 0.02, seed=7)
