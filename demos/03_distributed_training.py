@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from gad import Config, augment_partitions, partition_graph, train
-from gad.graph import load_cora
+from gad.graph import load_dataset
 from gad.synthetic import write_citation_benchmark
 from gad.training import communication_size
 
@@ -21,7 +21,7 @@ epochs = 60 if quick else 400
 
 data = Path(tempfile.mkdtemp(prefix="gad_demo_"))
 content, cites = write_citation_benchmark(data, seed=0)
-g = load_cora(content, cites, (0.45, 0.18, 0.37), seed=11)
+g = load_dataset(cites, content, (0.45, 0.18, 0.37), seed=11)
 print(f"dataset: {g.num_nodes} nodes, {g.num_edges} edges, "
       f"{g.feature_dim} features, {g.num_classes} classes")
 

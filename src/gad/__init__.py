@@ -43,11 +43,9 @@ from .graph import (
     density,
     full_view,
     induce_subgraph,
-    load_cora,
     load_dataset,
     make_split_masks,
     normalized_adjacency,
-    row_normalize,
 )
 from .partition import (
     CoarseGraph,

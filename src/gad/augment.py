@@ -24,6 +24,7 @@ from .partition import Partitioning
 Z_95 = 1.96
 DEFAULT_ERR_TARGET = 0.05
 DEFAULT_ALPHA = 0.01
+IMPORTANCE_MODES = ("indicator", "multiplicity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +64,6 @@ class ImportanceTable:
     def as_dict(self) -> dict[int, float]:
         return {int(c): float(v) for c, v in zip(self.candidates, self.importance)}
 
-    def lookup(self) -> dict[int, float]:
-        return self.as_dict()
-
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSubgraph:
@@ -92,14 +90,16 @@ class AugmentationRecord:
     walks_total: int
 
 
+def _boundary(g: Graph, member: np.ndarray) -> np.ndarray:
+    """Nodes flagged in ``member`` with at least one neighbor not flagged."""
+    return np.unique(g.rows[member[g.rows] & ~member[g.targets]])
+
+
 def boundary_nodes(g: Graph, p: Partitioning, i: int) -> np.ndarray:
     """Owned nodes of part ``i`` with at least one neighbor in another part."""
     if not 0 <= i < p.k:
         raise GadError(f"part id {i} out of range")
-    assign = p.assignment
-    rows = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
-    mask = (assign[rows] == i) & (assign[g.targets] != i)
-    return np.unique(rows[mask])
+    return _boundary(g, p.assignment == i)
 
 
 def candidate_replication_nodes(
@@ -172,16 +172,15 @@ def _candidate_visits(
     walks: np.ndarray, cand_index: np.ndarray, num_candidates: int, indicator: bool
 ) -> np.ndarray:
     """Visit counts per candidate; with ``indicator`` each walk counts once."""
-    n_walks = walks.shape[0]
     flat = walks.reshape(-1)
-    walk_of = np.repeat(np.arange(n_walks, dtype=np.int64), walks.shape[1])
     valid = flat >= 0
     cidx = np.full(flat.shape, -1, dtype=np.int64)
     cidx[valid] = cand_index[flat[valid]]
-    hit = cidx >= 0
-    if not hit.any():
+    hit = np.flatnonzero(cidx >= 0)
+    if not hit.size:
         return np.zeros(num_candidates, dtype=np.int64)
-    keys = walk_of[hit] * num_candidates + cidx[hit]
+    # key = walk id * num_candidates + candidate index, one per visit
+    keys = (hit // walks.shape[1]) * num_candidates + cidx[hit]
     if indicator:
         keys = np.unique(keys)
     return np.bincount(keys % num_candidates, minlength=num_candidates)
@@ -205,15 +204,12 @@ def node_importance(
     the remaining walks are then drawn from the same stream.  In the default
     indicator mode I(v) is the fraction of walks visiting v at least once.
     """
-    if mode not in ("indicator", "multiplicity"):
+    if mode not in IMPORTANCE_MODES:
         raise GadError(f"unknown importance mode {mode!r}")
     candidates = np.unique(np.asarray(candidates, dtype=np.int64))
-    owned = sub_i.local_ids[sub_i.owned]
     member = np.zeros(g.num_nodes, dtype=bool)
-    member[owned] = True
-    rows = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
-    cross = member[rows] & ~member[g.targets]
-    boundary = np.unique(rows[cross])
+    member[sub_i.owned_ids] = True
+    boundary = _boundary(g, member)
 
     def _empty(n_walks=0):
         table = ImportanceTable(

@@ -322,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--workers", type=int)
     pt.add_argument("--beta", type=float)
     pt.add_argument("--pair-cap", dest="pair_cap", type=int)
-    pt.add_argument("--feature-norm", dest="feature_norm")
-    pt.add_argument("--loss-reduction", dest="loss_reduction")
-    pt.add_argument("--zeta-distance", dest="zeta_distance")
-    pt.add_argument("--consensus")
     wt = pt.add_mutually_exclusive_group()
     wt.add_argument("--weighted", dest="weighted", action="store_true", default=None)
     wt.add_argument("--no-weighted", dest="weighted", action="store_false", default=None)

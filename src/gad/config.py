@@ -5,16 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
+from .augment import IMPORTANCE_MODES
 from .errors import GadError
-
-_ENUMS = {
-    "importance_mode": ("indicator", "multiplicity"),
-    "consensus": ("per_round", "per_epoch"),
-    "feature_norm": ("l1", "l2", "none"),
-    "zeta_distance": ("l2", "per_dim_mean"),
-    "loss_reduction": ("sum", "mean"),
-    "loss_scale": ("population", "none"),
-}
 
 
 @dataclass
@@ -46,13 +38,8 @@ class Config:
     augment: bool = True
 
     weighted: bool = True
-    consensus: str = "per_round"
     workers: int = 4
     seed: int = 0
-    feature_norm: str = "none"
-    zeta_distance: str = "l2"
-    loss_reduction: str = "sum"
-    loss_scale: str = "population"
     pair_cap: int = 4096
 
     def validate(self) -> "Config":
@@ -92,9 +79,8 @@ class Config:
             raise GadError("split fractions must be nonnegative and sum to <= 1")
         if self.target_subgraph_nodes is not None and self.target_subgraph_nodes < 1:
             raise GadError("target_subgraph_nodes must be >= 1")
-        for name, allowed in _ENUMS.items():
-            if getattr(self, name) not in allowed:
-                raise GadError(f"{name} must be one of {allowed}")
+        if self.importance_mode not in IMPORTANCE_MODES:
+            raise GadError(f"importance_mode must be one of {IMPORTANCE_MODES}")
         return self
 
     def to_json_dict(self) -> dict:

@@ -54,23 +54,16 @@ def degree_probability(sub: AugmentedSubgraph) -> np.ndarray:
     return deg / total
 
 
-def _pair_distances(
-    x: np.ndarray, ii: np.ndarray, jj: np.ndarray, metric: str, chunk: int
-) -> np.ndarray:
-    """Distance between rows ``x[ii[t]]`` and ``x[jj[t]]`` for every t.
+def _pair_distances(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, chunk: int) -> np.ndarray:
+    """L2 distance between rows ``x[ii[t]]`` and ``x[jj[t]]`` for every t.
 
     Computed ``chunk`` pairs at a time; each pair's value does not depend
     on the chunking.
     """
-    if metric not in ("l2", "per_dim_mean"):
-        raise GadError(f"unknown zeta distance metric {metric!r}")
     out = np.empty(len(ii), dtype=np.float64)
     for start in range(0, len(ii), chunk):
         diff = x[ii[start:start + chunk]] - x[jj[start:start + chunk]]
-        if metric == "l2":
-            out[start:start + chunk] = np.sqrt((diff * diff).sum(axis=1))
-        else:
-            out[start:start + chunk] = np.abs(diff).mean(axis=1)
+        out[start:start + chunk] = np.sqrt((diff * diff).sum(axis=1))
     return out
 
 
@@ -80,9 +73,10 @@ def zeta(
     beta: float = DEFAULT_BETA,
     pair_cap: int = DEFAULT_PAIR_CAP,
     seed: int = 0,
-    distance: str = "l2",
 ) -> SubgraphWeight:
     """Subgraph weight: sum over node pairs i<j of p_i p_j / (d(i,j) + beta).
+
+    d is the L2 distance between the two nodes' feature rows.
 
     Exact for subgraphs up to ``pair_cap`` nodes; larger ones use a seeded
     uniform pair sample of pair_cap**2 / 2 pairs rescaled by the total pair
@@ -103,11 +97,7 @@ def zeta(
     total_pairs = n * (n - 1) // 2
 
     if n <= pair_cap:
-        if distance == "l2":
-            d = pdist(x, metric="euclidean")
-        else:
-            ii, jj = np.triu_indices(n, k=1)
-            d = _pair_distances(x, ii, jj, distance, PAIR_CHUNK)
+        d = pdist(x, metric="euclidean")
         ii, jj = np.triu_indices(n, k=1)
         terms = p[ii] * p[jj] / (d + beta)
         value = float(terms.sum())
@@ -120,7 +110,7 @@ def zeta(
         ii = rng.integers(0, n, size=m)
         jj = rng.integers(0, n - 1, size=m)
         jj = np.where(jj >= ii, jj + 1, jj)   # uniform over ordered pairs i != j
-        d = _pair_distances(x, ii, jj, distance, PAIR_CHUNK)
+        d = _pair_distances(x, ii, jj, PAIR_CHUNK)
         terms = p[ii] * p[jj] / (d + beta)
         # ordered-pair sample estimates the unordered sum after halving
         value = float(terms.mean() * n * (n - 1) / 2.0)
@@ -171,14 +161,9 @@ def weighted_consensus(grads: list[Gradients], zetas) -> Gradients:
 
 
 def plain_consensus(grads: list[Gradients]) -> Gradients:
-    """Arithmetic mean of the gradients (the unweighted baseline)."""
-    _check_shapes(grads)
-    n = len(grads)
-    out = []
-    for l in range(len(grads[0].grads)):
-        acc = np.zeros_like(grads[0].grads[l])
-        for gr in grads:
-            acc += gr.grads[l]
-        out.append(acc / n)
-    loss = float(sum(gr.loss for gr in grads) / n)
-    return Gradients(grads=tuple(out), loss=loss)
+    """Arithmetic mean of the gradients (the unweighted baseline).
+
+    Unit weights reproduce the mean bit for bit: 1.0 * g == g, and the
+    weight sum is n exactly.
+    """
+    return weighted_consensus(grads, np.ones(len(grads)))

@@ -1,11 +1,11 @@
 """Multi-layer GCN with an analytic backward pass, in float64.
 
 Layer l computes H = relu(A_hat @ (H_prev @ W_l)); the final layer swaps
-relu for a row softmax.  The loss is masked categorical cross-entropy over
-the selected nodes (summed by default, mean optional) and gradients come
-from exact reverse-mode differentiation of that chain, so they can be
-checked against finite differences.  The input features may be a dense
-array or a CSR matrix (see :func:`layer_input`); every later layer is dense.
+relu for a row softmax.  The loss is masked categorical cross-entropy
+summed over the selected nodes, and gradients come from exact reverse-mode
+differentiation of that chain, so they can be checked against finite
+differences.  The input features may be a dense array or a CSR matrix (see
+:func:`layer_input`); every later layer is dense.
 """
 
 from __future__ import annotations
@@ -139,18 +139,14 @@ def loss_and_backward(
     features,
     labels: np.ndarray,
     loss_mask: np.ndarray,
-    reduction: str = "sum",
 ) -> Gradients:
-    """Masked categorical cross-entropy and exact gradients for every layer.
+    """Masked categorical cross-entropy, summed, and exact gradients per layer.
 
-    ``reduction`` picks between the summed loss over masked nodes and its
-    mean.  Only masked rows contribute; replicas or unlabeled nodes are
-    simply left out of the mask by the caller.  The layer-0 input is read
-    from ``cache`` in the layout :func:`forward` was given, so a CSR input
-    makes ``X^T @ G`` a sparse product.
+    Only masked rows contribute; replicas or unlabeled nodes are simply left
+    out of the mask by the caller.  The layer-0 input is read from ``cache``
+    in the layout :func:`forward` was given, so a CSR input makes
+    ``X^T @ G`` a sparse product.
     """
-    if reduction not in ("sum", "mean"):
-        raise GadError(f"unknown loss reduction {reduction!r}")
     mask = np.asarray(loss_mask, dtype=bool)
     if not mask.any():
         raise GadError("loss mask selects no nodes")
@@ -163,15 +159,11 @@ def loss_and_backward(
 
     picked = np.clip(probs[sel, y[sel]], PROB_FLOOR, 1.0)
     loss = float(-np.log(picked).sum())
-    scale = 1.0
-    if reduction == "mean":
-        scale = 1.0 / len(sel)
-        loss *= scale
 
     # gradient at the softmax input: (probs - onehot) on masked rows
     gz = np.zeros_like(probs)
-    gz[sel] = probs[sel] * scale
-    gz[sel, y[sel]] -= scale
+    gz[sel] = probs[sel]
+    gz[sel, y[sel]] -= 1.0
 
     a = adj.matrix
     grads: list[np.ndarray] = [None] * params.num_layers

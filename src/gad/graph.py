@@ -43,6 +43,11 @@ def _csr_from_pairs(num_nodes: int, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     return offsets, v.astype(np.int64, copy=False)
 
 
+def csr_rows(offsets: np.ndarray) -> np.ndarray:
+    """Row id of every CSR entry: row u repeated once per entry it owns."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph with features, labels and split masks."""
@@ -59,12 +64,18 @@ class Graph:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.offsets.shape != (self.num_nodes + 1,):
+        n = self.num_nodes
+        if self.offsets.shape != (n + 1,):
             raise GadError("offsets length must be num_nodes + 1")
         if self.offsets[-1] != len(self.targets):
             raise GadError("offsets[-1] must equal len(targets)")
         if np.any(np.diff(self.offsets) < 0):
             raise GadError("offsets must be nondecreasing")
+        if self.features.ndim != 2 or self.features.shape[0] != n:
+            raise GadError("feature row count must match num_nodes")
+        for name in ("labels", "train_mask", "val_mask", "test_mask"):
+            if getattr(self, name).shape != (n,):
+                raise GadError(f"{name} length must be num_nodes")
         overlap = (
             (self.train_mask & self.val_mask)
             | (self.train_mask & self.test_mask)
@@ -95,23 +106,24 @@ class Graph:
         return self.targets[self.offsets[u]:self.offsets[u + 1]]
 
     @cached_property
+    def rows(self) -> np.ndarray:
+        """Source node of every entry of ``targets`` (cached)."""
+        return csr_rows(self.offsets)
+
+    @cached_property
     def sparse_adjacency(self) -> sp.csr_matrix:
         """Boolean adjacency as scipy CSR (cached; used for BFS fan-outs)."""
         n = self.num_nodes
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
         data = np.ones(len(self.targets), dtype=bool)
-        return sp.csr_matrix((data, (rows, self.targets)), shape=(n, n))
+        return sp.csr_matrix((data, (self.rows, self.targets)), shape=(n, n))
 
     def edge_list(self) -> np.ndarray:
         """Unique undirected edges as an (m, 2) array with u < v, sorted."""
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        keep = rows < self.targets
-        return np.stack([rows[keep], self.targets[keep]], axis=1)
+        keep = self.rows < self.targets
+        return np.stack([self.rows[keep], self.targets[keep]], axis=1)
 
     def with_features(self, features: np.ndarray) -> "Graph":
         """Copy of the graph with a replaced feature matrix."""
-        if features.shape[0] != self.num_nodes:
-            raise GadError("feature row count must match num_nodes")
         return replace(self, features=np.asarray(features, dtype=np.float64))
 
     @classmethod
@@ -131,8 +143,6 @@ class Graph:
         if features is None:
             features = np.zeros((num_nodes, 1))
         features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] != num_nodes:
-            raise GadError("feature row count must match num_nodes")
         if labels is None:
             labels = np.full(num_nodes, UNLABELED, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -182,6 +192,11 @@ class SubgraphView:
         return np.diff(self.offsets)
 
     @cached_property
+    def rows(self) -> np.ndarray:
+        """Local source node of every entry of ``targets`` (cached)."""
+        return csr_rows(self.offsets)
+
+    @cached_property
     def global_to_local(self) -> dict[int, int]:
         return {int(g): i for i, g in enumerate(self.local_ids)}
 
@@ -205,8 +220,7 @@ class SubgraphView:
 
     def edge_list_global(self) -> np.ndarray:
         """Local edges as global-id pairs with u < v, sorted."""
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        gu = self.local_ids[rows]
+        gu = self.local_ids[self.rows]
         gv = self.local_ids[self.targets]
         keep = gu < gv
         out = np.stack([gu[keep], gv[keep]], axis=1)
@@ -247,14 +261,9 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     local_of = np.full(g.num_nodes, -1, dtype=np.int64)
     local_of[node_ids] = np.arange(len(node_ids))
 
-    deg = g.degrees[node_ids]
-    rows_g = np.repeat(node_ids, deg)
-    cols_g = np.concatenate(
-        [g.neighbors(u) for u in node_ids]
-    ) if len(node_ids) else np.zeros(0, dtype=np.int64)
-    keep = member[cols_g] if cols_g.size else np.zeros(0, dtype=bool)
-    rows_l = local_of[rows_g[keep]]
-    cols_l = local_of[cols_g[keep]]
+    keep = member[g.rows] & member[g.targets]
+    rows_l = local_of[g.rows[keep]]
+    cols_l = local_of[g.targets[keep]]
 
     counts = np.bincount(rows_l, minlength=len(node_ids))
     offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
@@ -283,12 +292,10 @@ def density(sub: SubgraphView) -> float:
 def normalized_adjacency(sub: SubgraphView) -> NormalizedAdjacency:
     n = sub.num_nodes
     dinv = 1.0 / np.sqrt(sub.degrees + 1.0)
-    rows = np.repeat(np.arange(n, dtype=np.int64), sub.degrees)
-    cols = sub.targets
-    data = dinv[rows] * dinv[cols]
+    data = dinv[sub.rows] * dinv[sub.targets]
     diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([rows, diag])
-    cols = np.concatenate([cols, diag])
+    rows = np.concatenate([sub.rows, diag])
+    cols = np.concatenate([sub.targets, diag])
     data = np.concatenate([data, dinv * dinv])
     mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     return NormalizedAdjacency(matrix=mat)
@@ -304,21 +311,6 @@ def full_view(g: Graph) -> SubgraphView:
         offsets=g.offsets.copy(),
         targets=g.targets.copy(),
     )
-
-
-def row_normalize(features: np.ndarray, mode: str = "l1") -> np.ndarray:
-    """Row-normalize a feature matrix; rows with zero norm are left as-is."""
-    x = np.asarray(features, dtype=np.float64)
-    if mode == "none":
-        return x.copy()
-    if mode == "l1":
-        norms = np.abs(x).sum(axis=1)
-    elif mode == "l2":
-        norms = np.sqrt((x * x).sum(axis=1))
-    else:
-        raise GadError(f"unknown feature normalization mode: {mode!r}")
-    scale = np.where(norms > 0, norms, 1.0)
-    return x / scale[:, None]
 
 
 def make_split_masks(
@@ -441,11 +433,6 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
         node_names=tuple(names),
         class_names=class_names,
     )
-
-
-def load_cora(content_path, cites_path, split_spec, seed: int) -> Graph:
-    """Compatibility loader for the classic ``.content`` / ``.cites`` pair."""
-    return load_dataset(cites_path, content_path, split_spec, seed)
 
 
 def write_edge_list(g: Graph, path) -> None:

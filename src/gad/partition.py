@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import rngs
 from .errors import BalanceError, GadError
-from .graph import Graph
+from .graph import Graph, csr_rows
 
 SHRINK_STALL = 0.95   # stop coarsening when a level keeps > 95% of its nodes
 
@@ -57,6 +57,13 @@ class Partitioning:
     epsilon: float
     edge_cut: int
     restarts_used: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise GadError("k must be >= 1")
+        a = self.assignment
+        if a.size and (a.min() < 0 or a.max() >= self.k):
+            raise GadError(f"part id outside 0..{self.k - 1} in the assignment")
 
     def part_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.k)
@@ -143,8 +150,7 @@ def _contract(cg: CoarseGraph, partner: np.ndarray) -> CoarseGraph:
     coarse_id = (np.cumsum(leads) - 1)[np.minimum(ids, partner)]
 
     node_weight = np.bincount(coarse_id, weights=cg.node_weight, minlength=next_id)
-    rows = np.repeat(ids, cg.degrees)
-    cu = coarse_id[rows]
+    cu = coarse_id[csr_rows(cg.offsets)]
     cv = coarse_id[cg.targets]
     keep = cu != cv
     mat = sp.coo_matrix(
@@ -187,8 +193,7 @@ def coarsen(g: Graph | CoarseGraph, target_fraction: float = 0.2, seed: int = 0)
 
 
 def _weighted_cut(cg: CoarseGraph, assign: np.ndarray) -> int:
-    rows = np.repeat(np.arange(cg.num_nodes, dtype=np.int64), cg.degrees)
-    cross = assign[rows] != assign[cg.targets]
+    cross = assign[csr_rows(cg.offsets)] != assign[cg.targets]
     return int(cg.edge_weights[cross].sum()) // 2
 
 
@@ -393,8 +398,7 @@ def edge_cut(g: Graph, p: Partitioning) -> int:
     assign = p.assignment
     if len(assign) != g.num_nodes:
         raise GadError("assignment does not cover all nodes")
-    rows = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
-    return int((assign[rows] != assign[g.targets]).sum()) // 2
+    return int((assign[g.rows] != assign[g.targets]).sum()) // 2
 
 
 def partition_graph(

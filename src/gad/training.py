@@ -31,13 +31,7 @@ from .gcn import (
     loss_and_backward,
     sgd_update,
 )
-from .graph import (
-    Graph,
-    NormalizedAdjacency,
-    full_view,
-    normalized_adjacency,
-    row_normalize,
-)
+from .graph import Graph, NormalizedAdjacency, full_view, normalized_adjacency
 from .partition import Partitioning
 from . import rngs
 
@@ -208,26 +202,23 @@ class _WorkerTask:
     grad_scale: float = 1.0
 
 
-def _prepare_tasks(g, augmented, features_full, config):
+def _prepare_tasks(g, augmented, config):
     total_train = int(g.train_mask.sum())
     tasks = []
     for aug in augmented:
         view = aug.view
-        x = features_full[view.local_ids]
+        x = g.features[view.local_ids]
         mask = view.local_train_mask()
         zw = zeta(
             aug, x, beta=config.beta, pair_cap=config.pair_cap,
             seed=int(rngs.stream(config.seed, rngs.ZETA, aug.part).integers(2**31)),
-            distance=config.zeta_distance,
         )
         n_train = int(mask.sum())
-        # With "population" scaling each subgraph's summed loss is rescaled to
-        # the full training population, so every worker's gradient estimates
-        # the same global objective regardless of how many train nodes its
-        # subgraph holds (exactly 1.0 for a single whole-graph partition).
-        scale = 1.0
-        if config.loss_scale == "population" and n_train > 0:
-            scale = total_train / n_train
+        # Each subgraph's summed loss is rescaled to the full training
+        # population, so every worker's gradient estimates the same global
+        # objective regardless of how many train nodes its subgraph holds
+        # (exactly 1.0 for a single whole-graph partition).
+        scale = total_train / n_train if n_train > 0 else 1.0
         tasks.append(
             _WorkerTask(
                 part=aug.part,
@@ -260,9 +251,8 @@ def train(
     """
     if not augmented:
         raise GadError("need at least one augmented subgraph")
-    features_full = row_normalize(g.features, config.feature_norm)
     worker_of = assign_to_workers(augmented, workers)
-    tasks = _prepare_tasks(g, augmented, features_full, config)
+    tasks = _prepare_tasks(g, augmented, config)
     queues: list[list[int]] = [[] for _ in range(workers)]
     for idx, w in enumerate(worker_of):
         queues[int(w)].append(idx)
@@ -286,7 +276,7 @@ def train(
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
     eval_adj = normalized_adjacency(full_view(g))
-    eval_x = layer_input(features_full)
+    eval_x = layer_input(g.features)
     eval_masks = np.stack([g.val_mask, g.test_mask])
 
     def _evaluate() -> tuple[float, float]:
@@ -299,8 +289,7 @@ def train(
         cache = forward(params, task.adj, task.features)
         try:
             grad = loss_and_backward(
-                cache, params, task.adj, task.features,
-                task.labels, task.loss_mask, reduction=config.loss_reduction,
+                cache, params, task.adj, task.features, task.labels, task.loss_mask
             )
         except NumericalError as exc:
             exc.partial_report = report   # flushed by the CLI on exit code 2
@@ -309,17 +298,10 @@ def train(
             grad = grad.scaled(task.grad_scale)
         return grad
 
-    def _apply(contributions: list[tuple[Gradients, float]], epoch: int, rnd: int) -> None:
-        nonlocal params
-        params = sgd_update(params, _combine(contributions, config.weighted), config.eta)
-        if on_barrier is not None:
-            on_barrier(epoch, rnd, [params] * workers)
-
     eval_every = max(1, int(getattr(config, "eval_every", 1)))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         epoch_losses: list[float] = []
-        epoch_contributions: list[tuple[Gradients, float]] = []
         for rnd in range(rounds):
             contributions: list[tuple[Gradients, float]] = []
             for w in range(workers):
@@ -333,12 +315,9 @@ def train(
                 epoch_losses.append(grad.loss)
             if not contributions:
                 continue
-            if config.consensus == "per_round":
-                _apply(contributions, epoch, rnd)
-            else:
-                epoch_contributions.extend(contributions)
-        if config.consensus == "per_epoch" and epoch_contributions:
-            _apply(epoch_contributions, epoch, rounds - 1)
+            params = sgd_update(params, _combine(contributions, config.weighted), config.eta)
+            if on_barrier is not None:
+                on_barrier(epoch, rnd, [params] * workers)
 
         report.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
         # the last epoch is always evaluated, and gives the final accuracies

@@ -28,13 +28,7 @@ from gad.augment import candidate_replication_nodes, node_importance
 from gad.config import Config
 from gad.consensus import zeta
 from gad.gcn import forward, init_params, loss_and_backward, sgd_update
-from gad.graph import (
-    full_view,
-    induce_subgraph,
-    load_cora,
-    normalized_adjacency,
-    row_normalize,
-)
+from gad.graph import full_view, induce_subgraph, load_dataset, normalized_adjacency
 from gad.partition import (
     Partitioning,
     balance_cap,
@@ -83,7 +77,7 @@ CORA_SKIP = (
 def twin_graph(tmp_path_factory):
     d = tmp_path_factory.mktemp("twin")
     content, cites = write_citation_benchmark(d, seed=0)
-    return load_cora(content, cites, (0.45, 0.18, 0.37), seed=TWIN_SPLIT_SEED)
+    return load_dataset(cites, content, (0.45, 0.18, 0.37), seed=TWIN_SPLIT_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +86,7 @@ def cora_graph():
     if not found:
         return None
     content, cites = found
-    return load_cora(content, cites, (0.45, 0.18, 0.37), seed=TWIN_SPLIT_SEED)
+    return load_dataset(cites, content, (0.45, 0.18, 0.37), seed=TWIN_SPLIT_SEED)
 
 
 def _end_to_end_accuracy(g):
@@ -301,10 +295,8 @@ class TestCriterion8GradientCorrectness:
             dims = (4,) + (hidden,) * (layers - 1) + (3,)
             params = init_params(dims, seed=21)
             cache = forward(params, adj, g.features)
-            gr = loss_and_backward(cache, params, adj, g.features, g.labels,
-                                   g.train_mask, reduction="sum")
-            num = numeric_gradient(params, adj, g.features, g.labels,
-                                   g.train_mask, "sum")
+            gr = loss_and_backward(cache, params, adj, g.features, g.labels, g.train_mask)
+            num = numeric_gradient(params, adj, g.features, g.labels, g.train_mask)
             for analytic, numeric in zip(gr.grads, num):
                 err = rel_err(analytic, numeric)
                 big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
@@ -330,11 +322,10 @@ class TestCriterion9SerialEquivalence:
             dims = (g.feature_dim,) + (8,) * (layers - 1) + (g.num_classes,)
             params = init_params(dims, seed=1)
             adj = normalized_adjacency(full_view(g))
-            x = row_normalize(g.features, cfg.feature_norm)
+            x = g.features
             for epoch in range(20):
                 cache = forward(params, adj, x)
-                gr = loss_and_backward(cache, params, adj, x, g.labels,
-                                       g.train_mask, reduction=cfg.loss_reduction)
+                gr = loss_and_backward(cache, params, adj, x, g.labels, g.train_mask)
                 worst = max(worst, abs(gr.loss - rep.train_loss[epoch]))
                 params = sgd_update(params, gr, cfg.eta)
         criterion(9, worst <= 1e-12,

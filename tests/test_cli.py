@@ -89,6 +89,19 @@ class TestAugmentCmd:
         assert payload["augment_enabled"] is False
         assert all(not e["replicas"] for e in payload["partitions"])
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_part_id_out_of_range_exit_1(self, dataset, tmp_path, capsys, bad):
+        # with k = 3 a node in part -1 or 3 would belong to no part at all
+        part = tmp_path / "p.json"
+        run(["partition", dataset, "--k", "3", "--seed", "1", "--out", part])
+        payload = json.loads(part.read_text())
+        payload["assignment"][5] = bad
+        part.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["augment", dataset, "--partition", part, "--out", tmp_path / "a.json"]) == 1
+        assert "part id outside 0..2" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
 
 class TestTrainCmd:
     @pytest.fixture(scope="class")
@@ -133,6 +146,17 @@ class TestTrainCmd:
                     "--hidden", "8", "--eta", "0.001", "--epochs", "2",
                     "--workers", "2", "--seed", "2", "--no-weighted", "--out", out]) == 0
         assert json.loads(out.read_text())["config"]["weighted"] is False
+
+    def test_part_id_out_of_range_exit_1(self, dataset, staged, tmp_path, capsys):
+        d, part, aug = staged
+        payload = json.loads(aug.read_text())
+        payload["assignment"][0] = payload["k"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["train", dataset, "--augmented", bad, "--epochs", "1",
+                    "--out", tmp_path / "r.json"]) == 1
+        assert "part id outside" in capsys.readouterr().err
 
 
 class TestReportCmd:
@@ -214,6 +238,17 @@ class TestConfigPrecedence:
 
     def test_invalid_value_exit_1(self, dataset, tmp_path):
         assert run(["partition", dataset, "--k", "0", "--out", tmp_path / "p.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("consensus", "per_epoch"), ("feature_norm", "l1"), ("zeta_distance", "l2"),
+         ("loss_reduction", "sum"), ("loss_scale", "population")],
+    )
+    def test_removed_recipe_keys_exit_1(self, dataset, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["partition", dataset, "--config", cfg, "--out", tmp_path / "p.json"]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_console_script_installed(capsys):

@@ -94,8 +94,7 @@ class TestZeta:
         assert not zeta(sub, x, beta=1.0, pair_cap=32, seed=5).exact
         assert approx == pytest.approx(exact, rel=0.05)
 
-    @pytest.mark.parametrize("distance", ["l2", "per_dim_mean"])
-    def test_chunked_sample_bit_identical(self, monkeypatch, distance):
+    def test_chunked_sample_bit_identical(self, monkeypatch):
         # the sampled path takes distances PAIR_CHUNK pairs at a time; with a
         # chunk far below the 2048-pair sample (and not dividing it) the
         # result must equal the whole-sample computation bit for bit
@@ -104,7 +103,7 @@ class TestZeta:
         sub = sub_from_pairs(rng.integers(0, n, (900, 2)), n)
         x = rng.normal(0, 1, (n, 6))
         monkeypatch.setattr(consensus, "PAIR_CHUNK", 100)
-        got = zeta(sub, x, beta=1.0, pair_cap=cap, seed=seed, distance=distance)
+        got = zeta(sub, x, beta=1.0, pair_cap=cap, seed=seed)
 
         draws = rngs.stream(seed, rngs.ZETA)
         m = cap * cap // 2
@@ -112,7 +111,7 @@ class TestZeta:
         jj = draws.integers(0, n - 1, size=m)
         jj = np.where(jj >= ii, jj + 1, jj)
         diff = x[ii] - x[jj]
-        d = np.sqrt((diff * diff).sum(axis=1)) if distance == "l2" else np.abs(diff).mean(axis=1)
+        d = np.sqrt((diff * diff).sum(axis=1))
         p = degree_probability(sub)
         assert not got.exact
         assert got.zeta == float((p[ii] * p[jj] / (d + 1.0)).mean() * n * (n - 1) / 2.0)
@@ -142,20 +141,22 @@ class TestZeta:
         with pytest.raises(GadError):
             zeta(sub, np.zeros((2, 1)), beta=0.0)
 
-    def test_per_dim_mean_mode(self):
-        sub = sub_from_pairs([[0, 1]], 2)
-        x = np.array([[0.0, 0.0], [2.0, 4.0]])
-        z = zeta(sub, x, beta=1.0, distance="per_dim_mean")
-        # mean per-dim absolute difference = 3
-        assert z.zeta == pytest.approx(0.25 / 4.0)
-
 
 class TestWeightedConsensus:
     def test_uniform_equals_plain_mean(self):
-        grads = [grad(2.0), grad(6.0)]
-        w = weighted_consensus(grads, [1.0, 1.0])
-        p = plain_consensus(grads)
-        assert w.grads[0][0, 0] == pytest.approx(p.grads[0][0, 0], abs=1e-15)
+        # unit weights give the sequential mean bit for bit, on every layer
+        # and on the loss
+        rng = np.random.default_rng(3)
+        shapes = ((5, 4), (4, 4), (4, 3))
+        grads = [
+            Gradients(grads=tuple(rng.normal(0, 1, s) for s in shapes), loss=float(loss))
+            for loss in (0.7, 2.9, 13.1, 0.05)
+        ]
+        n = len(grads)
+        for out in (plain_consensus(grads), weighted_consensus(grads, np.ones(n))):
+            for l in range(len(shapes)):
+                assert np.array_equal(out.grads[l], sum(g.grads[l] for g in grads) / n)
+            assert out.loss == sum(g.loss for g in grads) / n
 
     def test_hand_arithmetic(self):
         # zetas (1, 3) on scalar grads (2, 6): (1*2 + 3*6) / 4 = 5

@@ -27,18 +27,15 @@ def fixture_graph():
     return Graph.from_edges(6, pairs, features=feats, labels=labels, train_mask=mask)
 
 
-def numeric_gradient(params, adj, x, labels, mask, reduction, h=1e-4):
-    """Central finite differences of the loss wrt every weight entry."""
+def numeric_gradient(params, adj, x, labels, mask, h=1e-4):
+    """Central finite differences of the summed loss wrt every weight entry."""
 
     def loss_at(ws):
         p = GcnParams(weights=tuple(ws))
         cache = forward(p, adj, x)
         sel = np.flatnonzero(mask)
         picked = np.clip(cache.probs[sel, labels[sel]], 1e-12, 1.0)
-        val = -np.log(picked).sum()
-        if reduction == "mean":
-            val /= len(sel)
-        return val
+        return -np.log(picked).sum()
 
     grads = []
     for li, w in enumerate(params.weights):
@@ -115,14 +112,13 @@ class TestForward:
 
 class TestLoss:
     def test_uniform_probs_loss_ln_c(self):
+        # each of the 5 masked nodes contributes ln 3
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
         params = GcnParams(weights=(np.zeros((4, 3)),))
         cache = forward(params, adj, g.features)
-        gr = loss_and_backward(
-            cache, params, adj, g.features, g.labels, g.train_mask, reduction="mean"
-        )
-        assert gr.loss == pytest.approx(np.log(3.0))
+        gr = loss_and_backward(cache, params, adj, g.features, g.labels, g.train_mask)
+        assert gr.loss == pytest.approx(5 * np.log(3.0))
 
     def test_one_hot_prediction_near_zero_loss(self):
         # single node, huge correct logit
@@ -131,9 +127,7 @@ class TestLoss:
         adj = normalized_adjacency(full_view(g))
         params = GcnParams(weights=(np.array([[50.0, 0.0]]),))
         cache = forward(params, adj, g.features)
-        gr = loss_and_backward(
-            cache, params, adj, g.features, g.labels, g.train_mask, reduction="sum"
-        )
+        gr = loss_and_backward(cache, params, adj, g.features, g.labels, g.train_mask)
         assert gr.loss == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_mask_rejected(self):
@@ -159,9 +153,9 @@ class TestLoss:
 
 class TestGradients:
     @pytest.mark.parametrize("layers", [2, 3, 4])
-    @pytest.mark.parametrize("hidden", [8, 16])
-    @pytest.mark.parametrize("reduction", ["sum", "mean"])
-    def test_finite_differences(self, layers, hidden, reduction):
+    # the ids name the loss the gradient is of: the sum over masked nodes
+    @pytest.mark.parametrize("hidden", [8, 16], ids=lambda h: f"sum-{h}")
+    def test_finite_differences(self, layers, hidden):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
         dims = (4,) + (hidden,) * (layers - 1) + (3,)
@@ -172,10 +166,8 @@ class TestGradients:
         margin = min(np.abs(z).min() for z in cache.pre_activations)
         assert margin > 1e-3, "fixture params sit too close to a relu kink"
 
-        gr = loss_and_backward(
-            cache, params, adj, g.features, g.labels, g.train_mask, reduction=reduction
-        )
-        num = numeric_gradient(params, adj, g.features, g.labels, g.train_mask, reduction)
+        gr = loss_and_backward(cache, params, adj, g.features, g.labels, g.train_mask)
+        num = numeric_gradient(params, adj, g.features, g.labels, g.train_mask)
         for analytic, numeric in zip(gr.grads, num):
             err = rel_err(analytic, numeric)
             big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
@@ -183,17 +175,16 @@ class TestGradients:
 
     def test_descent_on_separable_fixture(self):
         # loss is non-increasing over 50 full-batch steps with a small step
+        # (0.01 on the loss summed over 5 nodes: 0.05 per node's mean)
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
         params = init_params((4, 8, 3), seed=11)
         losses = []
         for _ in range(50):
             cache = forward(params, adj, g.features)
-            gr = loss_and_backward(
-                cache, params, adj, g.features, g.labels, g.train_mask, reduction="mean"
-            )
+            gr = loss_and_backward(cache, params, adj, g.features, g.labels, g.train_mask)
             losses.append(gr.loss)
-            params = sgd_update(params, gr, 0.05)
+            params = sgd_update(params, gr, 0.01)
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
 

@@ -6,14 +6,13 @@ import pytest
 from gad.errors import GadError
 from gad.graph import (
     Graph,
+    csr_rows,
     density,
     full_view,
     induce_subgraph,
-    load_cora,
     load_dataset,
     make_split_masks,
     normalized_adjacency,
-    row_normalize,
     write_edge_list,
 )
 
@@ -66,6 +65,35 @@ def test_masks_disjoint_enforced():
     bad[0] = True
     with pytest.raises(GadError):
         Graph.from_edges(3, np.zeros((0, 2)), train_mask=bad, val_mask=bad)
+
+
+class TestArrayLengths:
+    def test_short_labels_rejected(self):
+        with pytest.raises(GadError, match="labels length"):
+            Graph.from_edges(3, [[0, 1]], labels=np.array([0, 1]))
+
+    def test_masks_of_one_wrong_length_rejected(self):
+        m = np.zeros(4, dtype=bool)
+        with pytest.raises(GadError, match="train_mask length"):
+            Graph.from_edges(3, [[0, 1]], train_mask=m, val_mask=m, test_mask=m)
+
+    def test_masks_of_mixed_lengths_rejected(self):
+        # a GadError, not numpy's broadcasting ValueError from the overlap check
+        with pytest.raises(GadError, match="val_mask length"):
+            Graph.from_edges(3, [[0, 1]], train_mask=np.zeros(3, bool), val_mask=np.zeros(2, bool))
+
+    def test_feature_rows_checked(self):
+        with pytest.raises(GadError, match="feature row count"):
+            Graph.from_edges(3, [[0, 1]], features=np.zeros((2, 4)))
+        with pytest.raises(GadError, match="feature row count"):
+            triangle().with_features(np.zeros(3))
+
+    def test_rows_follow_csr(self):
+        rng = np.random.default_rng(2)
+        g = _graph(rng.integers(0, 25, size=(70, 2)), n=27)   # nodes 25, 26 isolated
+        expect = [u for u in range(g.num_nodes) for _ in g.neighbors(u)]
+        assert g.rows.tolist() == expect
+        assert csr_rows(np.zeros(1, dtype=np.int64)).tolist() == []
 
 
 class TestDensity:
@@ -238,7 +266,7 @@ class TestLoaders:
         feat.write_text("31336 1 0 1 Neural_Networks\n1061127 0 1 1 Rule_Learning\n")
         edge = tmp_path / "toy.cites"
         edge.write_text("31336 1061127\n")
-        g = load_cora(feat, edge, (0.5, 0.5, 0.0), seed=1)
+        g = load_dataset(edge, feat, (0.5, 0.5, 0.0), seed=1)
         assert g.num_nodes == 2
         assert g.class_names == ("Neural_Networks", "Rule_Learning")
         assert g.num_edges == 1
@@ -249,15 +277,3 @@ class TestLoaders:
         write_edge_list(g, out)
         assert out.read_text() == "0 1\n0 2\n1 2\n"
 
-
-def test_row_normalize_modes():
-    x = np.array([[2.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
-    l1 = row_normalize(x, "l1")
-    assert l1[0].sum() == pytest.approx(1.0)
-    assert l1[1].tolist() == [0.0, 0.0]
-    l2 = row_normalize(x, "l2")
-    assert np.linalg.norm(l2[2]) == pytest.approx(1.0)
-    raw = row_normalize(x, "none")
-    assert np.array_equal(raw, x)
-    with pytest.raises(GadError):
-        row_normalize(x, "max")

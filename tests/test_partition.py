@@ -226,6 +226,17 @@ class TestUncoarsen:
         assert (p.part_sizes() > 0).all()
 
 
+class TestPartitioningIds:
+    @pytest.mark.parametrize("bad", [-1, 2, 7])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(GadError, match="part id outside 0..1"):
+            Partitioning(np.array([0, 1, bad]), 2, 0.1, 0, 0)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(GadError, match="k must be >= 1"):
+            Partitioning(np.zeros(0, dtype=np.int64), 0, 0.1, 0, 0)
+
+
 class TestEdgeCut:
     def test_single_part(self):
         g = two_triangles()

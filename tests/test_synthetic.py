@@ -1,6 +1,6 @@
 import numpy as np
 
-from gad.graph import load_cora
+from gad.graph import load_dataset
 from gad.synthetic import (
     CITATION_CLASS_SIZES,
     citation_graph_arrays,
@@ -73,7 +73,7 @@ class TestCitationBenchmark:
             class_sizes=(12, 10, 8), num_edges=40, feature_dim=10,
             words_per_class=3, mean_words=4.0,
         )
-        g = load_cora(content, cites, (0.45, 0.18, 0.37), seed=0)
+        g = load_dataset(cites, content, (0.45, 0.18, 0.37), seed=0)
         assert g.num_nodes == 30
         assert g.num_edges == 40
         assert g.feature_dim == 10

@@ -8,13 +8,7 @@ from gad.augment import augment_partitions, augment_subgraph
 from gad.config import Config
 from gad.errors import GadError, NumericalError
 from gad.gcn import forward, init_params, loss_and_backward, sgd_update
-from gad.graph import (
-    Graph,
-    full_view,
-    induce_subgraph,
-    normalized_adjacency,
-    row_normalize,
-)
+from gad.graph import Graph, full_view, induce_subgraph, normalized_adjacency
 from gad.partition import Partitioning, partition_graph
 from gad.synthetic import sbm_graph
 from gad.training import communication_size, evaluate, train
@@ -149,7 +143,7 @@ class TestCommunicationSize:
 
 def quick_config(**kw):
     base = dict(k=2, layers=2, hidden=8, eta=1e-3, epochs=5, workers=2,
-                eval_every=5, seed=1, feature_norm="none")
+                eval_every=5, seed=1)
     base.update(kw)
     return Config(**base)
 
@@ -162,19 +156,17 @@ class TestTrain:
             g = small_graph(seed=layers)
             p = single_partition(g)
             augs = bare_subgraphs(g, p)
-            cfg = quick_config(k=1, workers=1, weighted=False, epochs=20,
-                               layers=layers, loss_reduction="sum")
+            cfg = quick_config(k=1, workers=1, weighted=False, epochs=20, layers=layers)
             rep = train(g, p, augs, 1, cfg)
 
             dims = (g.feature_dim,) + (cfg.hidden,) * (layers - 1) + (g.num_classes,)
             params = init_params(dims, seed=cfg.seed)
             adj = normalized_adjacency(full_view(g))
-            x = row_normalize(g.features, cfg.feature_norm)
+            x = g.features
             oracle = []
             for _ in range(20):
                 cache = forward(params, adj, x)
-                gr = loss_and_backward(cache, params, adj, x, g.labels,
-                                       g.train_mask, reduction="sum")
+                gr = loss_and_backward(cache, params, adj, x, g.labels, g.train_mask)
                 oracle.append(gr.loss)
                 params = sgd_update(params, gr, cfg.eta)
             assert np.allclose(rep.train_loss, oracle, rtol=0, atol=1e-12)
@@ -304,18 +296,3 @@ class TestTrain:
         with pytest.raises(NumericalError) as exc_info:
             train(g, p, augs, 1, cfg)
         assert hasattr(exc_info.value, "partial_report")
-
-    def test_per_epoch_consensus_mode(self):
-        g = small_graph(seed=9)
-        p = partition_graph(g, 3, seed=9)
-        augs = bare_subgraphs(g, p)
-        rep = train(g, p, augs, 2, quick_config(k=3, epochs=3, consensus="per_epoch"))
-        assert rep.epochs_run == 3
-
-    def test_population_scale_neutral_for_single_partition(self):
-        g = small_graph(seed=10)
-        p = single_partition(g)
-        augs = bare_subgraphs(g, p)
-        a = train(g, p, augs, 1, quick_config(k=1, workers=1, epochs=5, loss_scale="population"))
-        b = train(g, p, augs, 1, quick_config(k=1, workers=1, epochs=5, loss_scale="none"))
-        assert a.train_loss == b.train_loss
