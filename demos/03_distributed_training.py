@@ -19,9 +19,9 @@ from gad.training import communication_size
 quick = "--quick" in sys.argv
 epochs = 60 if quick else 400
 
-data = Path(tempfile.mkdtemp(prefix="gad_demo_"))
-content, cites = write_citation_benchmark(data, seed=0)
-g = load_dataset(cites, content, (0.45, 0.18, 0.37), seed=11)
+with tempfile.TemporaryDirectory(prefix="gad_demo_") as data:
+    content, cites = write_citation_benchmark(Path(data), seed=0)
+    g = load_dataset(cites, content, (0.45, 0.18, 0.37), seed=11)
 print(f"dataset: {g.num_nodes} nodes, {g.num_edges} edges, "
       f"{g.feature_dim} features, {g.num_classes} classes")
 

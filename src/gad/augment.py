@@ -305,48 +305,66 @@ def replication_budget(sub_i: SubgraphView, alpha: float = DEFAULT_ALPHA) -> int
     return int(math.ceil(alpha * (1.0 + density(sub_i)) * sub_i.num_nodes))
 
 
+def _score_walks(table: ImportanceTable, walks: WalkSet) -> tuple[np.ndarray, np.ndarray]:
+    """Score of every walk, and the candidate flag per node id.
+
+    A walk's score is the sum of I(v) over the distinct candidates it visits,
+    in ascending node order.  All walks are scored at once on their sorted
+    rows, with padding, repeats and non-candidates counted as 0.0.  Summing
+    the columns in order adds the kept values sequentially, as NumPy sums
+    fewer than 8 values, and adding 0.0 never changes a float sum; a walk
+    with 8 or more distinct candidates (``layers`` >= 7) is summed on its
+    own, as NumPy sums it pairwise.  So each score equals
+    ``imp[np.unique(candidates on the walk)].sum()`` bit for bit at every
+    walk length.  Candidates above ``walks.walks.max()`` are left out.
+    """
+    w = walks.walks
+    # one slot past w.max(), so that -1 padding indexes a non-candidate
+    size = int(w.max()) + 2
+    cands = table.candidates
+    inside = cands < size - 1
+    imp = np.zeros(size, dtype=np.float64)
+    imp[cands[inside]] = table.importance[inside]
+    is_cand = np.zeros(size, dtype=bool)
+    is_cand[cands[inside]] = True
+
+    s = np.sort(w, axis=1)
+    keep = is_cand[s]
+    keep[:, 1:] &= s[:, 1:] != s[:, :-1]
+    vals = np.where(keep, imp[s], 0.0)
+    scores = np.zeros(len(w))
+    for col in vals.T:
+        scores += col
+    for r in np.flatnonzero(keep.sum(axis=1) >= 8):
+        scores[r] = vals[r, keep[r]].sum()
+    return scores, is_cand
+
+
 def depth_first_select(
     table: ImportanceTable, walks: WalkSet, budget: int
 ) -> np.ndarray:
     """Pick replicas by draining the highest-scoring walks in walk order.
 
-    A walk's score is the sum of I(v) over the distinct candidates it visits;
-    ties go to the earlier walk.  Selected nodes are therefore always
-    path-connected to the partition through their walk.
+    A walk's score is the sum of I(v) over the distinct candidates it visits
+    (see :func:`_score_walks`); ties go to the earlier walk.  Selected nodes
+    are therefore always path-connected to the partition through their walk.
     """
     if budget < 0:
         raise GadError("budget must be >= 0")
     if budget == 0 or walks.num_walks == 0:
         return np.zeros(0, dtype=np.int64)
-    imp = np.zeros(walks.walks.max() + 2, dtype=np.float64)
-    imp_index = np.full(walks.walks.max() + 2, -1, dtype=np.int64)
-    for j, c in enumerate(table.candidates):
-        if c <= walks.walks.max():
-            imp[c] = table.importance[j]
-            imp_index[c] = j
-    is_cand = imp_index >= 0
-
-    scores = np.zeros(walks.num_walks)
-    for w in range(walks.num_walks):
-        nodes = walks.walks[w]
-        nodes = np.unique(nodes[nodes >= 0])
-        scores[w] = imp[nodes[is_cand[nodes]]].sum()
-
+    scores, is_cand = _score_walks(table, walks)
     order = np.lexsort((np.arange(walks.num_walks), -scores))
+    cand_walks = np.where(is_cand[walks.walks], walks.walks, -1)
     selected: list[int] = []
     chosen = set()
-    for w in order:
-        if len(selected) >= budget:
-            break
-        for node in walks.walks[w]:
-            if node < 0:
-                continue
-            node = int(node)
-            if is_cand[node] and node not in chosen:
+    for row in order.tolist():
+        for node in cand_walks[row].tolist():
+            if node >= 0 and node not in chosen:
                 chosen.add(node)
                 selected.append(node)
                 if len(selected) >= budget:
-                    break
+                    return np.array(selected, dtype=np.int64)
     return np.array(selected, dtype=np.int64)
 
 

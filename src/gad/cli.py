@@ -168,6 +168,8 @@ def cmd_augment(args) -> int:
 
 def _rebuild_augmented(g: Graph, payload: dict) -> tuple[Partitioning, list[AugmentedSubgraph]]:
     assignment = np.asarray(payload["assignment"], dtype=np.int64)
+    if len(assignment) != g.num_nodes:
+        raise GadError("augmented file does not match the dataset (assignment length)")
     part = Partitioning(
         assignment=assignment,
         k=int(payload["k"]),

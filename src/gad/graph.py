@@ -247,7 +247,8 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     """Subgraph of ``g`` induced by ``node_ids``; ``owned_ids`` flags ownership.
 
     Requires owned_ids to be a subset of node_ids; all edges of ``g`` with
-    both endpoints inside ``node_ids`` are kept.
+    both endpoints inside ``node_ids`` are kept.  Only the members' own CSR
+    rows are read, not all of ``g``'s entries.
     """
     node_ids = np.unique(np.asarray(node_ids, dtype=np.int64))
     owned_ids = np.unique(np.asarray(owned_ids, dtype=np.int64))
@@ -256,14 +257,20 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     if not np.isin(owned_ids, node_ids).all():
         raise GadError("owned_ids must be a subset of node_ids")
 
-    member = np.zeros(g.num_nodes, dtype=bool)
-    member[node_ids] = True
     local_of = np.full(g.num_nodes, -1, dtype=np.int64)
     local_of[node_ids] = np.arange(len(node_ids))
 
-    keep = member[g.rows] & member[g.targets]
-    rows_l = local_of[g.rows[keep]]
-    cols_l = local_of[g.targets[keep]]
+    # the members' CSR rows, concatenated: entry e of member row r sits at
+    # g.offsets[node_ids[r]] + (e - start of row r in the concatenation)
+    starts = g.offsets[node_ids]
+    span = np.zeros(len(node_ids) + 1, dtype=np.int64)
+    np.cumsum(g.offsets[node_ids + 1] - starts, out=span[1:])
+    rows = csr_rows(span)
+    targets = g.targets[np.arange(span[-1]) + (starts - span[:-1])[rows]]
+    local = local_of[targets]
+    keep = local >= 0
+    rows_l = rows[keep]
+    cols_l = local[keep]
 
     counts = np.bincount(rows_l, minlength=len(node_ids))
     offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from gad import augment
 from gad.augment import (
+    _score_walks,
     assign_to_workers,
     augment_partitions,
     augment_subgraph,
@@ -16,8 +18,9 @@ from gad.augment import (
 )
 from gad.errors import GadError
 from gad.graph import Graph, induce_subgraph
-from gad.partition import Partitioning
-from walk_oracle import boundary_of, exact_visit_probs
+from gad.partition import Partitioning, partition_graph
+from gad.synthetic import sbm_graph
+from walk_oracle import boundary_of, exact_visit_probs, select_replicas, walk_scores
 
 
 def two_triangles():
@@ -273,6 +276,89 @@ class TestDepthFirstSelect:
         assert depth_first_select(table, ws, 1).tolist() == [5]
 
 
+def random_walkset(seed, width):
+    """Walk rows over a few nodes, so rows repeat nodes and scores tie.
+
+    Rows end in -1 padding at random lengths; some nodes are not candidates,
+    and some candidates lie above every walked node.  Importance values are
+    visit fractions over an odd walk count, so sums depend on their order.
+    """
+    rng = np.random.default_rng(seed)
+    n_walks = int(rng.integers(1, 60))
+    top = int(rng.integers(1, 3 * width + 4))
+    walks = rng.integers(0, top, (n_walks, width))
+    lengths = rng.integers(0, width, n_walks)
+    walks[np.arange(width) > lengths[:, None]] = -1
+    nodes = np.arange(top + 5)
+    cands = nodes[rng.random(len(nodes)) < 0.7]
+    importance = rng.integers(0, 8, len(cands)) / 37.0
+    return make_walkset(walks, cands, importance)
+
+
+class TestWalkScoringOracle:
+    """The vectorised scoring and drain against the per-walk rule in walk_oracle."""
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_scores_bit_identical(self, width):
+        wide = 0
+        for seed in range(40):
+            table, ws = random_walkset(1000 * width + seed, width)
+            got, _ = _score_walks(table, ws)
+            assert got.tobytes() == walk_scores(table, ws).tobytes()
+            wide += int((_distinct_candidates(table, ws) >= 8).sum())
+        if width >= 9:
+            assert wide > 0   # the rows NumPy sums pairwise were exercised
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9])
+    def test_replicas_equal_for_every_budget(self, width):
+        for seed in range(25):
+            table, ws = random_walkset(7000 + 100 * width + seed, width)
+            coverage = len(select_replicas(table, ws, ws.walks.size))
+            for budget in sorted({0, 1, coverage // 2, coverage, coverage + 3}):
+                got = depth_first_select(table, ws, budget)
+                want = select_replicas(table, ws, budget)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (seed, budget)
+
+    def test_ties_and_candidates_above_every_walk(self):
+        # walks 0 and 2 tie at 0.5; node 9 is a candidate no walk reaches
+        table, ws = make_walkset(
+            [[0, 5, 5, -1], [1, 6, 3, 3], [2, 7, -1, -1]],
+            [5, 6, 7, 9],
+            [0.5, 0.25, 0.5, 1.0],
+        )
+        scores, _ = _score_walks(table, ws)
+        assert scores.tolist() == [0.5, 0.25, 0.5]
+        assert depth_first_select(table, ws, 2).tolist() == [5, 7]
+        assert depth_first_select(table, ws, 10).tolist() == [5, 7, 6]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_augment_partitions_matches_reference(self, seed, monkeypatch):
+        g = sbm_graph([40, 30, 30, 20], [0.3, 0.1, 0.2, 0.4], 0.03, seed=seed)
+        p = partition_graph(g, 4, seed=seed)
+        calls = []
+        select = augment.depth_first_select
+
+        def checked(table, walks, budget):
+            got = select(table, walks, budget)
+            calls.append((got, select_replicas(table, walks, budget)))
+            return got
+
+        monkeypatch.setattr(augment, "depth_first_select", checked)
+        records = augment_partitions(g, p, layers=2, alpha=0.3, seed=seed)
+        assert len(calls) == len(records) == 4
+        for (got, want), rec in zip(calls, records):
+            assert np.array_equal(got, want)
+            assert len(want) > 0
+            assert sorted(rec.subgraph.view.replica_ids.tolist()) == sorted(want.tolist())
+
+
+def _distinct_candidates(table, ws):
+    """Distinct candidates per walk, counted one walk at a time."""
+    cands = set(table.candidates.tolist())
+    return np.array([len(set(row.tolist()) & cands) for row in ws.walks])
+
+
 class TestAugmentSubgraph:
     def test_empty_replicas_identity(self):
         g, p = two_triangles()
@@ -349,8 +435,6 @@ class TestAugmentPartitions:
     def test_full_pass_invariants(self):
         rng = np.random.default_rng(8)
         g = Graph.from_edges(60, rng.integers(0, 60, (200, 2)))
-        from gad.partition import partition_graph
-
         p = partition_graph(g, 3, seed=4)
         records = augment_partitions(g, p, layers=2, alpha=0.2, seed=1)
         assert len(records) == 3

@@ -158,6 +158,19 @@ class TestTrainCmd:
                     "--out", tmp_path / "r.json"]) == 1
         assert "part id outside" in capsys.readouterr().err
 
+    def test_short_assignment_exit_1(self, dataset, staged, tmp_path, capsys):
+        d, part, aug = staged
+        payload = json.loads(aug.read_text())
+        payload["assignment"] = payload["assignment"][:-5]
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["train", dataset, "--augmented", bad, "--epochs", "1",
+                    "--out", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert "gad: error" in err and "assignment length" in err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestReportCmd:
     def _train_two(self, dataset, tmp_path):

@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip()
+    assert not list(tmp_path.glob("gad_*")), "demo left its temporary directory"

@@ -158,6 +158,44 @@ class TestInduceSubgraph:
         )
         assert sub.num_edges == expected
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_mask_rule(self, seed):
+        # the rule reads only the members' CSR rows; the reference masks all
+        # 2m entries of g, and both must give the same offsets and targets
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g = _graph(rng.integers(0, n, (int(rng.integers(0, 4 * n + 1)), 2)), n=n)
+        if seed % 2:
+            # targets in arbitrary order inside each CSR row
+            targets = g.targets.copy()
+            for u in range(n):
+                rng.shuffle(targets[g.offsets[u]:g.offsets[u + 1]])
+            g = Graph(n, g.offsets, targets, g.features, g.labels,
+                      g.train_mask, g.val_mask, g.test_mask)
+        subsets = [[], [int(rng.integers(0, n))], np.arange(n)]
+        subsets += [rng.integers(0, n, int(rng.integers(1, 2 * n + 1))) for _ in range(5)]
+        for ids in subsets:
+            sub = induce_subgraph(g, ids, ids)
+            offsets, targets = _induce_by_mask(g, ids)
+            assert np.array_equal(sub.offsets, offsets)
+            assert np.array_equal(sub.targets, targets)
+            assert sub.offsets.dtype == sub.targets.dtype == np.int64
+
+
+def _induce_by_mask(g, node_ids):
+    """Local CSR of the subgraph induced by ``node_ids``, masking every entry of g."""
+    node_ids = np.unique(np.asarray(node_ids, dtype=np.int64))
+    member = np.zeros(g.num_nodes, dtype=bool)
+    member[node_ids] = True
+    local_of = np.full(g.num_nodes, -1, dtype=np.int64)
+    local_of[node_ids] = np.arange(len(node_ids))
+    keep = member[g.rows] & member[g.targets]
+    rows_l = local_of[g.rows[keep]]
+    cols_l = local_of[g.targets[keep]]
+    offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows_l, minlength=len(node_ids)), out=offsets[1:])
+    return offsets, cols_l[np.lexsort((cols_l, rows_l))]
+
 
 class TestNormalizedAdjacency:
     def test_isolated_node(self):

@@ -4,9 +4,14 @@ Enumerates every walk of exactly the requested step count from every
 boundary start, weighting each by the product of uniform transition
 probabilities, and accumulates the probability that a walk visits each
 external node at least once.  Only usable on small graphs.
+
+Also holds the per-walk scoring and selection rule for replica walks, one
+walk at a time, as the reference for ``depth_first_select``.
 """
 
 from collections import defaultdict
+
+import numpy as np
 
 
 def boundary_of(g, owned_ids):
@@ -41,3 +46,54 @@ def exact_visit_probs(g, owned_ids, layers):
     for b in starts:
         rec(b, layers, 1.0, frozenset())
     return dict(probs)
+
+
+def walk_scores(table, walks):
+    """Per-walk score: I(v) summed over the walk's distinct candidates.
+
+    The rule as first written, one ``np.unique`` per walk; kept as the
+    reference for the vectorised scoring in ``depth_first_select``.
+    """
+    imp, is_cand = _candidate_lookup(table, walks)
+    scores = np.zeros(walks.num_walks)
+    for w in range(walks.num_walks):
+        nodes = walks.walks[w]
+        nodes = np.unique(nodes[nodes >= 0])
+        scores[w] = imp[nodes[is_cand[nodes]]].sum()
+    return scores
+
+
+def select_replicas(table, walks, budget):
+    """Reference drain: best walk first (earlier walk on ties), new candidates in step order."""
+    if budget == 0 or walks.num_walks == 0:
+        return np.zeros(0, dtype=np.int64)
+    _, is_cand = _candidate_lookup(table, walks)
+    scores = walk_scores(table, walks)
+    order = np.lexsort((np.arange(walks.num_walks), -scores))
+    selected = []
+    chosen = set()
+    for w in order:
+        if len(selected) >= budget:
+            break
+        for node in walks.walks[w]:
+            if node < 0:
+                continue
+            node = int(node)
+            if is_cand[node] and node not in chosen:
+                chosen.add(node)
+                selected.append(node)
+                if len(selected) >= budget:
+                    break
+    return np.array(selected, dtype=np.int64)
+
+
+def _candidate_lookup(table, walks):
+    """Importance and candidate flag per node id up to ``walks.max() + 1``."""
+    top = int(walks.walks.max())
+    imp = np.zeros(top + 2, dtype=np.float64)
+    is_cand = np.zeros(top + 2, dtype=bool)
+    for j, c in enumerate(table.candidates):
+        if c <= top:
+            imp[c] = table.importance[j]
+            is_cand[c] = True
+    return imp, is_cand
