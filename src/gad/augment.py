@@ -103,12 +103,16 @@ def boundary_nodes(g: Graph, p: Partitioning, i: int) -> np.ndarray:
 
 
 def candidate_replication_nodes(
-    g: Graph, p: Partitioning, i: int, layers: int
+    g: Graph, p: Partitioning, i: int, layers: int, boundary: np.ndarray | None = None
 ) -> np.ndarray:
-    """External nodes within ``layers`` hops of part ``i``'s boundary (BFS)."""
+    """External nodes within ``layers`` hops of part ``i``'s boundary (BFS).
+
+    ``boundary``, when given, is part ``i``'s :func:`boundary_nodes`.
+    """
     if layers < 1:
         raise GadError("layers must be >= 1")
-    boundary = boundary_nodes(g, p, i)
+    if boundary is None:
+        boundary = boundary_nodes(g, p, i)
     if boundary.size == 0:
         return np.zeros(0, dtype=np.int64)
     adj = g.sparse_adjacency
@@ -122,6 +126,15 @@ def candidate_replication_nodes(
             break
         visited |= frontier
     return np.flatnonzero(visited & (p.assignment != i)).astype(np.int64)
+
+
+def sample_size(scale: float, sigma: float, target: float) -> int:
+    """Monte-Carlo sample size n = ceil((scale * sigma / target) ** 2).
+
+    The size at which the mean of n draws with standard deviation
+    ``sigma``, multiplied by ``scale``, has standard error ``target``.
+    """
+    return int(math.ceil((scale * sigma / target) ** 2))
 
 
 def estimate_walk_count(
@@ -141,7 +154,7 @@ def estimate_walk_count(
     sigma = float(sample.std(ddof=1)) if sample.size > 1 else 0.0
     if sigma == 0.0:
         return int(provisional_count) if provisional_count is not None else int(sample.size)
-    return int(math.ceil((z_c * sigma / (x_bar * err_target)) ** 2))
+    return sample_size(z_c, sigma, x_bar * err_target)
 
 
 def _random_walks(
@@ -171,19 +184,17 @@ def _random_walks(
 def _candidate_visits(
     walks: np.ndarray, cand_index: np.ndarray, num_candidates: int, indicator: bool
 ) -> np.ndarray:
-    """Visit counts per candidate; with ``indicator`` each walk counts once."""
-    flat = walks.reshape(-1)
-    valid = flat >= 0
-    cidx = np.full(flat.shape, -1, dtype=np.int64)
-    cidx[valid] = cand_index[flat[valid]]
-    hit = np.flatnonzero(cidx >= 0)
-    if not hit.size:
-        return np.zeros(num_candidates, dtype=np.int64)
-    # key = walk id * num_candidates + candidate index, one per visit
-    keys = (hit // walks.shape[1]) * num_candidates + cidx[hit]
+    """Visit counts per candidate; with ``indicator`` each walk counts once.
+
+    Indicator mode sorts each walk row and skips a node equal to its left
+    neighbor, so a repeated visit within one walk is not counted again.
+    """
     if indicator:
-        keys = np.unique(keys)
-    return np.bincount(keys % num_candidates, minlength=num_candidates)
+        walks = np.sort(walks, axis=1)
+    cidx = np.where(walks >= 0, cand_index[walks], -1)
+    if indicator:
+        cidx[:, 1:][walks[:, 1:] == walks[:, :-1]] = -1
+    return np.bincount(cidx[cidx >= 0], minlength=num_candidates)
 
 
 def node_importance(
@@ -195,6 +206,7 @@ def node_importance(
     z_c: float = Z_95,
     err_target: float = DEFAULT_ERR_TARGET,
     mode: str = "indicator",
+    boundary: np.ndarray | None = None,
 ) -> tuple[ImportanceTable, WalkSet]:
     """Monte-Carlo visit importance for each candidate replication node.
 
@@ -203,13 +215,15 @@ def node_importance(
     values fix the total walk count through :func:`estimate_walk_count`, and
     the remaining walks are then drawn from the same stream.  In the default
     indicator mode I(v) is the fraction of walks visiting v at least once.
+    ``boundary``, when given, is the boundary of ``sub_i``'s owned nodes.
     """
     if mode not in IMPORTANCE_MODES:
         raise GadError(f"unknown importance mode {mode!r}")
     candidates = np.unique(np.asarray(candidates, dtype=np.int64))
-    member = np.zeros(g.num_nodes, dtype=bool)
-    member[sub_i.owned_ids] = True
-    boundary = _boundary(g, member)
+    if boundary is None:
+        member = np.zeros(g.num_nodes, dtype=bool)
+        member[sub_i.owned_ids] = True
+        boundary = _boundary(g, member)
 
     def _empty(n_walks=0):
         table = ImportanceTable(
@@ -263,14 +277,14 @@ def node_importance(
     if n_total > n_phase1:
         starts2 = boundary[rng.integers(0, len(boundary), size=n_total - n_phase1)]
         walks2, lengths2 = _random_walks(g, starts2, layers, rng)
+        counts = counts + _candidate_visits(walks2, cand_index, len(candidates), indicator=True)
         walks = np.concatenate([walks, walks2], axis=0)
         lengths = np.concatenate([lengths, lengths2])
     else:
         n_total = n_phase1
 
-    indicator_counts = _candidate_visits(walks, cand_index, len(candidates), indicator=True)
     if mode == "indicator":
-        importance = indicator_counts / n_total
+        importance = counts / n_total
     else:
         multiplicity = _candidate_visits(walks, cand_index, len(candidates), indicator=False)
         total = multiplicity.sum()
@@ -292,7 +306,7 @@ def node_importance(
         lengths=lengths,
         seed=seed,
         candidates=candidates,
-        visit_counts=indicator_counts,
+        visit_counts=counts,
         short_walks=int((lengths < layers).sum()),
     )
     return table, walkset
@@ -432,18 +446,22 @@ def augment_partitions(
     for i in range(p.k):
         owned = p.part_nodes(i)
         sub_i = induce_subgraph(g, owned, owned)
+        boundary = boundary_nodes(g, p, i)
         candidates = (
-            candidate_replication_nodes(g, p, i, layers) if enabled else np.zeros(0, np.int64)
+            candidate_replication_nodes(g, p, i, layers, boundary=boundary)
+            if enabled else np.zeros(0, np.int64)
         )
         part_seed = rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1)
         if candidates.size == 0:
-            table, walkset = node_importance(g, sub_i, candidates, layers, int(part_seed))
+            table, walkset = node_importance(
+                g, sub_i, candidates, layers, int(part_seed), boundary=boundary
+            )
             replicas = np.zeros(0, dtype=np.int64)
             budget = 0
         else:
             table, walkset = node_importance(
                 g, sub_i, candidates, layers, int(part_seed),
-                z_c=z_c, err_target=err_target, mode=mode,
+                z_c=z_c, err_target=err_target, mode=mode, boundary=boundary,
             )
             budget = min(replication_budget(sub_i, alpha), len(candidates))
             replicas = depth_first_select(table, walkset, budget)

@@ -207,7 +207,7 @@ def _prepare_tasks(g, augmented, config):
     tasks = []
     for aug in augmented:
         view = aug.view
-        x = g.features[view.local_ids]
+        x = layer_input(g.features[view.local_ids])
         mask = view.local_train_mask()
         zw = zeta(
             aug, x, beta=config.beta, pair_cap=config.pair_cap,
@@ -223,7 +223,7 @@ def _prepare_tasks(g, augmented, config):
             _WorkerTask(
                 part=aug.part,
                 adj=normalized_adjacency(view),
-                features=layer_input(x),
+                features=x,
                 labels=view.local_labels(),
                 loss_mask=mask,
                 zeta=zw.zeta,

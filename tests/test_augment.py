@@ -20,7 +20,9 @@ from gad.errors import GadError
 from gad.graph import Graph, induce_subgraph
 from gad.partition import Partitioning, partition_graph
 from gad.synthetic import sbm_graph
-from walk_oracle import boundary_of, exact_visit_probs, select_replicas, walk_scores
+from walk_oracle import (
+    boundary_of, exact_visit_probs, select_replicas, visit_counts, walk_scores,
+)
 
 
 def two_triangles():
@@ -351,6 +353,61 @@ class TestWalkScoringOracle:
             assert np.array_equal(got, want)
             assert len(want) > 0
             assert sorted(rec.subgraph.view.replica_ids.tolist()) == sorted(want.tolist())
+
+
+class TestVisitCountOracle:
+    """Candidate visit counts against the per-walk rule in walk_oracle."""
+
+    @pytest.mark.parametrize("indicator", [True, False])
+    @pytest.mark.parametrize("width", [1, 2, 3, 6])
+    def test_candidate_visits(self, width, indicator):
+        for seed in range(30):
+            table, ws = random_walkset(3000 * width + seed, width)
+            cands = table.candidates
+            cand_index = np.full(max(cands.max(initial=0), ws.walks.max()) + 1, -1, dtype=np.int64)
+            cand_index[cands] = np.arange(len(cands))
+            got = augment._candidate_visits(ws.walks, cand_index, len(cands), indicator)
+            assert np.array_equal(got, visit_counts(ws.walks, cands, indicator))
+
+    @pytest.mark.parametrize("mode", ["indicator", "multiplicity"])
+    def test_node_importance_counts_every_walk(self, mode):
+        # phase-1 counts plus phase-2 counts equal a count over all walks
+        g = sbm_graph([40, 30, 30, 20], [0.3, 0.1, 0.2, 0.4], 0.03, seed=2)
+        p = partition_graph(g, 4, seed=2)
+        second_phase = 0
+        for i in range(p.k):
+            cands = candidate_replication_nodes(g, p, i, 2)
+            table, ws = node_importance(g, part_view(g, p, i), cands, 2, seed=i, mode=mode)
+            want = visit_counts(ws.walks, cands)
+            assert np.array_equal(ws.visit_counts, want)
+            assert ws.num_walks == table.total_walks
+            if mode == "indicator":
+                assert np.array_equal(table.importance, want / table.total_walks)
+            else:
+                mult = visit_counts(ws.walks, cands, indicator=False)
+                assert np.array_equal(table.importance, mult / mult.sum())
+            boundary = boundary_nodes(g, p, i)
+            second_phase += ws.num_walks > len(boundary) * max(
+                1, int(np.floor(g.degrees[boundary].mean()))
+            )
+        assert second_phase > 0
+
+    def test_boundary_once_per_part(self, monkeypatch):
+        g = sbm_graph([40, 30, 30, 20], [0.3, 0.1, 0.2, 0.4], 0.03, seed=0)
+        p = partition_graph(g, 4, seed=0)
+        want = augment_partitions(g, p, layers=2, alpha=0.3, seed=0)
+        calls = []
+        original = augment._boundary
+
+        def counted(graph, member):
+            calls.append(1)
+            return original(graph, member)
+
+        monkeypatch.setattr(augment, "_boundary", counted)
+        got = augment_partitions(g, p, layers=2, alpha=0.3, seed=0)
+        assert len(calls) == p.k
+        for a, b in zip(got, want):
+            assert np.array_equal(a.subgraph.view.local_ids, b.subgraph.view.local_ids)
 
 
 def _distinct_candidates(table, ws):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.spatial.distance import pdist
 
 from gad import consensus, rngs
 from gad.augment import augment_subgraph
@@ -20,6 +22,20 @@ def sub_from_pairs(pairs, n):
     g = Graph.from_edges(n, np.asarray(pairs).reshape(-1, 2))
     view = induce_subgraph(g, np.arange(n), np.arange(n))
     return augment_subgraph(g, view, [])
+
+
+def skewed_sub(n, rng):
+    """Graph whose edges favor a few hub nodes, so degrees are skewed."""
+    hub_weight = rng.pareto(1.5, n) + 1.0
+    hubs = rng.choice(n, 3 * n, p=hub_weight / hub_weight.sum())
+    return sub_from_pairs(np.stack([rng.integers(0, n, 3 * n), hubs], axis=1), n)
+
+
+def pdist_zeta(sub, x, beta):
+    """Exact zeta over scipy's condensed pairwise distances, in triu order."""
+    p = degree_probability(sub)
+    ii, jj = np.triu_indices(len(p), k=1)
+    return float((p[ii] * p[jj] / (pdist(x) + beta)).sum())
 
 
 def grad(*values):
@@ -81,7 +97,7 @@ class TestZeta:
         x = np.array([[0.0, 0.0], [3.0, 4.0]])   # distance 5
         z = zeta(sub, x, beta=1.0)
         assert z.zeta == pytest.approx(0.25 / 6.0)
-        assert z.mean_feature_distance == pytest.approx(5.0)
+        assert z.exact and z.stderr == 0.0
 
     def test_sampled_estimate_close_to_exact(self):
         rng = np.random.default_rng(3)
@@ -94,28 +110,117 @@ class TestZeta:
         assert not zeta(sub, x, beta=1.0, pair_cap=32, seed=5).exact
         assert approx == pytest.approx(exact, rel=0.05)
 
-    def test_chunked_sample_bit_identical(self, monkeypatch):
-        # the sampled path takes distances PAIR_CHUNK pairs at a time; with a
-        # chunk far below the 2048-pair sample (and not dividing it) the
-        # result must equal the whole-sample computation bit for bit
+    def test_sampled_draw_pinned(self, monkeypatch):
+        # the sampled path written out: a pilot of pair_cap pairs drawn from
+        # p, then enough further pairs for the standard error of
+        # pair_cap**2 / 2 uniform pairs, clamped to [pair_cap, pair_cap**2 / 2].
+        # Distances are taken PAIR_CHUNK pairs at a time; with a chunk far
+        # below the sample (and not dividing it) zeta and its standard error
+        # must equal the whole-sample computation bit for bit
         rng = np.random.default_rng(11)
         n, cap, seed = 300, 64, 7
-        sub = sub_from_pairs(rng.integers(0, n, (900, 2)), n)
+        sub = skewed_sub(n, rng)
         x = rng.normal(0, 1, (n, 6))
         monkeypatch.setattr(consensus, "PAIR_CHUNK", 100)
         got = zeta(sub, x, beta=1.0, pair_cap=cap, seed=seed)
 
-        draws = rngs.stream(seed, rngs.ZETA)
-        m = cap * cap // 2
-        ii = draws.integers(0, n, size=m)
-        jj = draws.integers(0, n - 1, size=m)
-        jj = np.where(jj >= ii, jj + 1, jj)
-        diff = x[ii] - x[jj]
-        d = np.sqrt((diff * diff).sum(axis=1))
         p = degree_probability(sub)
+        c = 0.5 * (1.0 - float(p @ p))
+        draws = rngs.stream(seed, rngs.ZETA)
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+
+        def pairs(m):
+            ii = np.searchsorted(cdf, draws.random(m), side="right")
+            jj = np.searchsorted(cdf, draws.random(m), side="right")
+            return ii[ii != jj], jj[ii != jj]
+
+        def terms(ii, jj):
+            diff = x[ii] - x[jj]
+            return 1.0 / (np.sqrt((diff * diff).sum(axis=1)) + 1.0)
+
+        ii, jj = pairs(cap)
+        f = terms(ii, jj)
+        most = cap * cap // 2
+        var_u = c * n * (n - 1) / 2.0 * float((p[ii] * p[jj] * f * f).mean()) \
+            - (c * float(f.mean())) ** 2
+        need = int(np.ceil((c * float(f.std(ddof=1)) / np.sqrt(var_u / most)) ** 2))
+        total = min(max(need, cap), most)
+        assert cap < total < most   # neither clamp decides this case
+        f = np.concatenate([f, terms(*pairs(total - cap))])
         assert not got.exact
-        assert got.zeta == float((p[ii] * p[jj] / (d + 1.0)).mean() * n * (n - 1) / 2.0)
-        assert got.mean_feature_distance == float(d.mean())
+        assert got.zeta == c * float(f.mean())
+        assert got.stderr == c * float(f.std(ddof=1)) / np.sqrt(f.size)
+        assert got.pair_probability_sum == c
+
+    def test_sampled_error_within_uniform_bound(self):
+        # on a degree-skewed graph, the spread over seeds is no wider than
+        # the standard error of pair_cap**2 / 2 uniform pairs, computed
+        # exactly from every pair, and the mean is unbiased
+        rng = np.random.default_rng(21)
+        n, cap, seeds = 300, 32, 240
+        sub = skewed_sub(n, rng)
+        x = rng.normal(0, 1, (n, 4))
+        p = degree_probability(sub)
+        ii, jj = np.triu_indices(n, k=1)
+        t = p[ii] * p[jj] / (pdist(x) + 1.0)
+        exact = float(t.sum())
+        pairs = len(t)
+        uniform_se = pairs * np.sqrt(t.var() / (cap * cap // 2))
+        assert zeta(sub, x, beta=1.0, pair_cap=n).zeta == pytest.approx(exact, rel=1e-12)
+
+        runs = [zeta(sub, x, beta=1.0, pair_cap=cap, seed=s) for s in range(seeds)]
+        values = np.array([w.zeta for w in runs])
+        sd = values.std(ddof=1)
+        assert sd <= 1.2 * uniform_se
+        assert abs(values.mean() - exact) <= 4 * sd / np.sqrt(seeds)
+        # the reported standard error tracks the spread it describes
+        assert 0.7 * sd <= np.median([w.stderr for w in runs]) <= 1.4 * sd
+
+    def test_sampled_draws_at_most_uniform_count(self, monkeypatch):
+        drawn = []
+        original = consensus._draw_pairs
+
+        def counting(rng, cdf, m):
+            drawn.append(m)
+            return original(rng, cdf, m)
+
+        monkeypatch.setattr(consensus, "_draw_pairs", counting)
+        rng = np.random.default_rng(31)
+        n = 200
+        cycle = sub_from_pairs([[i, (i + 1) % n] for i in range(n)], n)
+        graphs = [
+            (skewed_sub(n, rng), rng.normal(0, 1, (n, 3))),
+            (skewed_sub(n, rng), rng.exponential(1.0, (n, 8))),
+            (cycle, rng.normal(0, 1, (n, 3))),   # uniform p: the rule meets the top clamp
+            (cycle, np.zeros((n, 3))),           # constant terms: the pilot suffices
+        ]
+        for cap in (8, 16, 40):
+            most = cap * cap // 2
+            totals = set()
+            for sub, x in graphs:
+                for seed in range(6):
+                    drawn.clear()
+                    zeta(sub, x, beta=1.0, pair_cap=cap, seed=seed)
+                    assert drawn[0] == cap and cap <= sum(drawn) <= most
+                    totals.add(sum(drawn))
+            assert cap in totals and most in totals
+
+    @pytest.mark.parametrize("density", [0.02, 0.3])
+    def test_exact_path_equals_pdist(self, density):
+        # Gram-matrix distances: bit for bit on binary features, CSR input
+        # and dense (sparse ones take layer 0's CSR layout), and to 1e-12 on
+        # real-valued ones
+        rng = np.random.default_rng(41)
+        n = 120
+        sub = skewed_sub(n, rng)
+        binary = (rng.random((n, 300)) < density).astype(np.float64)
+        for x in (binary, sp.csr_matrix(binary)):
+            assert zeta(sub, x, beta=1.0).zeta == pdist_zeta(sub, binary, 1.0)
+        dense = rng.normal(0.5, 2.0, (n, 20))
+        assert zeta(sub, dense, beta=0.5).zeta == pytest.approx(
+            pdist_zeta(sub, dense, 0.5), rel=1e-12
+        )
 
     def test_regularity_maximizes_zeta_exhaustive(self):
         # among all 6-node graphs with a fixed edge count and identical
