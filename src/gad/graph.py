@@ -32,9 +32,12 @@ def _csr_from_pairs(num_nodes: int, pairs: np.ndarray) -> tuple[np.ndarray, np.n
             raise GadError("edge endpoint out of range")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if pairs.size:
-        both = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
-        both = np.unique(both, axis=0)
-        u, v = both[:, 0], both[:, 1]
+        # one key u*n + v per direction sorts as the (u, v) rows would
+        key = np.concatenate([pairs[:, 0] * num_nodes + pairs[:, 1],
+                              pairs[:, 1] * num_nodes + pairs[:, 0]])
+        key.sort()
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        u, v = np.divmod(key, num_nodes)
     else:
         u = v = np.zeros(0, dtype=np.int64)
     counts = np.bincount(u, minlength=num_nodes)

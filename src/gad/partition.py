@@ -192,50 +192,53 @@ def coarsen(g: Graph | CoarseGraph, target_fraction: float = 0.2, seed: int = 0)
     return levels
 
 
-def _weighted_cut(cg: CoarseGraph, assign: np.ndarray) -> int:
-    cross = assign[csr_rows(cg.offsets)] != assign[cg.targets]
-    return int(cg.edge_weights[cross].sum()) // 2
+def _cut(assign: np.ndarray, rows: np.ndarray, targets: np.ndarray, weights=None) -> int:
+    """Weight (count when ``weights`` is None) of the CSR edges between parts."""
+    cross = assign[rows] != assign[targets]
+    return int(cross.sum() if weights is None else weights[cross].sum()) // 2
 
 
 def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> np.ndarray:
-    """One seeded region-growing pass; returns a full assignment."""
+    """One seeded region-growing pass; returns a full assignment.
+
+    In round-robin turns a part takes the free node behind its heaviest edge
+    out (lowest id on ties): one argmax over ``score[i]``, the heaviest edge
+    from part i to each free node, 0 for none (edge weights are >= 1).  A part
+    closes when its row is all 0 or that node would push it over the cap.
+    """
     n = cg.num_nodes
-    offsets, targets, weights = cg.offsets.tolist(), cg.targets.tolist(), cg.edge_weights.tolist()
+    offsets, targets, weights = cg.offsets.tolist(), cg.targets, cg.edge_weights
     node_weight = cg.node_weight.tolist()
     assign = [-1] * n
-    seeds = rng.choice(n, size=k, replace=False).tolist()
+    free = np.ones(n, dtype=np.int64)
+    score = np.zeros((k, n), dtype=np.int64)
+    rows = list(score)   # row views: indexing them beats score[i, nb]
     part_weight = [0] * k
-    frontiers: list[list] = [[] for _ in range(k)]
-    for i, s in enumerate(seeds):
-        assign[s] = i
-        part_weight[i] = node_weight[s]
-        for pos in range(offsets[s], offsets[s + 1]):
-            heapq.heappush(frontiers[i], (-weights[pos], targets[pos]))
+
+    def take(i: int, v: int) -> None:
+        assign[v] = i
+        part_weight[i] += node_weight[v]
+        score[:, v] = 0
+        free[v] = 0
+        lo, hi = offsets[v], offsets[v + 1]
+        nb = targets[lo:hi]
+        row = rows[i]
+        row[nb] = np.maximum(row[nb], weights[lo:hi] * free[nb])
+
+    for i, s in enumerate(rng.choice(n, size=k, replace=False).tolist()):
+        take(i, s)
 
     open_parts = [True] * k
     while any(open_parts):
         for i in range(k):
             if not open_parts[i]:
                 continue
-            heap = frontiers[i]
-            v = -1
-            while heap:
-                _, cand = heapq.heappop(heap)
-                if assign[cand] == -1:
-                    v = cand
-                    break
-            if v == -1:
+            row = rows[i]
+            v = int(row.argmax())
+            if row[v] == 0 or part_weight[i] + node_weight[v] > cap:
                 open_parts[i] = False
                 continue
-            if part_weight[i] + node_weight[v] > cap:
-                open_parts[i] = False
-                continue
-            assign[v] = i
-            part_weight[i] += node_weight[v]
-            for pos in range(offsets[v], offsets[v + 1]):
-                t = targets[pos]
-                if assign[t] == -1:
-                    heapq.heappush(heap, (-weights[pos], t))
+            take(i, v)
 
     # Attach orphans to the adjacent part with the smallest weight; repeat
     # passes so chains of orphans resolve, then fall back to the globally
@@ -245,7 +248,8 @@ def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> 
         rest = []
         progress = False
         for u in orphans:
-            parts = {assign[v] for v in targets[offsets[u]:offsets[u + 1]] if assign[v] != -1}
+            parts = {assign[v] for v in targets[offsets[u]:offsets[u + 1]].tolist()
+                     if assign[v] != -1}
             if parts:
                 tgt = min(parts, key=lambda p: (part_weight[p], p))
                 assign[u] = tgt
@@ -286,11 +290,12 @@ def partition_coarse(
         raise BalanceError(
             f"infeasible balance: k={k}, cap={cap} cannot hold {total} nodes"
         )
+    rows = csr_rows(cg.offsets)
     best_assign, best_cut = None, None
     for r in range(restarts):
         rng = rngs.stream(seed, rngs.RESTART, r)
         assign = _grow_parts(cg, k, cap, rng)
-        cut = _weighted_cut(cg, assign)
+        cut = _cut(assign, rows, cg.targets, cg.edge_weights)
         if best_cut is None or cut < best_cut:
             best_assign, best_cut = assign, cut
     return best_assign
@@ -388,7 +393,7 @@ def uncoarsen(
         assignment=assign,
         k=k,
         epsilon=epsilon,
-        edge_cut=_weighted_cut(level0, assign),
+        edge_cut=_cut(assign, csr_rows(level0.offsets), level0.targets, level0.edge_weights),
         restarts_used=0,
     )
 
@@ -398,7 +403,7 @@ def edge_cut(g: Graph, p: Partitioning) -> int:
     assign = p.assignment
     if len(assign) != g.num_nodes:
         raise GadError("assignment does not cover all nodes")
-    return int((assign[g.rows] != assign[g.targets]).sum()) // 2
+    return _cut(assign, g.rows, g.targets)
 
 
 def partition_graph(

@@ -6,6 +6,7 @@ import pytest
 from gad.errors import GadError
 from gad.graph import (
     Graph,
+    _csr_from_pairs,
     csr_rows,
     density,
     full_view,
@@ -57,6 +58,47 @@ def test_edge_list_round_trip_bit_exact():
     rebuilt = Graph.from_edges(40, g.edge_list())
     assert np.array_equal(g.offsets, rebuilt.offsets)
     assert np.array_equal(g.targets, rebuilt.targets)
+
+
+def _csr_unique_rows(num_nodes, pairs):
+    """Reference CSR: both directions, deduplicated by np.unique over rows."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    both = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(both[:, 0], minlength=num_nodes), out=offsets[1:])
+    return offsets, both[:, 1]
+
+
+class TestCsrFromPairs:
+    @pytest.mark.parametrize(
+        "num_nodes, pairs",
+        [
+            (4, [[0, 1], [0, 1], [1, 0], [2, 3], [3, 2], [3, 2]]),   # duplicates, reversed
+            (3, [[0, 0], [1, 1], [1, 2], [2, 2]]),                   # self-loops
+            (3, [[1, 1]]),                                            # only a self-loop
+            (5, np.zeros((0, 2), dtype=np.int64)),                    # no edges
+            (1, np.zeros((0, 2), dtype=np.int64)),                    # single node
+            (1, [[0, 0]]),                                            # single node, self-loop
+        ],
+    )
+    def test_matches_unique_rows(self, num_nodes, pairs):
+        offsets, targets = _csr_from_pairs(num_nodes, pairs)
+        want_offsets, want_targets = _csr_unique_rows(num_nodes, pairs)
+        assert offsets.dtype == targets.dtype == np.int64
+        assert offsets.tolist() == want_offsets.tolist()
+        assert targets.tolist() == want_targets.tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_multigraph_matches_unique_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        pairs = rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
+        pairs = np.concatenate([pairs, pairs[: len(pairs) // 2, ::-1]])   # reversed repeats
+        offsets, targets = _csr_from_pairs(n, pairs)
+        want_offsets, want_targets = _csr_unique_rows(n, pairs)
+        assert np.array_equal(offsets, want_offsets)
+        assert np.array_equal(targets, want_targets)
 
 
 def test_masks_disjoint_enforced():

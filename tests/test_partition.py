@@ -1,11 +1,15 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from partition_oracle import grow_parts_heap
 
+from gad import partition, rngs
 from gad.errors import GadError
 from gad.graph import Graph
 from gad.partition import (
+    CoarseGraph,
     Partitioning,
     balance_cap,
     coarsen,
@@ -160,6 +164,75 @@ class TestPartitionCoarse:
         with pytest.warns(UserWarning, match="no adjacent part"):
             assign = partition_coarse(level_zero(g), 2, 1.0, restarts=1, seed=0)
         assert (assign >= 0).all()
+
+
+def random_level(seed, heavy=False, isolated=0):
+    """A coarse level with tied integer edge weights (1-3), symmetric.
+
+    ``heavy`` draws node weights from 1-40 so parts close on the cap;
+    ``isolated`` leaves that many nodes without edges.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 120))
+    linked = n - isolated
+    pairs = rng.integers(0, linked, size=(int(rng.integers(n, 4 * n)), 2))
+    g = _graph(pairs, n=n)
+    lo = np.minimum(g.rows, g.targets)
+    hi = np.maximum(g.rows, g.targets)
+    return CoarseGraph(
+        num_nodes=n,
+        offsets=g.offsets,
+        targets=g.targets,
+        edge_weights=1 + (lo * 7919 + hi * 104729 + seed) % 3,
+        node_weight=rng.integers(1, 41 if heavy else 2, size=n).astype(np.int64),
+        fine_to_coarse=None,
+    )
+
+
+def _grow_both(cg, k, cap, seed):
+    out = []
+    for grow in (grow_parts_heap, partition._grow_parts):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assign = grow(cg, k, cap, rngs.stream(seed, rngs.RESTART, 0))
+        out.append((assign, [str(w.message) for w in caught]))
+    return out
+
+
+class TestGrowPartsOracle:
+    """The dense-score growth against the heap rule in partition_oracle."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_random_levels_match_heap(self, k, epsilon):
+        warned = 0
+        for seed in range(6):
+            for heavy, isolated in ((False, 0), (True, 0), (False, 5), (True, 5)):
+                cg = random_level(100 * k + seed, heavy=heavy, isolated=isolated)
+                cap = balance_cap(int(cg.node_weight.sum()), k, epsilon)
+                (want, want_msgs), (got, got_msgs) = _grow_both(cg, k, cap, seed)
+                assert got.tolist() == want.tolist()
+                assert got_msgs == want_msgs
+                warned += bool(want_msgs)
+        assert warned > 0   # the orphan fallback ran
+
+    def test_closes_on_cap(self):
+        # a path whose middle node outweighs the cap: part 0 must stop before it
+        cg = level_zero(_graph([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]))
+        cg.node_weight[:] = [1, 1, 9, 1, 1, 1]
+        for seed in range(8):
+            (want, _), (got, _) = _grow_both(cg, 2, 7, seed)
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partition_graph_matches_heap(self, seed, monkeypatch):
+        g = sbm_graph([60, 40, 50, 30], 0.12, 0.02, seed=seed)
+        got = [partition_graph(g, k, epsilon=0.1, restarts=3, seed=seed) for k in (2, 5, 8)]
+        monkeypatch.setattr(partition, "_grow_parts", grow_parts_heap)
+        for p, k in zip(got, (2, 5, 8)):
+            want = partition_graph(g, k, epsilon=0.1, restarts=3, seed=seed)
+            assert p.assignment.tolist() == want.assignment.tolist()
+            assert p.edge_cut == want.edge_cut
 
 
 class TestUncoarsen:
