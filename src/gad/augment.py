@@ -92,7 +92,9 @@ class AugmentationRecord:
 
 def _boundary(g: Graph, member: np.ndarray) -> np.ndarray:
     """Nodes flagged in ``member`` with at least one neighbor not flagged."""
-    return np.unique(g.rows[member[g.rows] & ~member[g.targets]])
+    flag = np.zeros(g.num_nodes, dtype=bool)
+    flag[g.rows[member[g.rows] & ~member[g.targets]]] = True
+    return np.flatnonzero(flag)
 
 
 def boundary_nodes(g: Graph, p: Partitioning, i: int) -> np.ndarray:

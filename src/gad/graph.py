@@ -9,6 +9,7 @@ can be handed to the partitioning, augmentation and training stages.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -21,6 +22,14 @@ from .errors import GadError
 UNLABELED = -1
 
 
+def _unique(a) -> np.ndarray:
+    """``np.unique`` of a 1-D int64 array by sort and adjacent mask, several times faster."""
+    a = np.sort(np.asarray(a, dtype=np.int64).ravel())
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _csr_from_pairs(num_nodes: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build symmetric CSR (offsets, targets) from an array of (u, v) pairs.
 
@@ -31,15 +40,10 @@ def _csr_from_pairs(num_nodes: int, pairs: np.ndarray) -> tuple[np.ndarray, np.n
         if pairs.min() < 0 or pairs.max() >= num_nodes:
             raise GadError("edge endpoint out of range")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    if pairs.size:
-        # one key u*n + v per direction sorts as the (u, v) rows would
-        key = np.concatenate([pairs[:, 0] * num_nodes + pairs[:, 1],
-                              pairs[:, 1] * num_nodes + pairs[:, 0]])
-        key.sort()
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        u, v = np.divmod(key, num_nodes)
-    else:
-        u = v = np.zeros(0, dtype=np.int64)
+    # one key u*n + v per direction sorts as the (u, v) rows would
+    key = _unique(np.concatenate([pairs[:, 0] * num_nodes + pairs[:, 1],
+                                  pairs[:, 1] * num_nodes + pairs[:, 0]]))
+    u, v = np.divmod(key, num_nodes)
     counts = np.bincount(u, minlength=num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -253,8 +257,8 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     both endpoints inside ``node_ids`` are kept.  Only the members' own CSR
     rows are read, not all of ``g``'s entries.
     """
-    node_ids = np.unique(np.asarray(node_ids, dtype=np.int64))
-    owned_ids = np.unique(np.asarray(owned_ids, dtype=np.int64))
+    node_ids = _unique(node_ids)
+    owned_ids = _unique(owned_ids)
     if node_ids.size and (node_ids[0] < 0 or node_ids[-1] >= g.num_nodes):
         raise GadError("node id out of range")
     if not np.isin(owned_ids, node_ids).all():
@@ -358,26 +362,52 @@ def _apply_split(num_nodes, split_spec, seed):
 
 
 def _read_edge_pairs(path, name_to_idx) -> np.ndarray:
-    pairs = []
+    """Index pairs of an edge file: one ``u v`` per line, ``#`` starts a comment."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GadError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                pairs.append((name_to_idx[parts[0]], name_to_idx[parts[1]]))
-            except KeyError as exc:
-                raise GadError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}") from None
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        text = re.sub(r"#[^\n]*", "", fh.read())
+    lines = text.split("\n")
+    counts = np.array([len(ln.split()) for ln in lines], dtype=np.int64)
+    ends = np.cumsum(counts)
+    bad = np.flatnonzero((counts != 0) & (counts != 2))
+    # an unknown id before the first malformed line is reported first
+    tokens = text.split()[:ends[bad[0]] - counts[bad[0]]] if bad.size else text.split()
+    try:
+        idx = np.fromiter(map(name_to_idx.__getitem__, tokens), np.int64, count=len(tokens))
+    except KeyError as exc:
+        lineno = np.searchsorted(ends, tokens.index(exc.args[0]), side="right") + 1
+        raise GadError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}") from None
+    if bad.size:
+        raise GadError(f"{path}:{bad[0] + 1}: expected 'u v', got {lines[bad[0]].strip()!r}")
+    return idx.reshape(-1, 2)
 
 
-def _parse_feature_rows(lines, path, dim=None):
-    """Parse 'id v1 ... vD label' rows; returns (names, features, raw_labels)."""
-    names, feats, raw_labels = [], [], []
-    for lineno, line in lines:
+def _parses(lines) -> bool:
+    """Whether ``np.loadtxt`` reads every one of ``lines`` as float64 values."""
+    try:
+        np.loadtxt(lines, dtype=np.float64, comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_feature_rows(rows, path, dim=None, int_labels=False):
+    """Parse 'id v1 ... vD label' rows; returns (names, features, labels).
+
+    One ``np.loadtxt`` call parses all values.  If it fails, a width is off
+    or a label is not an integer (with ``int_labels``), the loop below reads
+    the rows one by one and raises for the first bad one.
+    """
+    heads = [line.split(None, 1) for _, line in rows]
+    tails = [h[-1].rsplit(None, 1) for h in heads]
+    if rows and all(len(t) == 2 for t in tails):
+        try:
+            feats = np.loadtxt([t[0] for t in tails], dtype=np.float64, ndmin=2, comments=None)
+            labels = [int(t[1]) if int_labels else t[1] for t in tails]
+            if dim in (None, feats.shape[1]):
+                return [h[0] for h in heads], feats, labels
+        except ValueError:
+            pass
+    for lineno, line in rows:
         parts = line.split()
         if len(parts) < 3:
             raise GadError(f"{path}:{lineno}: malformed feature row")
@@ -388,10 +418,14 @@ def _parse_feature_rows(lines, path, dim=None):
                 f"{path}:{lineno}: inconsistent feature dimension "
                 f"(expected {dim}, got {len(parts) - 2})"
             )
-        names.append(parts[0])
-        feats.append([float(x) for x in parts[1:-1]])
-        raw_labels.append(parts[-1])
-    return names, np.array(feats, dtype=np.float64), raw_labels
+        if not _parses(parts[1:-1]):
+            tok = next(t for t in parts[1:-1] if not _parses([t]))
+            raise GadError(f"{path}:{lineno}: feature value {tok!r} is not a number")
+        try:
+            int(parts[-1]) if int_labels else None
+        except ValueError:
+            raise GadError(f"{path}:{lineno}: label {parts[-1]!r} is not an integer") from None
+    return [], np.zeros(0), []   # reached only without rows
 
 
 def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
@@ -401,23 +435,25 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
     ``{"num_nodes": N, "dim": D, "classes": C}`` followed by N rows of
     ``id v1 ... vD label`` with integer labels) or the Cora ``.content``
     layout (same rows, string labels, no header).  Node ids are arbitrary
-    strings interned in file order.
+    strings interned in file order.  Values are read by NumPy's parser, so
+    ``1_0`` and non-ASCII digits are rejected; only the edge file may hold
+    ``#`` comments.
     """
     feature_path = Path(feature_path)
     with open(feature_path, "r", encoding="utf-8") as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+        lines = [(i, s) for i, ln in enumerate(fh.read().split("\n"), 1) if (s := ln.strip())]
     if not lines:
         raise GadError(f"{feature_path}: empty feature file")
 
     class_names: tuple[str, ...] | None = None
     if lines[0][1].startswith("{"):
         header = json.loads(lines[0][1])
-        names, feats, raw_labels = _parse_feature_rows(
-            lines[1:], feature_path, dim=int(header["dim"])
+        names, feats, labels = _parse_feature_rows(
+            lines[1:], feature_path, dim=int(header["dim"]), int_labels=True
         )
         if len(names) != int(header["num_nodes"]):
             raise GadError(f"{feature_path}: row count does not match header")
-        labels = np.array([int(x) for x in raw_labels], dtype=np.int64)
+        labels = np.array(labels, dtype=np.int64)
         n_classes = int(header["classes"])
         if labels.size and (labels.min() < UNLABELED or labels.max() >= n_classes):
             raise GadError(f"{feature_path}: label outside 0..classes-1")

@@ -172,6 +172,37 @@ class TestTrainCmd:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestBadDataset:
+    """Unreadable values in a dataset are user errors: exit 1 with path:lineno."""
+
+    def _partition(self, d, tmp_path, capsys):
+        capsys.readouterr()
+        code = run(["partition", d, "--k", "2", "--seed", "1", "--out", tmp_path / "p.json"])
+        return code, capsys.readouterr().err
+
+    def test_non_numeric_feature_value_exit_1(self, tmp_path, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "toy.content").write_text("a 1 0 x\nb 0 1 y\nc 1 x y\n")
+        (d / "toy.cites").write_text("a b\nb c\n")
+        code, err = self._partition(d, tmp_path, capsys)
+        assert code == 1
+        assert f"gad: error: {d / 'toy.content'}:3: feature value 'x' is not a number" in err
+        assert "Traceback" not in err
+
+    def test_non_integer_label_exit_1(self, tmp_path, capsys):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "features.txt").write_text(
+            '{"num_nodes": 3, "dim": 1, "classes": 2}\na 1 0\nb 0 1\n\nc 1 1.0\n'
+        )
+        (d / "edges.txt").write_text("a b\nb c\n")
+        code, err = self._partition(d, tmp_path, capsys)
+        assert code == 1
+        assert f"gad: error: {d / 'features.txt'}:5: label '1.0' is not an integer" in err
+        assert "Traceback" not in err
+
+
 class TestReportCmd:
     def _train_two(self, dataset, tmp_path):
         part = tmp_path / "p.json"

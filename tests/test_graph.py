@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from gad.graph import (
     normalized_adjacency,
     write_edge_list,
 )
+
+import loader_oracle
 
 
 def _graph(pairs, n=None, **kw):
@@ -357,3 +360,203 @@ class TestLoaders:
         write_edge_list(g, out)
         assert out.read_text() == "0 1\n0 2\n1 2\n"
 
+    @pytest.mark.parametrize("body", ["", "\n\n", "# only a comment\n", "  # indented\n\t\n# two\n"])
+    def test_empty_edge_file_no_warning(self, tmp_path, body):
+        feat = tmp_path / "toy.content"
+        feat.write_text("a 1 0 x\nb 0 1 y\n")
+        edge = tmp_path / "toy.cites"
+        edge.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_dataset(edge, feat, (0.5, 0.5, 0.0), seed=0)
+        assert g.num_nodes == 2 and g.num_edges == 0
+        assert g.offsets.tolist() == [0, 0, 0] and g.targets.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "rows, lineno, match",
+        [
+            ("a 1 0 x\n\nb 1 oops y\n", 3, "feature value 'oops' is not a number"),
+            ("a 1 0 x\nb 1_0 1 y\n", 2, "feature value '1_0' is not a number"),
+            ("a 1e 0 x\nb 1 1 y\n", 1, "feature value '1e' is not a number"),
+        ],
+    )
+    def test_non_numeric_value_names_line(self, tmp_path, rows, lineno, match):
+        feat = tmp_path / "toy.content"
+        feat.write_text(rows)
+        edge = tmp_path / "toy.cites"
+        edge.write_text("a b\n")
+        with pytest.raises(GadError, match=f"toy.content:{lineno}: {match}"):
+            load_dataset(edge, feat, (0.5, 0.5, 0.0), seed=0)
+
+    def test_non_integer_label_names_line(self, tmp_path):
+        feat = tmp_path / "features.txt"
+        feat.write_text('{"num_nodes": 2, "dim": 1, "classes": 2}\na 1 0\n\nb 0 one\n')
+        edge = tmp_path / "edges.txt"
+        edge.write_text("a b\n")
+        with pytest.raises(GadError, match="features.txt:4: label 'one' is not an integer"):
+            load_dataset(edge, feat, (0.5, 0.5, 0.0), seed=0)
+
+
+# spellings of the same whitespace, line ends and values that both loaders must read alike
+_SEPS = [" ", "\t", "  ", " \t ", "\t\t"]
+_ENDS = ["\n", "\r\n"]
+_VALUE_FORMS = [
+    lambda x: f"{x:.6f}", lambda x: f"{x:e}", lambda x: f"{x:.3E}", lambda x: repr(x),
+    lambda x: f"{-abs(x):g}", lambda x: str(int(x)), lambda x: "inf", lambda x: "-inf",
+    lambda x: "nan", lambda x: "-Infinity", lambda x: f"+{abs(x):.2f}",
+]
+
+
+def _noise_lines(rng, end):
+    """Zero to two blank or whitespace-only lines."""
+    return "".join(rng.choice(["", " ", "\t", " \t  "]) + end for _ in range(rng.integers(0, 3)))
+
+
+def _random_dataset(tmp_path, seed, layout):
+    """Seeded random feature and edge files in ``layout`` ('native' or 'content').
+
+    Returns (edge_path, feature_path, feature_lines, edge_lines): the lines
+    as written, so that a test can break one of them and write them again.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 25)), int(rng.integers(1, 6))
+    names = [f"{rng.choice(['n', 'paper-', 'x.', ''])}{i * 7 + 3}" for i in rng.permutation(n)]
+    classes = ["Neural_Networks", "Rule_Learning", "Theory", "x"]
+    end = _ENDS[seed % 2]
+
+    def row(cells):
+        lead = rng.choice(["", " ", "\t"])
+        return lead + "".join(c + str(rng.choice(_SEPS)) for c in cells[:-1]) + cells[-1]
+
+    feature_lines = []
+    if layout == "native":
+        feature_lines.append(json.dumps({"num_nodes": n, "dim": d, "classes": 3}))
+    for name in names:
+        values = [_VALUE_FORMS[rng.integers(len(_VALUE_FORMS))](float(x))
+                  for x in rng.normal(0, 10, d)]
+        label = str(rng.integers(-1, 3)) if layout == "native" else str(rng.choice(classes))
+        feature_lines.append(row([name] + values + [label]))
+    edge_lines = []
+    for _ in range(int(rng.integers(0, 3 * n + 1))):
+        u, v = rng.choice(names, 2)
+        edge_lines.append(row([u, v]) + rng.choice(["", " # inline", "\t#x y z", "#"]))
+        if rng.random() < 0.2:
+            edge_lines.append(rng.choice(["# whole line", "   # indented", "#"]))
+    return (*_write_dataset(tmp_path, layout, feature_lines, edge_lines, rng, end),
+            feature_lines, edge_lines)
+
+
+def _write_dataset(tmp_path, layout, feature_lines, edge_lines, rng=None, end="\n"):
+    rng = rng or np.random.default_rng(0)
+    feat = tmp_path / ("features.txt" if layout == "native" else "toy.content")
+    edge = tmp_path / ("edges.txt" if layout == "native" else "toy.cites")
+    for path, lines in ((feat, feature_lines), (edge, edge_lines)):
+        text = "".join(_noise_lines(rng, end) + ln + end for ln in lines)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text + _noise_lines(rng, end))
+    return edge, feat
+
+
+def _assert_same_graph(a, b):
+    for name in ("offsets", "targets", "features", "labels", "train_mask", "val_mask", "test_mask"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.num_nodes == b.num_nodes
+    assert a.node_names == b.node_names
+    assert a.class_names == b.class_names
+
+
+def _load_both(edge, feat, seed):
+    """Each loader's Graph, or the text of the GadError it raised."""
+    out = []
+    for load in (load_dataset, loader_oracle.load_dataset):
+        try:
+            out.append(load(edge, feat, (0.4, 0.3, 0.3), seed))
+        except GadError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestLoaderOracle:
+    """``load_dataset`` against the row-by-row parser in ``loader_oracle``."""
+
+    @pytest.mark.parametrize("layout", ["native", "content"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_files_identical(self, tmp_path, seed, layout):
+        edge, feat, _, _ = _random_dataset(tmp_path, seed, layout)
+        new, old = _load_both(edge, feat, seed)
+        assert not isinstance(old, str), old
+        _assert_same_graph(new, old)
+
+    # each fault breaks a valid random dataset at a line picked by the seed;
+    # f holds the feature rows (the header excluded), e the edge lines
+    FAULTS = {
+        "malformed row": lambda rng, f, e: _edit_row(rng, f, lambda p: p[:1]),
+        "two-token row": lambda rng, f, e: _edit_row(rng, f, lambda p: p[:1] + p[-1:]),
+        "short row": lambda rng, f, e: _edit_row(rng, f, lambda p: p[:-2] + p[-1:]),
+        "long row": lambda rng, f, e: _edit_row(rng, f, lambda p: p[:-1] + ["1", p[-1]]),
+        "duplicate id": lambda rng, f, e: _edit_row(rng, f, lambda p: f[0].split()[:1] + p[1:]),
+        "missing row": lambda rng, f, e: f.pop(int(rng.integers(len(f)))),
+        "no rows": lambda rng, f, e: f.clear(),
+        "one-token edge": lambda rng, f, e: _insert(rng, e, "a0"),
+        "three-token edge": lambda rng, f, e: _insert(rng, e, "a b c # note"),
+        "unknown id": lambda rng, f, e: _insert(rng, e, f"{f[-1].split()[0]}\tnobody"),
+        "unknown then malformed": lambda rng, f, e: e.extend(["nobody x", "a b c"]),
+        "malformed then unknown": lambda rng, f, e: e.extend(["a b c", "nobody x"]),
+        "unknown twice": lambda rng, f, e: e.extend(["# c", "ghost ghost", "ghost"]),
+    }
+
+    @pytest.mark.parametrize("layout", ["native", "content"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_errors_identical(self, tmp_path, seed, fault, layout):
+        rng = np.random.default_rng(seed)
+        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, seed, layout)
+        first = 1 if layout == "native" else 0
+        rows = feature_lines[first:]
+        self.FAULTS[fault](rng, rows, edge_lines)
+        edge, feat = _write_dataset(tmp_path, layout, feature_lines[:first] + rows, edge_lines, rng)
+        new, old = _load_both(edge, feat, seed)
+        if isinstance(old, str):
+            assert new == old
+        else:   # the fault left a valid file: a dropped row no edge named, say
+            _assert_same_graph(new, old)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\r\n\n  \n"])
+    def test_empty_feature_file_identical(self, tmp_path, text):
+        feat = tmp_path / "toy.content"
+        with open(feat, "w", newline="") as fh:
+            fh.write(text)
+        edge = tmp_path / "toy.cites"
+        edge.write_text("")
+        new, old = _load_both(edge, feat, 0)
+        assert new == old == f"{feat}: empty feature file"
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_header_width_mismatch_identical(self, tmp_path, delta):
+        # every row agrees with every other, but not with the header's dim
+        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 4, "native")
+        header = json.loads(feature_lines[0])
+        header["dim"] += delta
+        feature_lines[0] = json.dumps(header)
+        edge, feat = _write_dataset(tmp_path, "native", feature_lines, edge_lines)
+        new, old = _load_both(edge, feat, 4)
+        assert new == old and "inconsistent feature dimension" in old
+
+    def test_label_out_of_range_identical(self, tmp_path):
+        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 1, "native")
+        feature_lines[-1] = feature_lines[-1].rsplit(None, 1)[0] + " 3"
+        edge, feat = _write_dataset(tmp_path, "native", feature_lines, edge_lines)
+        new, old = _load_both(edge, feat, 1)
+        assert new == old == f"{feat}: label outside 0..classes-1"
+
+
+def _edit_row(rng, rows, edit):
+    """Replace a random row by ``edit`` of its tokens, joined by a space."""
+    i = int(rng.integers(len(rows)))
+    rows[i] = " ".join(edit(rows[i].split()))
+
+
+def _insert(rng, lines, line):
+    lines.insert(int(rng.integers(len(lines) + 1)), line)
