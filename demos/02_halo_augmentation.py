@@ -47,7 +47,8 @@ budget = min(replication_budget(sub, alpha=0.4), len(cands))
 chosen = depth_first_select(table, walks, budget)
 print(f"\nbudget {budget} -> replicate {chosen.tolist()}")
 
-aug = augment_subgraph(g, sub, chosen, part=part, assignment=p.assignment)
+aug = augment_subgraph(g, sub, chosen, part=part)
 print(f"augmented subgraph: {aug.view.num_nodes} nodes "
       f"({aug.num_replicas} replicas), {aug.view.num_edges} edges")
-print(f"replica sources: {aug.replica_sources}")
+sources = dict(zip(aug.view.replica_ids.tolist(), p.assignment[aug.view.replica_ids].tolist()))
+print(f"replica sources: {sources}")

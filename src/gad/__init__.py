@@ -31,9 +31,7 @@ from .gcn import (
     forward,
     init_params,
     layer_input,
-    load_params,
     loss_and_backward,
-    save_params,
     sgd_update,
 )
 from .graph import (

@@ -38,7 +38,6 @@ class WalkSet:
 
     walks: np.ndarray            # (n, steps + 1) int64
     lengths: np.ndarray          # steps taken per walk
-    seed: int
     candidates: np.ndarray       # candidate node ids the counts refer to
     visit_counts: np.ndarray     # walks visiting each candidate at least once
     short_walks: int = 0
@@ -71,7 +70,6 @@ class AugmentedSubgraph:
 
     part: int
     view: SubgraphView
-    replica_sources: dict[int, int]   # replica global id -> source part
     budget: int
     shortfall: int = 0
 
@@ -87,7 +85,6 @@ class AugmentationRecord:
     part: int
     subgraph: AugmentedSubgraph
     table: ImportanceTable
-    walks_total: int
 
 
 def _boundary(g: Graph, member: np.ndarray) -> np.ndarray:
@@ -227,11 +224,11 @@ def node_importance(
         member[sub_i.owned_ids] = True
         boundary = _boundary(g, member)
 
-    def _empty(n_walks=0):
+    if boundary.size == 0 or candidates.size == 0:
         table = ImportanceTable(
             candidates=candidates,
             importance=np.zeros(len(candidates)),
-            total_walks=n_walks,
+            total_walks=0,
             z_c=z_c,
             err_target=err_target,
             sigma_x=0.0,
@@ -241,14 +238,10 @@ def node_importance(
         walkset = WalkSet(
             walks=np.zeros((0, layers + 1), dtype=np.int64),
             lengths=np.zeros(0, dtype=np.int64),
-            seed=seed,
             candidates=candidates,
             visit_counts=np.zeros(len(candidates), dtype=np.int64),
         )
         return table, walkset
-
-    if boundary.size == 0 or candidates.size == 0:
-        return _empty()
 
     cand_index = np.full(g.num_nodes, -1, dtype=np.int64)
     cand_index[candidates] = np.arange(len(candidates))
@@ -264,18 +257,9 @@ def node_importance(
     prov = counts[counts > 0] / n_phase1
     x_bar = float(prov.mean()) if prov.size else 0.0
     sigma_x = float(prov.std(ddof=1)) if prov.size > 1 else 0.0
+    # 0 when no phase-1 walk visits a candidate; with every count 0 the
+    # phase-1 walks stand as the sample below
     n_total = estimate_walk_count(prov, z_c, err_target, provisional_count=n_phase1)
-    if n_total == 0:
-        table, walkset = _empty(n_phase1)
-        walkset = WalkSet(
-            walks=walks,
-            lengths=lengths,
-            seed=seed,
-            candidates=candidates,
-            visit_counts=np.zeros(len(candidates), dtype=np.int64),
-            short_walks=int((lengths < layers).sum()),
-        )
-        return table, walkset
     if n_total > n_phase1:
         starts2 = boundary[rng.integers(0, len(boundary), size=n_total - n_phase1)]
         walks2, lengths2 = _random_walks(g, starts2, layers, rng)
@@ -306,7 +290,6 @@ def node_importance(
     walkset = WalkSet(
         walks=walks,
         lengths=lengths,
-        seed=seed,
         candidates=candidates,
         visit_counts=counts,
         short_walks=int((lengths < layers).sum()),
@@ -389,7 +372,6 @@ def augment_subgraph(
     sub_i: SubgraphView,
     replicas,
     part: int = 0,
-    assignment: np.ndarray | None = None,
     budget: int | None = None,
     shortfall: int = 0,
 ) -> AugmentedSubgraph:
@@ -399,15 +381,9 @@ def augment_subgraph(
     if np.isin(replicas, owned).any():
         raise GadError("replicas must be disjoint from the owned node set")
     node_ids = np.union1d(owned, replicas)
-    view = induce_subgraph(g, node_ids, owned)
-    if assignment is not None:
-        sources = {int(r): int(assignment[r]) for r in replicas}
-    else:
-        sources = {int(r): -1 for r in replicas}
     return AugmentedSubgraph(
         part=part,
-        view=view,
-        replica_sources=sources,
+        view=induce_subgraph(g, node_ids, owned),
         budget=len(replicas) if budget is None else int(budget),
         shortfall=shortfall,
     )
@@ -454,29 +430,14 @@ def augment_partitions(
             if enabled else np.zeros(0, np.int64)
         )
         part_seed = rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1)
-        if candidates.size == 0:
-            table, walkset = node_importance(
-                g, sub_i, candidates, layers, int(part_seed), boundary=boundary
-            )
-            replicas = np.zeros(0, dtype=np.int64)
-            budget = 0
-        else:
-            table, walkset = node_importance(
-                g, sub_i, candidates, layers, int(part_seed),
-                z_c=z_c, err_target=err_target, mode=mode, boundary=boundary,
-            )
-            budget = min(replication_budget(sub_i, alpha), len(candidates))
-            replicas = depth_first_select(table, walkset, budget)
+        table, walkset = node_importance(
+            g, sub_i, candidates, layers, int(part_seed),
+            z_c=z_c, err_target=err_target, mode=mode, boundary=boundary,
+        )
+        budget = min(replication_budget(sub_i, alpha), len(candidates))
+        replicas = depth_first_select(table, walkset, budget)
         aug = augment_subgraph(
-            g, sub_i, replicas,
-            part=i,
-            assignment=p.assignment,
-            budget=budget,
-            shortfall=budget - len(replicas),
+            g, sub_i, replicas, part=i, budget=budget, shortfall=budget - len(replicas)
         )
-        records.append(
-            AugmentationRecord(
-                part=i, subgraph=aug, table=table, walks_total=table.total_walks
-            )
-        )
+        records.append(AugmentationRecord(part=i, subgraph=aug, table=table))
     return records

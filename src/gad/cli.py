@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,17 @@ def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+@contextmanager
+def _reading(path):
+    """Report a file that is not JSON, or lacks a key, as a GadError naming it."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise GadError(f"{path}: not valid JSON ({exc})") from None
+    except KeyError as exc:
+        raise GadError(f"{path}: missing key {exc.args[0]!r}") from None
 
 
 def _find_dataset(cfg: Config) -> tuple[str, str]:
@@ -78,7 +90,7 @@ def _config_from_args(args) -> Config:
         overrides["data_dir"] = args.data
     file_dict = None
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with _reading(args.config), open(args.config, "r", encoding="utf-8") as fh:
             file_dict = json.load(fh)
     return Config.from_sources(file_dict, overrides)
 
@@ -96,9 +108,8 @@ def _add_common(p: argparse.ArgumentParser, with_data: bool = True):
 def cmd_partition(args) -> int:
     cfg = _config_from_args(args)
     g = _load_graph(cfg)
-    k = cfg.effective_k(g.num_nodes)
     part = partition_graph(
-        g, k, epsilon=cfg.epsilon, restarts=cfg.restarts,
+        g, cfg.k, epsilon=cfg.epsilon, restarts=cfg.restarts,
         seed=cfg.seed, target_fraction=cfg.target_fraction,
     )
     out = Path(args.out)
@@ -106,9 +117,9 @@ def cmd_partition(args) -> int:
     if g.node_names is not None:
         _write_json(out.with_suffix(".node_ids.json"), {"node_ids": list(g.node_names)})
     sizes = part.part_sizes()
-    cap = balance_cap(g.num_nodes, k, cfg.epsilon)
+    cap = balance_cap(g.num_nodes, cfg.k, cfg.epsilon)
     summary = {
-        "k": k,
+        "k": cfg.k,
         "edge_cut": part.edge_cut,
         "restarts_used": part.restarts_used,
         "max_part_size": int(sizes.max()),
@@ -122,7 +133,8 @@ def cmd_partition(args) -> int:
 def cmd_augment(args) -> int:
     cfg = _config_from_args(args)
     g = _load_graph(cfg)
-    part = load_partitioning(args.partition)
+    with _reading(args.partition):
+        part = load_partitioning(args.partition)
     if len(part.assignment) != g.num_nodes:
         raise GadError("partition file does not match the dataset")
     records = augment_partitions(
@@ -131,9 +143,7 @@ def cmd_augment(args) -> int:
         enabled=cfg.augment,
     )
     payload = {
-        "k": part.k,
-        "epsilon": part.epsilon,
-        "assignment": part.assignment.tolist(),
+        "partition": part.to_json_dict(),
         "layers": cfg.layers,
         "alpha": cfg.alpha,
         "seed": cfg.seed,
@@ -145,13 +155,10 @@ def cmd_augment(args) -> int:
                 "nodes": rec.subgraph.view.local_ids.tolist(),
                 "owned": rec.subgraph.view.owned.astype(int).tolist(),
                 "edges": rec.subgraph.view.edge_list_global().tolist(),
-                "replicas": sorted(rec.subgraph.replica_sources),
-                "replica_sources": {
-                    str(k_): v for k_, v in sorted(rec.subgraph.replica_sources.items())
-                },
+                "replicas": rec.subgraph.view.replica_ids.tolist(),
                 "budget": rec.subgraph.budget,
                 "shortfall": rec.subgraph.shortfall,
-                "walks": rec.walks_total,
+                "walks": rec.table.total_walks,
                 "importance": {
                     str(c): float(v)
                     for c, v in zip(rec.table.candidates, rec.table.importance)
@@ -167,16 +174,9 @@ def cmd_augment(args) -> int:
 
 
 def _rebuild_augmented(g: Graph, payload: dict) -> tuple[Partitioning, list[AugmentedSubgraph]]:
-    assignment = np.asarray(payload["assignment"], dtype=np.int64)
-    if len(assignment) != g.num_nodes:
+    part = Partitioning.from_json_dict(payload["partition"])
+    if len(part.assignment) != g.num_nodes:
         raise GadError("augmented file does not match the dataset (assignment length)")
-    part = Partitioning(
-        assignment=assignment,
-        k=int(payload["k"]),
-        epsilon=float(payload["epsilon"]),
-        edge_cut=0,
-        restarts_used=0,
-    )
     augmented = []
     for entry in payload["partitions"]:
         nodes = np.asarray(entry["nodes"], dtype=np.int64)
@@ -190,7 +190,6 @@ def _rebuild_augmented(g: Graph, payload: dict) -> tuple[Partitioning, list[Augm
             AugmentedSubgraph(
                 part=int(entry["part"]),
                 view=view,
-                replica_sources={int(k_): int(v) for k_, v in entry["replica_sources"].items()},
                 budget=int(entry["budget"]),
                 shortfall=int(entry.get("shortfall", 0)),
             )
@@ -201,9 +200,8 @@ def _rebuild_augmented(g: Graph, payload: dict) -> tuple[Partitioning, list[Augm
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     g = _load_graph(cfg)
-    with open(args.augmented, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    part, augmented = _rebuild_augmented(g, payload)
+    with _reading(args.augmented), open(args.augmented, "r", encoding="utf-8") as fh:
+        part, augmented = _rebuild_augmented(g, json.load(fh))
     try:
         report = train(g, part, augmented, cfg.workers, cfg)
     except NumericalError as exc:
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--epsilon", type=float)
     pp.add_argument("--restarts", type=int)
     pp.add_argument("--target-fraction", dest="target_fraction", type=float)
-    pp.add_argument("--target-subgraph-nodes", dest="target_subgraph_nodes", type=int)
     pp.add_argument("--out", default="partition.json")
     pp.set_defaults(func=cmd_partition)
 

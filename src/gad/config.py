@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 
 from .augment import IMPORTANCE_MODES
@@ -22,7 +21,6 @@ class Config:
     epsilon: float = 0.1
     restarts: int = 8
     target_fraction: float = 0.2
-    target_subgraph_nodes: int | None = None
 
     layers: int = 3
     hidden: int = 128
@@ -77,8 +75,6 @@ class Config:
             raise GadError("pair_cap must be >= 2")
         if len(self.split) != 3 or any(s < 0 for s in self.split) or sum(self.split) > 1 + 1e-9:
             raise GadError("split fractions must be nonnegative and sum to <= 1")
-        if self.target_subgraph_nodes is not None and self.target_subgraph_nodes < 1:
-            raise GadError("target_subgraph_nodes must be >= 1")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise GadError(f"importance_mode must be one of {IMPORTANCE_MODES}")
         return self
@@ -103,14 +99,3 @@ class Config:
             merged["split"] = tuple(float(x) for x in merged["split"])
         cfg = cls(**merged)
         return cfg.validate()
-
-    @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "Config":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_sources(json.load(fh), overrides)
-
-    def effective_k(self, num_nodes: int) -> int:
-        """k, optionally steered by a target subgraph size."""
-        if self.target_subgraph_nodes:
-            return max(1, round(num_nodes / self.target_subgraph_nodes))
-        return self.k

@@ -10,7 +10,6 @@ differences.  The input features may be a dense array or a CSR matrix (see
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,6 @@ class GcnParams:
     """Per-layer weight matrices; dims chain feature_dim -> hidden... -> classes."""
 
     weights: tuple[np.ndarray, ...]
-    seed: int = 0
-    scheme: str = "glorot_uniform"
 
     @property
     def num_layers(self) -> int:
@@ -72,18 +69,14 @@ class Gradients:
         return Gradients(grads=tuple(c * g for g in self.grads), loss=c * self.loss)
 
 
-def init_params(
-    dims: tuple[int, ...], seed: int = 0, scheme: str = "glorot_uniform"
-) -> GcnParams:
+def init_params(dims: tuple[int, ...], seed: int = 0) -> GcnParams:
     """Glorot-uniform initialization for the given dimension chain."""
-    if scheme != "glorot_uniform":
-        raise GadError(f"unknown init scheme {scheme!r}")
     rng = rngs.stream(seed, rngs.INIT)
     weights = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-    return GcnParams(weights=tuple(weights), seed=seed, scheme=scheme)
+    return GcnParams(weights=tuple(weights))
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -184,33 +177,4 @@ def sgd_update(params: GcnParams, grads: Gradients, eta: float) -> GcnParams:
     if eta <= 0:
         raise GadError("learning rate must be positive")
     new_w = tuple(w - eta * g for w, g in zip(params.weights, grads.grads))
-    return GcnParams(weights=new_w, seed=params.seed, scheme=params.scheme)
-
-
-def save_params(params: GcnParams, path) -> None:
-    """Checkpoint: one JSON header line, then the raw float64 weight bytes."""
-    header = {
-        "dims": list(params.dims),
-        "seed": params.seed,
-        "scheme": params.scheme,
-        "dtype": "<f8",
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for w in params.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-
-
-def load_params(path) -> GcnParams:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        dims = header["dims"]
-        weights = []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            buf = fh.read(fan_in * fan_out * 8)
-            weights.append(
-                np.frombuffer(buf, dtype="<f8").reshape(fan_in, fan_out).copy()
-            )
-    return GcnParams(
-        weights=tuple(weights), seed=int(header["seed"]), scheme=header["scheme"]
-    )
+    return GcnParams(weights=new_w)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -129,10 +129,6 @@ class Graph:
         keep = self.rows < self.targets
         return np.stack([self.rows[keep], self.targets[keep]], axis=1)
 
-    def with_features(self, features: np.ndarray) -> "Graph":
-        """Copy of the graph with a replaced feature matrix."""
-        return replace(self, features=np.asarray(features, dtype=np.float64))
-
     @classmethod
     def from_edges(
         cls,
@@ -203,10 +199,6 @@ class SubgraphView:
         """Local source node of every entry of ``targets`` (cached)."""
         return csr_rows(self.offsets)
 
-    @cached_property
-    def global_to_local(self) -> dict[int, int]:
-        return {int(g): i for i, g in enumerate(self.local_ids)}
-
     @property
     def owned_ids(self) -> np.ndarray:
         return self.local_ids[self.owned]
@@ -214,9 +206,6 @@ class SubgraphView:
     @property
     def replica_ids(self) -> np.ndarray:
         return self.local_ids[~self.owned]
-
-    def local_features(self) -> np.ndarray:
-        return self.graph.features[self.local_ids]
 
     def local_labels(self) -> np.ndarray:
         return self.graph.labels[self.local_ids]
@@ -447,14 +436,19 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
 
     class_names: tuple[str, ...] | None = None
     if lines[0][1].startswith("{"):
-        header = json.loads(lines[0][1])
+        try:
+            header = json.loads(lines[0][1])
+            dim, num_nodes, n_classes = (int(header[k]) for k in ("dim", "num_nodes", "classes"))
+        except KeyError as exc:
+            raise GadError(f"{feature_path}:1: header has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:   # JSONDecodeError is a ValueError
+            raise GadError(f"{feature_path}:1: malformed header ({exc})") from None
         names, feats, labels = _parse_feature_rows(
-            lines[1:], feature_path, dim=int(header["dim"]), int_labels=True
+            lines[1:], feature_path, dim=dim, int_labels=True
         )
-        if len(names) != int(header["num_nodes"]):
+        if len(names) != num_nodes:
             raise GadError(f"{feature_path}: row count does not match header")
         labels = np.array(labels, dtype=np.int64)
-        n_classes = int(header["classes"])
         if labels.size and (labels.min() < UNLABELED or labels.max() >= n_classes):
             raise GadError(f"{feature_path}: label outside 0..classes-1")
     else:
@@ -480,8 +474,3 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
         class_names=class_names,
     )
 
-
-def write_edge_list(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in g.edge_list():
-            fh.write(f"{u} {v}\n")

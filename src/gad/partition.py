@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,9 +43,6 @@ class CoarseGraph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.targets[self.offsets[u]:self.offsets[u + 1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,14 +430,7 @@ def partition_graph(
     depth = max(i for i, lv in enumerate(levels) if lv.num_nodes >= k)
     levels = levels[: depth + 1]
     coarse_assign = partition_coarse(levels[-1], k, epsilon, restarts, seed)
-    part = uncoarsen(levels, coarse_assign, k, epsilon)
-    return Partitioning(
-        assignment=part.assignment,
-        k=k,
-        epsilon=epsilon,
-        edge_cut=part.edge_cut,
-        restarts_used=restarts,
-    )
+    return replace(uncoarsen(levels, coarse_assign, k, epsilon), restarts_used=restarts)
 
 
 def random_balanced_partition(num_nodes: int, k: int, seed: int) -> np.ndarray:

@@ -103,8 +103,8 @@ class TrainReport:
     epoch_seconds: list[float] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "config": self.config,
             "evaluation": "centralized_full_graph",
             "seed": self.seed,
@@ -122,9 +122,6 @@ class TrainReport:
             "epochs_run": self.epochs_run,
             "notes": self.notes,
         }
-        if include_timing:
-            out["epoch_seconds"] = self.epoch_seconds
-        return out
 
 
 def evaluate(

@@ -122,6 +122,22 @@ class TestNodeImportance:
         assert table.candidates.size == 0
         assert walks.num_walks == 0
 
+    @pytest.mark.parametrize("mode", augment.IMPORTANCE_MODES)
+    def test_unvisited_candidates_keep_phase1_walks(self, mode):
+        # boundary node 0 with 20 owned leaves and one external neighbor 21:
+        # under seed 1 none of the 21 phase-1 walks steps onto node 21
+        g = Graph.from_edges(22, np.array([[0, v] for v in range(1, 22)]))
+        p = Partitioning(np.array([0] * 21 + [1]), 2, 1.0, 1, 0)
+        cands = candidate_replication_nodes(g, p, 0, 1)
+        assert cands.tolist() == [21]
+        table, walks = node_importance(g, part_view(g, p, 0), cands, 1, seed=1, mode=mode)
+        assert table.total_walks == walks.num_walks == 21   # floor(degree 21) * |B| 1
+        assert table.importance.dtype == np.float64
+        assert table.importance.tolist() == [0.0]
+        assert walks.visit_counts.tolist() == [0]
+        assert table.sigma_x == table.x_bar == 0.0
+        assert (walks.walks[:, 0] == 0).all() and 21 not in walks.walks
+
     def test_two_triangle_exact_oracle(self):
         # exhaustive enumeration gives visit probabilities (1/3, 1/9, 1/9);
         # seed frozen to a stream whose estimates land within the stated 0.05
@@ -235,7 +251,6 @@ def make_walkset(walks, candidates, importance):
     ws = WalkSet(
         walks=walks,
         lengths=np.full(len(walks), walks.shape[1] - 1, dtype=np.int64),
-        seed=0,
         candidates=table.candidates,
         visit_counts=np.zeros(len(table.candidates), dtype=np.int64),
     )
@@ -428,12 +443,12 @@ class TestAugmentSubgraph:
     def test_replica_edges_included(self):
         g, p = two_triangles()
         sub = part_view(g, p, 0)
-        aug = augment_subgraph(g, sub, [3], assignment=p.assignment)
+        aug = augment_subgraph(g, sub, [3])
         # node 3 connects to 2 (owned) only within the set
         assert aug.view.num_nodes == 4
         assert aug.view.num_edges == 4
-        assert aug.replica_sources == {3: 1}
-        assert not aug.view.owned[aug.view.global_to_local[3]]
+        assert aug.view.replica_ids.tolist() == [3]
+        assert not aug.view.owned[np.searchsorted(aug.view.local_ids, 3)]
 
     def test_matches_induce_oracle(self):
         rng = np.random.default_rng(7)
@@ -506,7 +521,7 @@ class TestAugmentPartitions:
             assert set(aug.view.replica_ids.tolist()) <= set(cands.tolist())
             # no dangling replica: every replica has a local edge
             for r in aug.view.replica_ids:
-                assert aug.view.degrees[aug.view.global_to_local[int(r)]] > 0
+                assert aug.view.degrees[np.searchsorted(aug.view.local_ids, r)] > 0
 
     def test_no_cut_edges_no_replicas(self):
         g, _ = two_triangles()

@@ -60,10 +60,12 @@ class TestAugmentCmd:
                     "--layers", "2", "--alpha", "0.05", "--out", out]) == 0
         payload = json.loads(out.read_text())
         assert payload["alpha"] == 0.05
+        # the partition is carried over as the partition stage wrote it
+        assert payload["partition"] == json.loads(part.read_text())
         for entry in payload["partitions"]:
             assert len(entry["replicas"]) <= entry["budget"] or entry["budget"] == 0
-            # replica sources recorded for every replica
-            assert set(map(str, entry["replicas"])) == set(entry["replica_sources"])
+            # the replicas are the entry's non-owned nodes, ascending
+            assert entry["replicas"] == [n for n, o in zip(entry["nodes"], entry["owned"]) if not o]
         summary = json.loads(capsys.readouterr().out)
         assert "total_replicas" in summary
 
@@ -101,6 +103,19 @@ class TestAugmentCmd:
         assert run(["augment", dataset, "--partition", part, "--out", tmp_path / "a.json"]) == 1
         assert "part id outside 0..2" in capsys.readouterr().err
         assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize("text, detail", [
+        ("{k: 2}", "not valid JSON"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0}', "missing key 'assignment'"),
+    ], ids=["not_json", "no_assignment"])
+    def test_malformed_partition_file_exit_1(self, dataset, tmp_path, capsys, text, detail):
+        part = tmp_path / "p.json"
+        part.write_text(text)
+        capsys.readouterr()
+        assert run(["augment", dataset, "--partition", part, "--out", tmp_path / "a.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"gad: error: {part}: {detail}" in err
+        assert "Traceback" not in err
 
 
 class TestTrainCmd:
@@ -150,7 +165,7 @@ class TestTrainCmd:
     def test_part_id_out_of_range_exit_1(self, dataset, staged, tmp_path, capsys):
         d, part, aug = staged
         payload = json.loads(aug.read_text())
-        payload["assignment"][0] = payload["k"]
+        payload["partition"]["assignment"][0] = payload["partition"]["k"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         capsys.readouterr()
@@ -161,7 +176,7 @@ class TestTrainCmd:
     def test_short_assignment_exit_1(self, dataset, staged, tmp_path, capsys):
         d, part, aug = staged
         payload = json.loads(aug.read_text())
-        payload["assignment"] = payload["assignment"][:-5]
+        payload["partition"]["assignment"] = payload["partition"]["assignment"][:-5]
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps(payload))
         capsys.readouterr()
@@ -170,6 +185,22 @@ class TestTrainCmd:
         err = capsys.readouterr().err
         assert "gad: error" in err and "assignment length" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("detail", ["not valid JSON", "missing key 'budget'"],
+                             ids=["not_json", "no_budget"])
+    def test_malformed_augmented_file_exit_1(self, dataset, staged, tmp_path, capsys, detail):
+        d, part, aug = staged
+        payload = json.loads(aug.read_text())
+        del payload["partitions"][1]["budget"]
+        text = json.dumps(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text[:-1] if "JSON" in detail else text)   # cut, it is not JSON
+        capsys.readouterr()
+        assert run(["train", dataset, "--augmented", bad, "--epochs", "1",
+                    "--out", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"gad: error: {bad}: {detail}" in err
+        assert "Traceback" not in err
 
 
 class TestBadDataset:
@@ -200,6 +231,20 @@ class TestBadDataset:
         code, err = self._partition(d, tmp_path, capsys)
         assert code == 1
         assert f"gad: error: {d / 'features.txt'}:5: label '1.0' is not an integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("header, detail", [
+        ("{num_nodes: 2}", "malformed header"),
+        ('{"num_nodes": 2, "dim": 1}', "header has no 'classes'"),
+    ], ids=["not_json", "no_classes"])
+    def test_bad_native_header_exit_1(self, tmp_path, capsys, header, detail):
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "features.txt").write_text(f"{header}\na 1 0\nb 0 1\n")
+        (d / "edges.txt").write_text("a b\n")
+        code, err = self._partition(d, tmp_path, capsys)
+        assert code == 1
+        assert f"gad: error: {d / 'features.txt'}:1: {detail}" in err
         assert "Traceback" not in err
 
 
@@ -286,13 +331,28 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize(
         "key, value",
         [("consensus", "per_epoch"), ("feature_norm", "l1"), ("zeta_distance", "l2"),
-         ("loss_reduction", "sum"), ("loss_scale", "population")],
+         ("loss_reduction", "sum"), ("loss_scale", "population"),
+         ("target_subgraph_nodes", 100)],
     )
     def test_removed_recipe_keys_exit_1(self, dataset, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert run(["partition", dataset, "--config", cfg, "--out", tmp_path / "p.json"]) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_removed_target_subgraph_nodes_flag_exit_1(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["partition", dataset, "--target-subgraph-nodes", "20", "--out", tmp_path / "p.json"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --target-subgraph-nodes" in capsys.readouterr().err
+
+    def test_config_not_json_exit_1(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("k = 2\n")
+        assert run(["partition", dataset, "--config", cfg, "--out", tmp_path / "p.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"gad: error: {cfg}: not valid JSON" in err
+        assert "Traceback" not in err
 
 
 def test_console_script_installed(capsys):

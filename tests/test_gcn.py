@@ -9,9 +9,7 @@ from gad.gcn import (
     forward,
     init_params,
     layer_input,
-    load_params,
     loss_and_backward,
-    save_params,
     sgd_update,
 )
 from gad.graph import Graph, full_view, normalized_adjacency
@@ -258,18 +256,6 @@ class TestSgdUpdate:
         gr = Gradients(grads=(np.array([[2.0]]),), loss=0.0)
         sgd_update(params, gr, 0.1)
         assert params.weights[0][0, 0] == 1.0
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        params = init_params((4, 8, 3), seed=13)
-        path = tmp_path / "params.bin"
-        save_params(params, path)
-        loaded = load_params(path)
-        assert loaded.dims == params.dims
-        assert loaded.seed == params.seed
-        for a, b in zip(loaded.weights, params.weights):
-            assert np.array_equal(a, b)
 
 
 def test_glorot_limits():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -15,7 +16,6 @@ from gad.graph import (
     load_dataset,
     make_split_masks,
     normalized_adjacency,
-    write_edge_list,
 )
 
 import loader_oracle
@@ -131,7 +131,7 @@ class TestArrayLengths:
         with pytest.raises(GadError, match="feature row count"):
             Graph.from_edges(3, [[0, 1]], features=np.zeros((2, 4)))
         with pytest.raises(GadError, match="feature row count"):
-            triangle().with_features(np.zeros(3))
+            dataclasses.replace(triangle(), features=np.zeros((2, 1)))
 
     def test_rows_follow_csr(self):
         rng = np.random.default_rng(2)
@@ -353,12 +353,6 @@ class TestLoaders:
         assert g.num_nodes == 2
         assert g.class_names == ("Neural_Networks", "Rule_Learning")
         assert g.num_edges == 1
-
-    def test_write_edge_list(self, tmp_path):
-        g = triangle()
-        out = tmp_path / "el.txt"
-        write_edge_list(g, out)
-        assert out.read_text() == "0 1\n0 2\n1 2\n"
 
     @pytest.mark.parametrize("body", ["", "\n\n", "# only a comment\n", "  # indented\n\t\n# two\n"])
     def test_empty_edge_file_no_warning(self, tmp_path, body):

@@ -263,7 +263,8 @@ class TestUncoarsen:
             for part in range(k):
                 while sizes[part] > cap:
                     for u in np.flatnonzero(assign == part):
-                        under = {int(assign[v]) for v in lv.neighbors(u)
+                        row = lv.targets[lv.offsets[u]:lv.offsets[u + 1]]
+                        under = {int(assign[v]) for v in row
                                  if assign[v] != part and sizes[assign[v]] < cap}
                         if under:
                             break

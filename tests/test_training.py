@@ -115,7 +115,7 @@ class TestCommunicationSize:
             owned = p.part_nodes(i)
             sub = induce_subgraph(g, owned, owned)
             halo = candidate_replication_nodes(g, p, i, 2)
-            augs.append(augment_subgraph(g, sub, halo, part=i, assignment=p.assignment))
+            augs.append(augment_subgraph(g, sub, halo, part=i))
         cm = communication_size(g, p, augs, 2)
         assert cm.bytes_with == 0
         assert cm.bytes_without > 0
@@ -130,11 +130,10 @@ class TestCommunicationSize:
         halo = candidate_replication_nodes(g, p, 0, 2)
         prev = None
         other = augment_subgraph(
-            g, induce_subgraph(g, p.part_nodes(1), p.part_nodes(1)), [],
-            part=1, assignment=p.assignment,
+            g, induce_subgraph(g, p.part_nodes(1), p.part_nodes(1)), [], part=1
         )
         for take in range(len(halo) + 1):
-            aug0 = augment_subgraph(g, sub, halo[:take], part=0, assignment=p.assignment)
+            aug0 = augment_subgraph(g, sub, halo[:take], part=0)
             cm = communication_size(g, p, [aug0, other], 2)
             if prev is not None:
                 assert cm.bytes_with <= prev
