@@ -173,35 +173,36 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _rebuild_augmented(g: Graph, payload: dict) -> tuple[Partitioning, list[AugmentedSubgraph]]:
-    part = Partitioning.from_json_dict(payload["partition"])
+def _rebuild_augmented(g: Graph, path) -> tuple[Partitioning, list[AugmentedSubgraph]]:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+        part = Partitioning.from_json_dict(payload["partition"])
+        entries = [
+            (
+                int(e["part"]),
+                np.asarray(e["nodes"], dtype=np.int64),
+                np.asarray(e["owned"], dtype=bool),
+                len(e["edges"]),
+                int(e["budget"]),
+                int(e.get("shortfall", 0)),
+            )
+            for e in payload["partitions"]
+        ]
     if len(part.assignment) != g.num_nodes:
         raise GadError("augmented file does not match the dataset (assignment length)")
     augmented = []
-    for entry in payload["partitions"]:
-        nodes = np.asarray(entry["nodes"], dtype=np.int64)
-        owned_flags = np.asarray(entry["owned"], dtype=bool)
+    for p, nodes, owned_flags, num_edges, budget, shortfall in entries:
         view = induce_subgraph(g, nodes, nodes[owned_flags])
-        if view.num_edges != len(entry["edges"]):
-            raise GadError(
-                f"augmented file does not match dataset (part {entry['part']} edges)"
-            )
-        augmented.append(
-            AugmentedSubgraph(
-                part=int(entry["part"]),
-                view=view,
-                budget=int(entry["budget"]),
-                shortfall=int(entry.get("shortfall", 0)),
-            )
-        )
+        if view.num_edges != num_edges:
+            raise GadError(f"augmented file does not match dataset (part {p} edges)")
+        augmented.append(AugmentedSubgraph(part=p, view=view, budget=budget, shortfall=shortfall))
     return part, augmented
 
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     g = _load_graph(cfg)
-    with _reading(args.augmented), open(args.augmented, "r", encoding="utf-8") as fh:
-        part, augmented = _rebuild_augmented(g, json.load(fh))
+    part, augmented = _rebuild_augmented(g, args.augmented)
     try:
         report = train(g, part, augmented, cfg.workers, cfg)
     except NumericalError as exc:

@@ -131,7 +131,7 @@ class TestArrayLengths:
         with pytest.raises(GadError, match="feature row count"):
             Graph.from_edges(3, [[0, 1]], features=np.zeros((2, 4)))
         with pytest.raises(GadError, match="feature row count"):
-            dataclasses.replace(triangle(), features=np.zeros((2, 1)))
+            dataclasses.replace(triangle(), features=np.zeros(3))   # 1-D
 
     def test_rows_follow_csr(self):
         rng = np.random.default_rng(2)
