@@ -36,7 +36,6 @@ from .gcn import (
 )
 from .graph import (
     Graph,
-    NormalizedAdjacency,
     SubgraphView,
     density,
     full_view,

@@ -31,16 +31,12 @@ IMPORTANCE_MODES = ("indicator", "multiplicity")
 class WalkSet:
     """Random walks rooted at boundary nodes.
 
-    ``walks`` holds one row per walk (start node then each step); rows are
-    padded with -1 past ``lengths`` when a walk stopped early at a node with
-    no neighbors.
+    ``walks`` holds one row per walk: the start node, then each of its
+    ``layers`` steps.  Every row is full length (see :func:`_random_walks`).
     """
 
-    walks: np.ndarray            # (n, steps + 1) int64
-    lengths: np.ndarray          # steps taken per walk
-    candidates: np.ndarray       # candidate node ids the counts refer to
+    walks: np.ndarray            # (n, layers + 1) int64
     visit_counts: np.ndarray     # walks visiting each candidate at least once
-    short_walks: int = 0
 
     @property
     def num_walks(self) -> int:
@@ -158,26 +154,19 @@ def estimate_walk_count(
 
 def _random_walks(
     g: Graph, starts: np.ndarray, steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform random walks over ``g``; returns (walks, lengths)."""
-    n = len(starts)
-    walks = np.full((n, steps + 1), -1, dtype=np.int64)
-    walks[:, 0] = starts
-    cur = starts.copy()
-    lengths = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
+) -> np.ndarray:
+    """Uniform random walks over ``g``: an (n, steps + 1) array, one row per start.
+
+    No walk stops early: every start is a boundary node, which has a
+    neighbor, and each edge is stored in both directions, so every node a
+    walk reaches has one too.
+    """
+    walks = np.empty((len(starts), steps + 1), dtype=np.int64)
+    walks[:, 0] = cur = starts
     for s in range(1, steps + 1):
-        deg = g.degrees[cur]
-        alive = alive & (deg > 0)
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        r = rng.integers(0, deg[idx])
-        nxt = g.targets[g.offsets[cur[idx]] + r]
-        walks[idx, s] = nxt
-        cur[idx] = nxt
-        lengths[idx] += 1
-    return walks, lengths
+        cur = g.targets[g.offsets[cur] + rng.integers(0, g.degrees[cur])]
+        walks[:, s] = cur
+    return walks
 
 
 def _candidate_visits(
@@ -190,7 +179,7 @@ def _candidate_visits(
     """
     if indicator:
         walks = np.sort(walks, axis=1)
-    cidx = np.where(walks >= 0, cand_index[walks], -1)
+    cidx = cand_index[walks]
     if indicator:
         cidx[:, 1:][walks[:, 1:] == walks[:, :-1]] = -1
     return np.bincount(cidx[cidx >= 0], minlength=num_candidates)
@@ -214,7 +203,8 @@ def node_importance(
     values fix the total walk count through :func:`estimate_walk_count`, and
     the remaining walks are then drawn from the same stream.  In the default
     indicator mode I(v) is the fraction of walks visiting v at least once.
-    ``boundary``, when given, is the boundary of ``sub_i``'s owned nodes.
+    ``boundary``, when given, is the boundary of ``sub_i``'s owned nodes;
+    a node in it without a neighbor raises :class:`GadError`.
     """
     if mode not in IMPORTANCE_MODES:
         raise GadError(f"unknown importance mode {mode!r}")
@@ -223,6 +213,8 @@ def node_importance(
         member = np.zeros(g.num_nodes, dtype=bool)
         member[sub_i.owned_ids] = True
         boundary = _boundary(g, member)
+    elif (g.degrees[boundary] == 0).any():
+        raise GadError("boundary nodes must have a neighbor")
 
     if boundary.size == 0 or candidates.size == 0:
         table = ImportanceTable(
@@ -235,13 +227,10 @@ def node_importance(
             x_bar=0.0,
             mode=mode,
         )
-        walkset = WalkSet(
+        return table, WalkSet(
             walks=np.zeros((0, layers + 1), dtype=np.int64),
-            lengths=np.zeros(0, dtype=np.int64),
-            candidates=candidates,
             visit_counts=np.zeros(len(candidates), dtype=np.int64),
         )
-        return table, walkset
 
     cand_index = np.full(g.num_nodes, -1, dtype=np.int64)
     cand_index[candidates] = np.arange(len(candidates))
@@ -251,7 +240,7 @@ def node_importance(
     n_phase1 = d_bar * len(boundary)
 
     starts = boundary[rng.integers(0, len(boundary), size=n_phase1)]
-    walks, lengths = _random_walks(g, starts, layers, rng)
+    walks = _random_walks(g, starts, layers, rng)
     counts = _candidate_visits(walks, cand_index, len(candidates), indicator=True)
 
     prov = counts[counts > 0] / n_phase1
@@ -262,10 +251,9 @@ def node_importance(
     n_total = estimate_walk_count(prov, z_c, err_target, provisional_count=n_phase1)
     if n_total > n_phase1:
         starts2 = boundary[rng.integers(0, len(boundary), size=n_total - n_phase1)]
-        walks2, lengths2 = _random_walks(g, starts2, layers, rng)
+        walks2 = _random_walks(g, starts2, layers, rng)
         counts = counts + _candidate_visits(walks2, cand_index, len(candidates), indicator=True)
         walks = np.concatenate([walks, walks2], axis=0)
-        lengths = np.concatenate([lengths, lengths2])
     else:
         n_total = n_phase1
 
@@ -287,14 +275,7 @@ def node_importance(
         x_bar=x_bar,
         mode=mode,
     )
-    walkset = WalkSet(
-        walks=walks,
-        lengths=lengths,
-        candidates=candidates,
-        visit_counts=counts,
-        short_walks=int((lengths < layers).sum()),
-    )
-    return table, walkset
+    return table, WalkSet(walks=walks, visit_counts=counts)
 
 
 def replication_budget(sub_i: SubgraphView, alpha: float = DEFAULT_ALPHA) -> int:
@@ -309,19 +290,18 @@ def _score_walks(table: ImportanceTable, walks: WalkSet) -> tuple[np.ndarray, np
 
     A walk's score is the sum of I(v) over the distinct candidates it visits,
     in ascending node order.  All walks are scored at once on their sorted
-    rows, with padding, repeats and non-candidates counted as 0.0.  Summing
-    the columns in order adds the kept values sequentially, as NumPy sums
-    fewer than 8 values, and adding 0.0 never changes a float sum; a walk
-    with 8 or more distinct candidates (``layers`` >= 7) is summed on its
-    own, as NumPy sums it pairwise.  So each score equals
+    rows, with repeats and non-candidates counted as 0.0.  Summing the
+    columns in order adds the kept values sequentially, as NumPy sums fewer
+    than 8 values, and adding 0.0 never changes a float sum; a walk with 8
+    or more distinct candidates (``layers`` >= 7) is summed on its own, as
+    NumPy sums it pairwise.  So each score equals
     ``imp[np.unique(candidates on the walk)].sum()`` bit for bit at every
     walk length.  Candidates above ``walks.walks.max()`` are left out.
     """
     w = walks.walks
-    # one slot past w.max(), so that -1 padding indexes a non-candidate
-    size = int(w.max()) + 2
+    size = int(w.max()) + 1
     cands = table.candidates
-    inside = cands < size - 1
+    inside = cands < size
     imp = np.zeros(size, dtype=np.float64)
     imp[cands[inside]] = table.importance[inside]
     is_cand = np.zeros(size, dtype=bool)

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from . import rngs
 from .errors import GadError, NumericalError
-from .graph import NormalizedAdjacency
 
 PROB_FLOOR = 1e-12   # clip for log(y_hat)
 # Layer-0 inputs at most this dense are kept in CSR: bag-of-words features
@@ -53,9 +52,8 @@ class GcnParams:
 class ForwardCache:
     """Intermediate activations of one forward pass."""
 
-    activations: tuple[np.ndarray, ...]      # H_0 .. H_{L-1} (inputs to each layer)
-    pre_activations: tuple[np.ndarray, ...]  # A_hat (H W) per layer
-    probs: np.ndarray                        # softmax output, rows sum to 1
+    activations: tuple[np.ndarray, ...]   # H_0 .. H_{L-1} (inputs to each layer)
+    probs: np.ndarray                     # softmax output, rows sum to 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,35 +99,31 @@ def layer_input(features) -> np.ndarray | sp.csr_matrix:
     return x
 
 
-def forward(params: GcnParams, adj: NormalizedAdjacency, features) -> ForwardCache:
+def forward(params: GcnParams, adj: sp.csr_matrix, features) -> ForwardCache:
     """Propagate features through every layer; softmax on the last.
 
-    ``features`` is a dense array or a scipy sparse matrix; layer 0 keeps
-    the given layout, so a CSR input makes ``X @ W_0`` a sparse product.
+    ``adj`` is the normalized adjacency A_hat (see
+    :func:`gad.graph.normalized_adjacency`).  ``features`` is a dense array
+    or a scipy sparse matrix; layer 0 keeps the given layout, so a CSR input
+    makes ``X @ W_0`` a sparse product.
     """
-    a = adj.matrix
-    if features.shape[0] != a.shape[0]:
+    if features.shape[0] != adj.shape[0]:
         raise GadError("feature rows must match adjacency dimension")
     h = layer_input(features) if sp.issparse(features) else np.asarray(features, dtype=np.float64)
     activations = []
-    pres = []
     for l, w in enumerate(params.weights):
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
         activations.append(h)
-        z = a @ (h @ w)
-        pres.append(z)
+        z = adj @ (h @ w)
         h = _softmax_rows(z) if l == params.num_layers - 1 else np.maximum(z, 0.0)
-    return ForwardCache(
-        activations=tuple(activations), pre_activations=tuple(pres), probs=h
-    )
+    return ForwardCache(activations=tuple(activations), probs=h)
 
 
 def loss_and_backward(
     cache: ForwardCache,
     params: GcnParams,
-    adj: NormalizedAdjacency,
-    features,
+    adj: sp.csr_matrix,
     labels: np.ndarray,
     loss_mask: np.ndarray,
 ) -> Gradients:
@@ -158,15 +152,13 @@ def loss_and_backward(
     gz[sel] = probs[sel]
     gz[sel, y[sel]] -= 1.0
 
-    a = adj.matrix
     grads: list[np.ndarray] = [None] * params.num_layers
     for l in range(params.num_layers - 1, -1, -1):
-        gm = a @ gz                       # d(loss)/d(H_in @ W); A_hat is symmetric
-        h_in = cache.activations[l]
-        grads[l] = h_in.T @ gm
+        gm = adj @ gz                     # d(loss)/d(H_in @ W); A_hat is symmetric
+        grads[l] = cache.activations[l].T @ gm
         if l > 0:
-            gh = gm @ params.weights[l].T
-            gz = gh * (cache.pre_activations[l - 1] > 0.0)
+            # relu'(z) from its output: relu(z) > 0 exactly where z > 0
+            gz = (gm @ params.weights[l].T) * (cache.activations[l] > 0.0)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss")
     return Gradients(grads=tuple(grads), loss=loss)

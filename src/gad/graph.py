@@ -224,21 +224,6 @@ class SubgraphView:
         return out[order]
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedAdjacency:
-    """Symmetric-normalized adjacency with self-loops over a SubgraphView.
-
-    Entry (i, j) is 1/sqrt((d_i + 1)(d_j + 1)) with d the local degree;
-    diagonal entries are 1/(d_i + 1).
-    """
-
-    matrix: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
 def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     """Subgraph of ``g`` induced by ``node_ids``; ``owned_ids`` flags ownership.
 
@@ -292,7 +277,12 @@ def density(sub: SubgraphView) -> float:
     return 2.0 * sub.num_edges / (n * (n - 1))
 
 
-def normalized_adjacency(sub: SubgraphView) -> NormalizedAdjacency:
+def normalized_adjacency(sub: SubgraphView) -> sp.csr_matrix:
+    """Symmetric-normalized adjacency with self-loops over ``sub``, in CSR.
+
+    Entry (i, j) is 1/sqrt((d_i + 1)(d_j + 1)) with d the local degree;
+    diagonal entries are 1/(d_i + 1).
+    """
     n = sub.num_nodes
     dinv = 1.0 / np.sqrt(sub.degrees + 1.0)
     data = dinv[sub.rows] * dinv[sub.targets]
@@ -300,8 +290,7 @@ def normalized_adjacency(sub: SubgraphView) -> NormalizedAdjacency:
     rows = np.concatenate([sub.rows, diag])
     cols = np.concatenate([sub.targets, diag])
     data = np.concatenate([data, dinv * dinv])
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return NormalizedAdjacency(matrix=mat)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def full_view(g: Graph) -> SubgraphView:

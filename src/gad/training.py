@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .augment import AugmentedSubgraph, assign_to_workers, candidate_replication_nodes
 from .consensus import plain_consensus, weighted_consensus, zeta
@@ -31,7 +32,7 @@ from .gcn import (
     loss_and_backward,
     sgd_update,
 )
-from .graph import Graph, NormalizedAdjacency, full_view, normalized_adjacency
+from .graph import Graph, full_view, normalized_adjacency
 from .partition import Partitioning
 from . import rngs
 
@@ -129,7 +130,7 @@ def evaluate(
     g: Graph,
     masks: np.ndarray,
     features=None,
-    adj: NormalizedAdjacency | None = None,
+    adj: sp.csr_matrix | None = None,
 ):
     """Centralized accuracy: one forward over the whole graph, argmax vs labels.
 
@@ -190,7 +191,7 @@ class _WorkerTask:
     """One subgraph prepared for repeated training steps."""
 
     part: int
-    adj: NormalizedAdjacency
+    adj: sp.csr_matrix
     features: object        # layer input: dense array or CSR, see gcn.layer_input
     labels: np.ndarray
     loss_mask: np.ndarray
@@ -241,10 +242,10 @@ def train(
 ) -> TrainReport:
     """Run the synchronous training loop and return the report.
 
-    ``config`` is a :class:`gad.config.Config` (or anything with the same
-    attributes).  ``on_barrier(epoch, round, params_list)`` is called after
-    every consensus update with each worker's parameters, mainly so tests
-    can check replica consistency.
+    ``config`` is a validated :class:`gad.config.Config`.
+    ``on_barrier(epoch, round, params_list)`` is called after every
+    consensus update with each worker's parameters, mainly so tests can
+    check replica consistency.
     """
     if not augmented:
         raise GadError("need at least one augmented subgraph")
@@ -262,7 +263,7 @@ def train(
         g, p, augmented, config.layers, g.feature_dim, worker_of=worker_of
     )
     report = TrainReport(
-        config=dict(config.to_json_dict()) if hasattr(config, "to_json_dict") else dict(vars(config)),
+        config=config.to_json_dict(),
         seed=config.seed,
         worker_of=[int(w) for w in worker_of],
         zetas=[t.zeta for t in tasks],
@@ -285,9 +286,7 @@ def train(
     def _step(task: _WorkerTask) -> Gradients:
         cache = forward(params, task.adj, task.features)
         try:
-            grad = loss_and_backward(
-                cache, params, task.adj, task.features, task.labels, task.loss_mask
-            )
+            grad = loss_and_backward(cache, params, task.adj, task.labels, task.loss_mask)
         except NumericalError as exc:
             exc.partial_report = report   # flushed by the CLI on exit code 2
             raise
@@ -295,7 +294,6 @@ def train(
             grad = grad.scaled(task.grad_scale)
         return grad
 
-    eval_every = max(1, int(getattr(config, "eval_every", 1)))
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         epoch_losses: list[float] = []
@@ -318,7 +316,7 @@ def train(
 
         report.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
         # the last epoch is always evaluated, and gives the final accuracies
-        if epoch % eval_every == 0 or epoch == config.epochs - 1:
+        if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
             report.final_val_acc, report.final_test_acc = _evaluate()
             report.val_acc.append(report.final_val_acc)
             report.test_acc.append(report.final_test_acc)

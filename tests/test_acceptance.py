@@ -295,7 +295,7 @@ class TestCriterion8GradientCorrectness:
             dims = (4,) + (hidden,) * (layers - 1) + (3,)
             params = init_params(dims, seed=21)
             cache = forward(params, adj, g.features)
-            gr = loss_and_backward(cache, params, adj, g.features, g.labels, g.train_mask)
+            gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
             num = numeric_gradient(params, adj, g.features, g.labels, g.train_mask)
             for analytic, numeric in zip(gr.grads, num):
                 err = rel_err(analytic, numeric)
@@ -325,7 +325,7 @@ class TestCriterion9SerialEquivalence:
             x = g.features
             for epoch in range(20):
                 cache = forward(params, adj, x)
-                gr = loss_and_backward(cache, params, adj, x, g.labels, g.train_mask)
+                gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
                 worst = max(worst, abs(gr.loss - rep.train_loss[epoch]))
                 params = sgd_update(params, gr, cfg.eta)
         criterion(9, worst <= 1e-12,

@@ -158,9 +158,15 @@ class TestNodeImportance:
         for layers in (1, 2, 3):
             _, walks = node_importance(g, sub, cands, layers, seed=1)
             assert walks.walks.shape[1] == layers + 1
-            complete = walks.lengths == layers
-            assert complete.all()
-            assert walks.short_walks == 0
+            assert (walks.walks >= 0).all()
+
+    def test_boundary_node_without_neighbor_rejected(self):
+        # a given boundary holding isolated node 3: no walk could leave it
+        g = Graph.from_edges(4, np.array([[0, 1], [1, 2]]))
+        p = Partitioning(np.array([0, 0, 1, 0]), 2, 1.0, 1, 0)
+        with pytest.raises(GadError, match="neighbor"):
+            node_importance(g, part_view(g, p, 0), np.array([2]), 1, seed=0,
+                            boundary=np.array([1, 3]))
 
     def test_walks_start_at_boundary(self):
         g, p = two_triangles()
@@ -248,12 +254,7 @@ def make_walkset(walks, candidates, importance):
         sigma_x=0.0,
         x_bar=0.0,
     )
-    ws = WalkSet(
-        walks=walks,
-        lengths=np.full(len(walks), walks.shape[1] - 1, dtype=np.int64),
-        candidates=table.candidates,
-        visit_counts=np.zeros(len(table.candidates), dtype=np.int64),
-    )
+    ws = WalkSet(walks=walks, visit_counts=np.zeros(len(table.candidates), dtype=np.int64))
     return table, ws
 
 
@@ -286,7 +287,7 @@ class TestDepthFirstSelect:
 
     def test_tie_goes_to_earlier_walk(self):
         table, ws = make_walkset(
-            [[0, 5, -1], [1, 6, -1]],
+            [[0, 5, 0], [1, 6, 1]],
             [5, 6],
             [0.5, 0.5],
         )
@@ -296,16 +297,14 @@ class TestDepthFirstSelect:
 def random_walkset(seed, width):
     """Walk rows over a few nodes, so rows repeat nodes and scores tie.
 
-    Rows end in -1 padding at random lengths; some nodes are not candidates,
-    and some candidates lie above every walked node.  Importance values are
+    Some nodes are not candidates, and some candidates lie above every
+    walked node.  Importance values are
     visit fractions over an odd walk count, so sums depend on their order.
     """
     rng = np.random.default_rng(seed)
     n_walks = int(rng.integers(1, 60))
     top = int(rng.integers(1, 3 * width + 4))
     walks = rng.integers(0, top, (n_walks, width))
-    lengths = rng.integers(0, width, n_walks)
-    walks[np.arange(width) > lengths[:, None]] = -1
     nodes = np.arange(top + 5)
     cands = nodes[rng.random(len(nodes)) < 0.7]
     importance = rng.integers(0, 8, len(cands)) / 37.0
@@ -340,7 +339,7 @@ class TestWalkScoringOracle:
     def test_ties_and_candidates_above_every_walk(self):
         # walks 0 and 2 tie at 0.5; node 9 is a candidate no walk reaches
         table, ws = make_walkset(
-            [[0, 5, 5, -1], [1, 6, 3, 3], [2, 7, -1, -1]],
+            [[0, 5, 5, 0], [1, 6, 3, 3], [2, 7, 2, 2]],
             [5, 6, 7, 9],
             [0.5, 0.25, 0.5, 1.0],
         )

@@ -245,23 +245,23 @@ def _induce_by_mask(g, node_ids):
 class TestNormalizedAdjacency:
     def test_isolated_node(self):
         g = _graph([], n=1)
-        mat = normalized_adjacency(full_view(g)).matrix.toarray()
+        mat = normalized_adjacency(full_view(g)).toarray()
         np.testing.assert_allclose(mat, [[1.0]])
 
     def test_single_edge(self):
         g = _graph([[0, 1]])
-        mat = normalized_adjacency(full_view(g)).matrix.toarray()
+        mat = normalized_adjacency(full_view(g)).toarray()
         np.testing.assert_allclose(mat, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_k3_all_one_third(self):
         # hand computation: degrees 2, so every entry 1/sqrt(3*3) = 1/3
-        mat = normalized_adjacency(full_view(triangle())).matrix.toarray()
+        mat = normalized_adjacency(full_view(triangle())).toarray()
         np.testing.assert_allclose(mat, np.full((3, 3), 1.0 / 3.0))
 
     def test_exact_symmetry_and_finite(self):
         rng = np.random.default_rng(4)
         g = _graph(rng.integers(0, 30, (90, 2)), n=30)
-        mat = normalized_adjacency(full_view(g)).matrix
+        mat = normalized_adjacency(full_view(g))
         diff = (mat - mat.T).toarray()
         assert np.abs(diff).max() == 0.0
         assert np.isfinite(mat.toarray()).all()
@@ -269,7 +269,7 @@ class TestNormalizedAdjacency:
     def test_local_degrees_used(self):
         # triangle induced to one edge: local degrees are 1, not 2
         sub = induce_subgraph(triangle(), [0, 1], [0, 1])
-        mat = normalized_adjacency(sub).matrix.toarray()
+        mat = normalized_adjacency(sub).toarray()
         np.testing.assert_allclose(mat, [[0.5, 0.5], [0.5, 0.5]])
 
 

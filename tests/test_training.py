@@ -165,7 +165,7 @@ class TestTrain:
             oracle = []
             for _ in range(20):
                 cache = forward(params, adj, x)
-                gr = loss_and_backward(cache, params, adj, x, g.labels, g.train_mask)
+                gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
                 oracle.append(gr.loss)
                 params = sgd_update(params, gr, cfg.eta)
             assert np.allclose(rep.train_loss, oracle, rtol=0, atol=1e-12)
