@@ -192,6 +192,8 @@ def _rebuild_augmented(g: Graph, path) -> tuple[Partitioning, list[AugmentedSubg
         raise GadError("augmented file does not match the dataset (assignment length)")
     augmented = []
     for p, nodes, owned_flags, num_edges, budget, shortfall in entries:
+        if len(owned_flags) != len(nodes):
+            raise GadError(f"augmented file does not match dataset (part {p} owned flags)")
         view = induce_subgraph(g, nodes, nodes[owned_flags])
         if view.num_edges != num_edges:
             raise GadError(f"augmented file does not match dataset (part {p} edges)")
@@ -238,16 +240,17 @@ def cmd_train(args) -> int:
 def cmd_report(args) -> int:
     rows = []
     for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _reading(path), open(path, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
+            config = rep["config"]
         comm = rep.get("comm") or {}
         without = comm.get("bytes_without", 0)
         with_ = comm.get("bytes_with", 0)
         rows.append(
             {
                 "report": Path(path).stem,
-                "weighted": rep["config"].get("weighted"),
-                "augment": rep["config"].get("augment"),
+                "weighted": config.get("weighted"),
+                "augment": config.get("augment"),
                 "epochs": rep.get("epochs_run"),
                 "final_test_acc": rep.get("final_test_acc"),
                 "final_val_acc": rep.get("final_val_acc"),

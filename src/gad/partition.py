@@ -2,8 +2,9 @@
 
 The pipeline is heavy-edge-matching coarsening down to a target size, greedy
 region growing with restarts on the coarsest level (keeping the assignment
-with the smallest weighted cut), and projection of that assignment back to
-the original nodes.  Balance follows the cap (1 + eps) * ceil(|V| / k), first
+with the smallest weighted cut among those whose parts fit the cap, or among
+all of them when none fits), and projection of that assignment back to the
+original nodes.  Balance follows the cap (1 + eps) * ceil(|V| / k), first
 on node weight during growth and finally on node count after projection.
 """
 
@@ -272,10 +273,13 @@ def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> 
 def partition_coarse(
     cg: CoarseGraph, k: int, epsilon: float, restarts: int, seed: int
 ) -> np.ndarray:
-    """Best-of-``restarts`` greedy growth on one level; minimum weighted cut wins.
+    """Best-of-``restarts`` greedy growth on one level.
 
-    Restart r uses an independent stream derived from (seed, r), so sharing
-    a seed across different restart counts shares the restart prefix.
+    A restart whose parts all fit the cap beats one whose orphans push a
+    part over it; among equals the minimum weighted cut wins, the earlier
+    restart on ties.  Restart r uses an independent stream derived from
+    (seed, r), so sharing a seed across different restart counts shares the
+    restart prefix.
     """
     if k > cg.num_nodes:
         raise GadError(f"k={k} exceeds node count {cg.num_nodes}")
@@ -288,13 +292,14 @@ def partition_coarse(
             f"infeasible balance: k={k}, cap={cap} cannot hold {total} nodes"
         )
     rows = csr_rows(cg.offsets)
-    best_assign, best_cut = None, None
+    best_assign, best_key = None, None
     for r in range(restarts):
         rng = rngs.stream(seed, rngs.RESTART, r)
         assign = _grow_parts(cg, k, cap, rng)
-        cut = _cut(assign, rows, cg.targets, cg.edge_weights)
-        if best_cut is None or cut < best_cut:
-            best_assign, best_cut = assign, cut
+        over = bool((np.bincount(assign, weights=cg.node_weight, minlength=k) > cap).any())
+        key = (over, _cut(assign, rows, cg.targets, cg.edge_weights))
+        if best_key is None or key < best_key:
+            best_assign, best_key = assign, key
     return best_assign
 
 

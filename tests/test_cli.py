@@ -186,6 +186,19 @@ class TestTrainCmd:
         assert "gad: error" in err and "assignment length" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_short_owned_flags_exit_1(self, dataset, staged, tmp_path, capsys):
+        d, part, aug = staged
+        payload = json.loads(aug.read_text())
+        payload["partitions"][1]["owned"] = payload["partitions"][1]["owned"][:-1]
+        bad = tmp_path / "short_owned.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["train", dataset, "--augmented", bad, "--epochs", "1",
+                    "--out", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert "gad: error" in err and "part 1 owned flags" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("detail", ["not valid JSON", "missing key 'budget'"],
                              ids=["not_json", "no_budget"])
     def test_malformed_augmented_file_exit_1(self, dataset, staged, tmp_path, capsys, detail):
@@ -277,6 +290,15 @@ class TestReportCmd:
         assert "delta(final_test_acc)" in out
         header = (tmp_path / "t.csv").read_text().splitlines()[0]
         assert "comm_reduction" in header
+
+    def test_report_not_json_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "r.json"
+        bad.write_text("{not json")
+        capsys.readouterr()
+        assert run(["report", bad]) == 1
+        err = capsys.readouterr().err
+        assert f"gad: error: {bad}: not valid JSON" in err
+        assert "Traceback" not in err
 
     def test_comm_reduction_arithmetic(self, dataset, tmp_path, capsys):
         r = self._train_two(dataset, tmp_path)[0]

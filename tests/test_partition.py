@@ -151,6 +151,17 @@ class TestPartitionCoarse:
         assert (assign >= 0).all()
         assert len(np.unique(assign)) == 2
 
+    def test_restart_over_cap_loses_to_one_that_fits(self, monkeypatch):
+        # path 0-..-5, k=2, cap 3: restart 0 cuts 1 edge but puts 4 nodes in
+        # part 0; restarts 1 and 2 fit and cut 2 and 4 edges
+        scripted = iter([[0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 1, 0], [0, 1, 0, 1, 1, 0]])
+        monkeypatch.setattr(
+            partition, "_grow_parts", lambda cg, k, cap, rng: np.array(next(scripted))
+        )
+        cg = level_zero(_graph([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]))
+        assign = partition_coarse(cg, 2, 0.0, restarts=3, seed=0)
+        assert assign.tolist() == [0, 0, 1, 1, 1, 0]
+
     def test_all_nodes_assigned(self):
         g = sbm_graph([40, 40, 40], 0.15, 0.01, seed=5)
         assign = partition_coarse(level_zero(g), 3, 0.1, restarts=4, seed=1)
