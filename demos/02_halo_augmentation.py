@@ -40,7 +40,7 @@ print(f"\nran {table.total_walks} walks of length {layers} "
       f"(z_c={table.z_c}, target error {table.err_target})")
 print("estimated importance vs exact visit probability:")
 exact = {3: 1 / 3, 4: 1 / 9, 5: 1 / 9}   # enumerate all length-2 walks by hand
-for c, i_v in sorted(table.as_dict().items()):
+for c, i_v in zip(table.candidates.tolist(), table.importance.tolist()):
     print(f"  node {c}: I={i_v:.4f}   exact={exact[c]:.4f}")
 
 budget = min(replication_budget(sub, alpha=0.4), len(cands))

@@ -32,6 +32,7 @@ from .gcn import (
     init_params,
     layer_input,
     loss_and_backward,
+    propagated_input,
     sgd_update,
 )
 from .graph import (

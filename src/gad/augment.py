@@ -56,9 +56,6 @@ class ImportanceTable:
     x_bar: float
     mode: str = "indicator"
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(c): float(v) for c, v in zip(self.candidates, self.importance)}
-
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSubgraph:

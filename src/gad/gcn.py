@@ -1,11 +1,13 @@
 """Multi-layer GCN with an analytic backward pass, in float64.
 
-Layer l computes H = relu(A_hat @ (H_prev @ W_l)); the final layer swaps
-relu for a row softmax.  The loss is masked categorical cross-entropy
+Layer l computes H = relu(A_hat @ H_prev @ W_l); the final layer swaps relu
+for a row softmax.  Layers after the first multiply as A_hat @ (H_prev @ W_l).
+Layer 0 takes CSR features the same way (see :func:`layer_input`), but dense
+features as P = A_hat @ X, made once per adjacency, and then computes P @ W_0
+(see :func:`propagated_input`).  The loss is masked categorical cross-entropy
 summed over the selected nodes, and gradients come from exact reverse-mode
 differentiation of that chain, so they can be checked against finite
-differences.  The input features may be a dense array or a CSR matrix (see
-:func:`layer_input`); every later layer is dense.
+differences.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ class ForwardCache:
 
     activations: tuple[np.ndarray, ...]   # H_0 .. H_{L-1} (inputs to each layer)
     probs: np.ndarray                     # softmax output, rows sum to 1
+    propagated: bool                      # H_0 is A_hat @ X, see Propagated
+
+
+@dataclass(frozen=True, eq=False)
+class Propagated:
+    """Dense layer-0 input with its A_hat applied; see :func:`propagated_input`."""
+
+    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +109,33 @@ def layer_input(features) -> np.ndarray | sp.csr_matrix:
     return x
 
 
+def propagated_input(x, adj: sp.csr_matrix):
+    """Layer 0's input with ``adj`` applied once, where that saves work.
+
+    ``x`` is a :func:`layer_input` result.  A dense ``x`` becomes
+    ``Propagated(adj @ x)``: each later pass then costs n*d*h multiply-adds
+    in layer 0 instead of n*d*h + nnz(A_hat)*h, and the result equals the
+    plain path's because ``A_hat`` is symmetric.  A CSR ``x`` is returned
+    as is, since ``A_hat @ X`` holds several times the nonzeros of a sparse
+    ``X``.  Pass the result to :func:`forward` with this same ``adj`` only.
+    """
+    if sp.issparse(x):
+        return x
+    return Propagated(adj @ x)
+
+
 def forward(params: GcnParams, adj: sp.csr_matrix, features) -> ForwardCache:
     """Propagate features through every layer; softmax on the last.
 
     ``adj`` is the normalized adjacency A_hat (see
-    :func:`gad.graph.normalized_adjacency`).  ``features`` is a dense array
-    or a scipy sparse matrix; layer 0 keeps the given layout, so a CSR input
-    makes ``X @ W_0`` a sparse product.
+    :func:`gad.graph.normalized_adjacency`).  ``features`` is a dense array,
+    a scipy sparse matrix or a :class:`Propagated` made with ``adj``; layer 0
+    keeps the given layout, so a CSR input makes ``X @ W_0`` a sparse
+    product, and a propagated one needs no product with ``adj``.
     """
+    propagated = isinstance(features, Propagated)
+    if propagated:
+        features = features.values
     if features.shape[0] != adj.shape[0]:
         raise GadError("feature rows must match adjacency dimension")
     h = layer_input(features) if sp.issparse(features) else np.asarray(features, dtype=np.float64)
@@ -115,9 +144,9 @@ def forward(params: GcnParams, adj: sp.csr_matrix, features) -> ForwardCache:
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
         activations.append(h)
-        z = adj @ (h @ w)
+        z = h @ w if l == 0 and propagated else adj @ (h @ w)
         h = _softmax_rows(z) if l == params.num_layers - 1 else np.maximum(z, 0.0)
-    return ForwardCache(activations=tuple(activations), probs=h)
+    return ForwardCache(activations=tuple(activations), probs=h, propagated=propagated)
 
 
 def loss_and_backward(
@@ -132,7 +161,8 @@ def loss_and_backward(
     Only masked rows contribute; replicas or unlabeled nodes are simply left
     out of the mask by the caller.  The layer-0 input is read from ``cache``
     in the layout :func:`forward` was given, so a CSR input makes
-    ``X^T @ G`` a sparse product.
+    ``X^T @ G`` a sparse product, and a propagated input ``P = A_hat X``
+    gives ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
     """
     mask = np.asarray(loss_mask, dtype=bool)
     if not mask.any():
@@ -154,7 +184,8 @@ def loss_and_backward(
 
     grads: list[np.ndarray] = [None] * params.num_layers
     for l in range(params.num_layers - 1, -1, -1):
-        gm = adj @ gz                     # d(loss)/d(H_in @ W); A_hat is symmetric
+        # d(loss)/d(H_in @ W); A_hat is symmetric, and a propagated H_0 holds it
+        gm = gz if l == 0 and cache.propagated else adj @ gz
         grads[l] = cache.activations[l].T @ gm
         if l > 0:
             # relu'(z) from its output: relu(z) > 0 exactly where z > 0

@@ -30,6 +30,7 @@ from .gcn import (
     init_params,
     layer_input,
     loss_and_backward,
+    propagated_input,
     sgd_update,
 )
 from .graph import Graph, full_view, normalized_adjacency
@@ -136,18 +137,19 @@ def evaluate(
 
     ``masks`` is one boolean node mask, giving one float, or a stack of
     them (one mask per row), giving a tuple with one accuracy per mask, all
-    read from the same forward.  ``features`` is the layer input, dense or
-    CSR, and defaults to ``layer_input(g.features)``; pass it with ``adj``
-    (the full-graph normalized adjacency) to reuse both across calls.
-    Argmax ties resolve to the lowest class id.
+    read from the same forward.  ``adj`` is the full-graph normalized
+    adjacency, and ``features`` is the prepared layer input that goes with
+    it; pass both to reuse them across calls.  ``features`` defaults to
+    ``propagated_input(layer_input(g.features), adj)``, as :func:`train`
+    prepares it.  Argmax ties resolve to the lowest class id.
     """
     masks = np.asarray(masks, dtype=bool)
     rows = np.atleast_2d(masks)
     if not rows.any(axis=1).all():
         raise GadError("evaluation mask selects no nodes")
-    x = layer_input(g.features) if features is None else features
     if adj is None:
         adj = normalized_adjacency(full_view(g))
+    x = propagated_input(layer_input(g.features), adj) if features is None else features
     pred = forward(params, adj, x).probs.argmax(axis=1)
     accs = tuple(float((pred[m] == g.labels[m]).mean()) for m in rows)
     return accs[0] if masks.ndim == 1 else accs
@@ -192,7 +194,7 @@ class _WorkerTask:
 
     part: int
     adj: sp.csr_matrix
-    features: object        # layer input: dense array or CSR, see gcn.layer_input
+    features: object        # layer input: CSR, or gcn.Propagated (A_hat @ X) when dense
     labels: np.ndarray
     loss_mask: np.ndarray
     zeta: float
@@ -217,11 +219,12 @@ def _prepare_tasks(g, augmented, config):
         # objective regardless of how many train nodes its subgraph holds
         # (exactly 1.0 for a single whole-graph partition).
         scale = total_train / n_train if n_train > 0 else 1.0
+        adj = normalized_adjacency(view)
         tasks.append(
             _WorkerTask(
                 part=aug.part,
-                adj=normalized_adjacency(view),
-                features=x,
+                adj=adj,
+                features=propagated_input(x, adj),
                 labels=view.local_labels(),
                 loss_mask=mask,
                 zeta=zw.zeta,
@@ -274,7 +277,7 @@ def train(
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
     eval_adj = normalized_adjacency(full_view(g))
-    eval_x = layer_input(g.features)
+    eval_x = propagated_input(layer_input(g.features), eval_adj)
     eval_masks = np.stack([g.val_mask, g.test_mask])
 
     def _evaluate() -> tuple[float, float]:

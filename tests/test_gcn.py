@@ -6,10 +6,12 @@ from gad.errors import GadError
 from gad.gcn import (
     SPARSE_MAX_DENSITY,
     GcnParams,
+    Propagated,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
+    propagated_input,
     sgd_update,
 )
 from gad.graph import Graph, full_view, normalized_adjacency
@@ -164,12 +166,15 @@ class TestGradients:
         )
         assert margin > 1e-3, "fixture params sit too close to a relu kink"
 
-        gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
-        num = numeric_gradient(params, adj, g.features, g.labels, g.train_mask)
-        for analytic, numeric in zip(gr.grads, num):
-            err = rel_err(analytic, numeric)
-            big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
-            assert err[big].max() <= 1e-4
+        # the plain input, then the propagated one
+        for x in (g.features, propagated_input(g.features, adj)):
+            cache = forward(params, adj, x)
+            gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+            num = numeric_gradient(params, adj, x, g.labels, g.train_mask)
+            for analytic, numeric in zip(gr.grads, num):
+                err = rel_err(analytic, numeric)
+                big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
+                assert err[big].max() <= 1e-4
 
     def test_descent_on_separable_fixture(self):
         # loss is non-increasing over 50 full-batch steps with a small step
@@ -229,6 +234,44 @@ class TestSparseLayerInput:
         assert csr_gr.loss == pytest.approx(dense_gr.loss, rel=1e-12)
         for a, b in zip(csr_gr.grads, dense_gr.grads):
             np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+class TestPropagatedInput:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_plain_path(self, layers):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        x = layer_input(g.features)
+        p = propagated_input(x, adj)
+        assert isinstance(p, Propagated)
+        np.testing.assert_array_equal(p.values, adj @ x)
+        params = init_params((4,) + (8,) * (layers - 1) + (3,), seed=5)
+        results = []
+        for inp in (x, p):
+            cache = forward(params, adj, inp)
+            results.append((cache, loss_and_backward(cache, params, adj, g.labels, g.train_mask)))
+        (plain_cache, plain_gr), (prop_cache, prop_gr) = results
+        assert not plain_cache.propagated and prop_cache.propagated
+        np.testing.assert_allclose(prop_cache.probs, plain_cache.probs, rtol=1e-12)
+        assert prop_gr.loss == pytest.approx(plain_gr.loss, rel=1e-12)
+        for a, b in zip(prop_gr.grads, plain_gr.grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_csr_passes_through(self):
+        g = bag_of_words_graph(seed=1)
+        adj = normalized_adjacency(full_view(g))
+        csr = layer_input(g.features)
+        assert propagated_input(csr, adj) is csr
+        params = init_params((300, 16, 4), seed=3)
+        cache = forward(params, adj, csr)
+        assert not cache.propagated and cache.activations[0] is csr
+
+    def test_row_mismatch_rejected(self):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        p = Propagated(np.ones((5, 4)))
+        with pytest.raises(GadError):
+            forward(init_params((4, 3), seed=0), adj, p)
 
 
 class TestSgdUpdate:

@@ -7,7 +7,14 @@ from gad import training
 from gad.augment import augment_partitions, augment_subgraph
 from gad.config import Config
 from gad.errors import GadError, NumericalError
-from gad.gcn import forward, init_params, loss_and_backward, sgd_update
+from gad.gcn import (
+    forward,
+    init_params,
+    layer_input,
+    loss_and_backward,
+    propagated_input,
+    sgd_update,
+)
 from gad.graph import Graph, full_view, induce_subgraph, normalized_adjacency
 from gad.partition import Partitioning, partition_graph
 from gad.synthetic import sbm_graph
@@ -161,7 +168,8 @@ class TestTrain:
             dims = (g.feature_dim,) + (cfg.hidden,) * (layers - 1) + (g.num_classes,)
             params = init_params(dims, seed=cfg.seed)
             adj = normalized_adjacency(full_view(g))
-            x = g.features
+            # layer 0's input prepared as train prepares it
+            x = propagated_input(layer_input(g.features), adj)
             oracle = []
             for _ in range(20):
                 cache = forward(params, adj, x)
