@@ -48,13 +48,16 @@ def _write_json(path, payload: dict) -> None:
 
 @contextmanager
 def _reading(path):
-    """Report a file that is not JSON, or lacks a key, as a GadError naming it."""
+    """Report a file that is not JSON, lacks a key or holds a value of the
+    wrong type as a GadError naming it."""
     try:
         yield
     except json.JSONDecodeError as exc:
         raise GadError(f"{path}: not valid JSON ({exc})") from None
     except KeyError as exc:
         raise GadError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise GadError(f"{path}: malformed content ({exc})") from None
 
 
 def _find_dataset(cfg: Config) -> tuple[str, str]:
@@ -88,11 +91,10 @@ def _config_from_args(args) -> Config:
     }
     if getattr(args, "data", None):
         overrides["data_dir"] = args.data
-    file_dict = None
-    if getattr(args, "config", None):
-        with _reading(args.config), open(args.config, "r", encoding="utf-8") as fh:
-            file_dict = json.load(fh)
-    return Config.from_sources(file_dict, overrides)
+    if not getattr(args, "config", None):
+        return Config.from_sources(None, overrides)
+    with _reading(args.config), open(args.config, "r", encoding="utf-8") as fh:
+        return Config.from_sources(json.load(fh), overrides)
 
 
 def _add_common(p: argparse.ArgumentParser, with_data: bool = True):
@@ -243,23 +245,23 @@ def cmd_report(args) -> int:
         with _reading(path), open(path, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
             config = rep["config"]
-        comm = rep.get("comm") or {}
-        without = comm.get("bytes_without", 0)
-        with_ = comm.get("bytes_with", 0)
-        rows.append(
-            {
-                "report": Path(path).stem,
-                "weighted": config.get("weighted"),
-                "augment": config.get("augment"),
-                "epochs": rep.get("epochs_run"),
-                "final_test_acc": rep.get("final_test_acc"),
-                "final_val_acc": rep.get("final_val_acc"),
-                "best_val_epoch": rep.get("best_val_epoch"),
-                "comm_bytes_with": with_,
-                "comm_bytes_without": without,
-                "comm_reduction": (1.0 - with_ / without) if without else 0.0,
-            }
-        )
+            comm = rep.get("comm") or {}
+            without = comm.get("bytes_without", 0)
+            with_ = comm.get("bytes_with", 0)
+            rows.append(
+                {
+                    "report": Path(path).stem,
+                    "weighted": config.get("weighted"),
+                    "augment": config.get("augment"),
+                    "epochs": rep.get("epochs_run"),
+                    "final_test_acc": rep.get("final_test_acc"),
+                    "final_val_acc": rep.get("final_val_acc"),
+                    "best_val_epoch": rep.get("best_val_epoch"),
+                    "comm_bytes_with": with_,
+                    "comm_bytes_without": without,
+                    "comm_reduction": (1.0 - with_ / without) if without else 0.0,
+                }
+            )
     cols = list(rows[0].keys())
     widths = {
         c: max(len(c), *(len(_fmt(r[c])) for r in rows)) for c in cols
@@ -345,10 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GadError as exc:
-        print(f"gad: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (GadError, FileNotFoundError) as exc:
         print(f"gad: error: {exc}", file=sys.stderr)
         return 1
 

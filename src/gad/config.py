@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-from .augment import IMPORTANCE_MODES
+from .augment import DEFAULT_ALPHA, DEFAULT_ERR_TARGET, IMPORTANCE_MODES, Z_95
+from .consensus import DEFAULT_BETA, DEFAULT_PAIR_CAP
 from .errors import GadError
 
 
@@ -28,17 +29,17 @@ class Config:
     epochs: int = 400
     eval_every: int = 1
 
-    alpha: float = 0.01
-    beta: float = 1.0
-    z_c: float = 1.96
-    err_target: float = 0.05
+    alpha: float = DEFAULT_ALPHA
+    beta: float = DEFAULT_BETA
+    z_c: float = Z_95
+    err_target: float = DEFAULT_ERR_TARGET
     importance_mode: str = "indicator"
     augment: bool = True
 
     weighted: bool = True
     workers: int = 4
     seed: int = 0
-    pair_cap: int = 4096
+    pair_cap: int = DEFAULT_PAIR_CAP
 
     def validate(self) -> "Config":
         if self.k < 1:
@@ -86,16 +87,33 @@ class Config:
 
     @classmethod
     def from_sources(cls, file_dict: dict | None = None, overrides: dict | None = None) -> "Config":
-        """Merge defaults < config file < explicit overrides, then validate."""
-        known = {f.name for f in fields(cls)}
+        """Merge defaults < config file < explicit overrides, then validate.
+
+        None leaves a key unset; other values must fit the field (:func:`_fits`).
+        """
+        defaults = {f.name: f.default for f in fields(cls)}
         merged: dict = {}
         for src in (file_dict or {}), (overrides or {}):
             for key, val in src.items():
-                if key not in known:
+                if key not in defaults:
                     raise GadError(f"unknown config key {key!r}")
-                if val is not None:
-                    merged[key] = val
+                if val is None:
+                    continue
+                if not _fits(val, defaults[key]):
+                    raise GadError(f"config key {key!r} has the wrong type: {val!r}")
+                merged[key] = val
         if "split" in merged:
             merged["split"] = tuple(float(x) for x in merged["split"])
-        cfg = cls(**merged)
-        return cfg.validate()
+        return cls(**merged).validate()
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of a field whose default is ``default``:
+    bool, int (not bool), float (int allowed), str for the paths (default
+    None), and as many numbers as the default holds for ``split``."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(
+            _fits(v, 0.0) for v in value
+        )
+    kind = {float: (int, float), type(None): str}.get(type(default), type(default))
+    return isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)

@@ -16,7 +16,6 @@ RESTART = 2
 AUGMENT = 3
 INIT = 4
 ZETA = 5
-TRAIN = 6
 SYNTH = 7
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,6 @@ from .consensus import plain_consensus, weighted_consensus, zeta
 from .errors import GadError, NumericalError
 from .gcn import (
     GcnParams,
-    Gradients,
     forward,
     init_params,
     layer_input,
@@ -160,12 +160,9 @@ def communication_size(
     p: Partitioning,
     augmented: list[AugmentedSubgraph],
     layers: int,
-    feature_dim: int | None = None,
     worker_of=None,
 ) -> CommMetrics:
     """Remote-feature fetch counts per partition, before and after replication."""
-    if feature_dim is None:
-        feature_dim = g.feature_dim
     per_part, per_part_after = [], []
     for aug in augmented:
         halo = candidate_replication_nodes(g, p, aug.part, layers)
@@ -180,7 +177,7 @@ def communication_size(
         per_worker[int(w)] = per_worker.get(int(w), 0) + a
         per_worker_after[int(w)] = per_worker_after.get(int(w), 0) + b
     return CommMetrics(
-        feature_dim=int(feature_dim),
+        feature_dim=g.feature_dim,
         per_part_remote=per_part,
         per_part_remote_after=per_part_after,
         per_worker_remote=per_worker,
@@ -198,8 +195,7 @@ class _WorkerTask:
     labels: np.ndarray
     loss_mask: np.ndarray
     zeta: float
-    trainable: bool
-    grad_scale: float = 1.0
+    grad_scale: float
 
 
 def _prepare_tasks(g, augmented, config):
@@ -228,7 +224,6 @@ def _prepare_tasks(g, augmented, config):
                 labels=view.local_labels(),
                 loss_mask=mask,
                 zeta=zw.zeta,
-                trainable=n_train > 0,
                 grad_scale=scale,
             )
         )
@@ -245,82 +240,71 @@ def train(
 ) -> TrainReport:
     """Run the synchronous training loop and return the report.
 
-    ``config`` is a validated :class:`gad.config.Config`.
-    ``on_barrier(epoch, round, params_list)`` is called after every
-    consensus update with each worker's parameters, mainly so tests can
-    check replica consistency.
+    ``config`` is a validated :class:`gad.config.Config`.  The update
+    groups are fixed before the first epoch: group r holds the r-th
+    subgraph that :func:`assign_to_workers` gave each worker, in worker
+    order, minus subgraphs with no owned training node (these are listed
+    in ``report.notes``).  Each epoch runs every group once, in order:
+    one scaled gradient per subgraph, one consensus, one SGD step.
+    ``on_barrier(epoch, r, params_list)`` is called after each step with
+    each worker's parameters, mainly so tests can check replica consistency.
     """
     if not augmented:
         raise GadError("need at least one augmented subgraph")
     worker_of = assign_to_workers(augmented, workers)
     tasks = _prepare_tasks(g, augmented, config)
-    queues: list[list[int]] = [[] for _ in range(workers)]
-    for idx, w in enumerate(worker_of):
-        queues[int(w)].append(idx)
-    rounds = max((len(q) for q in queues), default=0)
+    queues = [[t for t, w in zip(tasks, worker_of) if w == v] for v in range(workers)]
+    groups = {}
+    for r, row in enumerate(zip_longest(*queues)):
+        group = [t for t in row if t is not None and t.loss_mask.any()]
+        if group:
+            groups[r] = group
 
     dims = (g.feature_dim,) + (config.hidden,) * (config.layers - 1) + (g.num_classes,)
     params = init_params(dims, seed=config.seed)
-
-    comm = communication_size(
-        g, p, augmented, config.layers, g.feature_dim, worker_of=worker_of
-    )
     report = TrainReport(
         config=config.to_json_dict(),
         seed=config.seed,
         worker_of=[int(w) for w in worker_of],
         zetas=[t.zeta for t in tasks],
-        comm=comm,
+        comm=communication_size(g, p, augmented, config.layers, worker_of=worker_of),
     )
-    skipped = sorted(t.part for t in tasks if not t.trainable)
+    skipped = sorted(t.part for t in tasks if not t.loss_mask.any())
     if skipped:
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
     eval_adj = normalized_adjacency(full_view(g))
     eval_x = propagated_input(layer_input(g.features), eval_adj)
-    eval_masks = np.stack([g.val_mask, g.test_mask])
-
-    def _evaluate() -> tuple[float, float]:
-        return evaluate(params, g, eval_masks, eval_x, eval_adj)
-
-    report.initial_val_acc, report.initial_test_acc = _evaluate()
+    eval_args = (g, np.stack([g.val_mask, g.test_mask]), eval_x, eval_adj)
+    report.initial_val_acc, report.initial_test_acc = evaluate(params, *eval_args)
     report.final_val_acc, report.final_test_acc = report.initial_val_acc, report.initial_test_acc
-
-    def _step(task: _WorkerTask) -> Gradients:
-        cache = forward(params, task.adj, task.features)
-        try:
-            grad = loss_and_backward(cache, params, task.adj, task.labels, task.loss_mask)
-        except NumericalError as exc:
-            exc.partial_report = report   # flushed by the CLI on exit code 2
-            raise
-        if task.grad_scale != 1.0:
-            grad = grad.scaled(task.grad_scale)
-        return grad
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        epoch_losses: list[float] = []
-        for rnd in range(rounds):
-            contributions: list[tuple[Gradients, float]] = []
-            for w in range(workers):
-                if rnd >= len(queues[w]):
-                    continue
-                task = tasks[queues[w][rnd]]
-                if not task.trainable:
-                    continue
-                grad = _step(task)
-                contributions.append((grad, task.zeta))
-                epoch_losses.append(grad.loss)
-            if not contributions:
-                continue
-            params = sgd_update(params, _combine(contributions, config.weighted), config.eta)
+        losses: list[float] = []
+        for r, group in groups.items():
+            grads = []
+            for task in group:
+                cache = forward(params, task.adj, task.features)
+                try:
+                    grad = loss_and_backward(cache, params, task.adj, task.labels, task.loss_mask)
+                except NumericalError as exc:
+                    exc.partial_report = report   # flushed by the CLI on exit code 2
+                    raise
+                grads.append(grad.scaled(task.grad_scale))
+            losses += [grad.loss for grad in grads]
+            if config.weighted:
+                step = weighted_consensus(grads, [t.zeta for t in group])
+            else:
+                step = plain_consensus(grads)
+            params = sgd_update(params, step, config.eta)
             if on_barrier is not None:
-                on_barrier(epoch, rnd, [params] * workers)
+                on_barrier(epoch, r, [params] * workers)
 
-        report.train_loss.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
+        report.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
         # the last epoch is always evaluated, and gives the final accuracies
         if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
-            report.final_val_acc, report.final_test_acc = _evaluate()
+            report.final_val_acc, report.final_test_acc = evaluate(params, *eval_args)
             report.val_acc.append(report.final_val_acc)
             report.test_acc.append(report.final_test_acc)
         else:
@@ -334,10 +318,3 @@ def train(
         report.best_val_epoch = int(max(evaluated, key=lambda t: (t[1], -t[0]))[0])
     report._final_params = params   # handy for callers; not serialized
     return report
-
-
-def _combine(contributions: list[tuple[Gradients, float]], weighted: bool) -> Gradients:
-    grads = [g for g, _ in contributions]
-    if weighted:
-        return weighted_consensus(grads, [z for _, z in contributions])
-    return plain_consensus(grads)

@@ -24,6 +24,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _with_parts(payload, **changes):
+    """The augmented payload as JSON text, with ``changes`` made to every
+    partition entry; a change to None drops the key."""
+    parts = [
+        {k: v for k, v in {**entry, **changes}.items() if v is not None}
+        for entry in payload["partitions"]
+    ]
+    return json.dumps({**payload, "partitions": parts})
+
+
 class TestPartitionCmd:
     def test_writes_json_with_edge_cut(self, dataset, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -107,7 +117,12 @@ class TestAugmentCmd:
     @pytest.mark.parametrize("text, detail", [
         ("{k: 2}", "not valid JSON"),
         ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0}', "missing key 'assignment'"),
-    ], ids=["not_json", "no_assignment"])
+        ('{"k": "two", "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": [0]}',
+         "malformed content"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": "abc"}',
+         "malformed content"),
+        ("[2, 0.3]", "malformed content"),
+    ], ids=["not_json", "no_assignment", "k_str", "assignment_str", "list"])
     def test_malformed_partition_file_exit_1(self, dataset, tmp_path, capsys, text, detail):
         part = tmp_path / "p.json"
         part.write_text(text)
@@ -199,15 +214,20 @@ class TestTrainCmd:
         assert "gad: error" in err and "part 1 owned flags" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("detail", ["not valid JSON", "missing key 'budget'"],
-                             ids=["not_json", "no_budget"])
-    def test_malformed_augmented_file_exit_1(self, dataset, staged, tmp_path, capsys, detail):
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda p: json.dumps(p)[:-1], "not valid JSON"),   # cut, it is not JSON
+        (lambda p: _with_parts(p, budget=None), "missing key 'budget'"),
+        (lambda p: _with_parts(p, part="x"), "malformed content"),
+        (lambda p: json.dumps({**p, "partitions": dict(enumerate(p["partitions"]))}),
+         "malformed content"),
+        (lambda p: _with_parts(p, nodes=["a", "b"]), "malformed content"),
+        (lambda p: json.dumps([p]), "malformed content"),
+    ], ids=["not_json", "no_budget", "part_str", "partitions_object", "nodes_str", "list"])
+    def test_malformed_augmented_file_exit_1(self, dataset, staged, tmp_path, capsys, edit,
+                                             detail):
         d, part, aug = staged
-        payload = json.loads(aug.read_text())
-        del payload["partitions"][1]["budget"]
-        text = json.dumps(payload)
         bad = tmp_path / "bad.json"
-        bad.write_text(text[:-1] if "JSON" in detail else text)   # cut, it is not JSON
+        bad.write_text(edit(json.loads(aug.read_text())))
         capsys.readouterr()
         assert run(["train", dataset, "--augmented", bad, "--epochs", "1",
                     "--out", tmp_path / "r.json"]) == 1
@@ -300,6 +320,16 @@ class TestReportCmd:
         assert f"gad: error: {bad}: not valid JSON" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"config": 3}'], ids=["list", "config_int"])
+    def test_report_malformed_exit_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "r.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run(["report", bad]) == 1
+        err = capsys.readouterr().err
+        assert f"gad: error: {bad}: malformed content" in err
+        assert "Traceback" not in err
+
     def test_comm_reduction_arithmetic(self, dataset, tmp_path, capsys):
         r = self._train_two(dataset, tmp_path)[0]
         rep = json.loads(r.read_text())
@@ -367,6 +397,27 @@ class TestConfigPrecedence:
             run(["partition", dataset, "--target-subgraph-nodes", "20", "--out", tmp_path / "p.json"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --target-subgraph-nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, detail", [
+        ("[2]", "malformed content"),
+        ('{"k": "two"}', "config key 'k' has the wrong type"),
+        ('{"k": 2.5}', "config key 'k' has the wrong type"),
+        ('{"epochs": "3"}', "config key 'epochs' has the wrong type"),
+        ('{"alpha": "x"}', "config key 'alpha' has the wrong type"),
+        ('{"split": "abc"}', "config key 'split' has the wrong type"),
+        ('{"weighted": "no"}', "config key 'weighted' has the wrong type"),
+        ('{"seed": 1.5}', "config key 'seed' has the wrong type"),
+    ], ids=["list", "k_str", "k_float", "epochs_str", "alpha_str", "split_str",
+            "weighted_str", "seed_float"])
+    def test_config_wrong_type_exit_1(self, dataset, tmp_path, capsys, text, detail):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert run(["partition", dataset, "--config", cfg, "--out", tmp_path / "p.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gad: error: ") and err.count("\n") == 1
+        assert detail in err
+        assert "Traceback" not in err
 
     def test_config_not_json_exit_1(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gad import training
-from gad.augment import augment_partitions, augment_subgraph
+from gad.augment import assign_to_workers, augment_partitions, augment_subgraph
 from gad.config import Config
+from gad.consensus import weighted_consensus
 from gad.errors import GadError, NumericalError
 from gad.gcn import (
     forward,
@@ -239,6 +240,58 @@ class TestTrain:
 
         train(g, p, augs, 2, quick_config(k=3, workers=2, epochs=3), on_barrier=check)
         assert len(seen) > 0
+
+    def test_multi_round_schedule_matches_serial_loop(self):
+        # k = 5 parts on 2 workers take three rounds.  Part 4 owns no
+        # training node, which leaves its round with nothing to train.
+        g = small_graph(seed=9)
+        assignment = np.repeat(np.arange(5), [16, 14, 12, 10, 8])
+        g = dataclasses.replace(g, train_mask=g.train_mask & (assignment != 4))
+        p = Partitioning(assignment, 5, 1.0, 0, 0)
+        augs = [r.subgraph for r in augment_partitions(g, p, 2, alpha=0.2, seed=9)]
+        cfg = quick_config(k=5, workers=2, epochs=4, weighted=True)
+        barriers = []
+        rep = train(g, p, augs, 2, cfg, on_barrier=lambda e, r, _: barriers.append((e, r)))
+        assert any("[4]" in n for n in rep.notes)
+
+        # group r: the r-th subgraph of each worker, in worker order, minus
+        # subgraphs without owned training nodes; empty groups are dropped
+        worker_of = assign_to_workers(augs, 2)
+        queues = [np.flatnonzero(worker_of == w) for w in range(2)]
+        groups = []
+        for r in range(max(len(q) for q in queues)):
+            group = [int(q[r]) for q in queues
+                     if r < len(q) and augs[q[r]].view.local_train_mask().any()]
+            if group:
+                groups.append((r, group))
+        assert [len(group) for _, group in groups] == [2, 2]
+
+        total = int(g.train_mask.sum())
+        dims = (g.feature_dim,) + (cfg.hidden,) * (cfg.layers - 1) + (g.num_classes,)
+        params = init_params(dims, seed=cfg.seed)
+        losses, expected = [], []
+        for epoch in range(cfg.epochs):
+            epoch_losses = []
+            for r, group in groups:
+                grads = []
+                for i in group:
+                    view = augs[i].view
+                    adj = normalized_adjacency(view)
+                    x = propagated_input(layer_input(g.features[view.local_ids]), adj)
+                    mask = view.local_train_mask()
+                    cache = forward(params, adj, x)
+                    gr = loss_and_backward(cache, params, adj, view.local_labels(), mask)
+                    grads.append(gr.scaled(total / int(mask.sum())))
+                epoch_losses += [gr.loss for gr in grads]
+                step = weighted_consensus(grads, [rep.zetas[i] for i in group])
+                params = sgd_update(params, step, cfg.eta)
+                expected.append((epoch, r))
+            losses.append(float(np.mean(epoch_losses)))
+
+        assert rep.train_loss == losses
+        for a, b in zip(rep._final_params.weights, params.weights):
+            assert np.array_equal(a, b)
+        assert barriers == expected
 
     def test_deterministic_reports(self):
         g = small_graph(seed=6)
