@@ -30,12 +30,13 @@ owned = p.part_nodes(part)
 sub = induce_subgraph(g, owned, owned)
 
 print(f"partition {part} owns {owned.tolist()}")
-print(f"boundary nodes: {boundary_nodes(g, p, part).tolist()}")
+boundary = boundary_nodes(g, p, part)
+print(f"boundary nodes: {boundary.tolist()}")
 
 cands = candidate_replication_nodes(g, p, part, layers)
 print(f"candidates within {layers} hops: {cands.tolist()}")
 
-table, walks = node_importance(g, sub, cands, layers, seed=7)
+table, walks = node_importance(g, boundary, cands, layers, seed=7)
 print(f"\nran {table.total_walks} walks of length {layers} "
       f"(z_c={table.z_c}, target error {table.err_target})")
 print("estimated importance vs exact visit probability:")

@@ -31,7 +31,7 @@ print(f"partition: cut={p.edge_cut} ({p.edge_cut / g.num_edges:.1%} of edges), "
 
 records = augment_partitions(g, p, layers=3, alpha=0.01, seed=0)
 for rec in records:
-    print(f"  part {rec.part}: {rec.subgraph.num_replicas} replicas "
+    print(f"  part {rec.subgraph.part}: {rec.subgraph.num_replicas} replicas "
           f"(budget {rec.subgraph.budget}, {rec.table.total_walks} walks)")
 
 augs = [r.subgraph for r in records]

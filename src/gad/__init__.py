@@ -4,7 +4,6 @@ multi-worker GCN training with variance-weighted gradient consensus."""
 from .augment import (
     AugmentedSubgraph,
     ImportanceTable,
-    WalkSet,
     assign_to_workers,
     augment_partitions,
     augment_subgraph,

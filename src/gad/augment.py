@@ -28,22 +28,6 @@ IMPORTANCE_MODES = ("indicator", "multiplicity")
 
 
 @dataclass(frozen=True, eq=False)
-class WalkSet:
-    """Random walks rooted at boundary nodes.
-
-    ``walks`` holds one row per walk: the start node, then each of its
-    ``layers`` steps.  Every row is full length (see :func:`_random_walks`).
-    """
-
-    walks: np.ndarray            # (n, layers + 1) int64
-    visit_counts: np.ndarray     # walks visiting each candidate at least once
-
-    @property
-    def num_walks(self) -> int:
-        return self.walks.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class ImportanceTable:
     """Visit importance per candidate plus the Monte-Carlo bookkeeping."""
 
@@ -54,7 +38,6 @@ class ImportanceTable:
     err_target: float
     sigma_x: float
     x_bar: float
-    mode: str = "indicator"
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +58,6 @@ class AugmentedSubgraph:
 class AugmentationRecord:
     """Everything the augment stage produced for one partition."""
 
-    part: int
     subgraph: AugmentedSubgraph
     table: ImportanceTable
 
@@ -184,95 +166,69 @@ def _candidate_visits(
 
 def node_importance(
     g: Graph,
-    sub_i: SubgraphView,
+    boundary: np.ndarray,
     candidates: np.ndarray,
     layers: int,
     seed: int,
     z_c: float = Z_95,
     err_target: float = DEFAULT_ERR_TARGET,
     mode: str = "indicator",
-    boundary: np.ndarray | None = None,
-) -> tuple[ImportanceTable, WalkSet]:
-    """Monte-Carlo visit importance for each candidate replication node.
+) -> tuple[ImportanceTable, np.ndarray]:
+    """Monte-Carlo visit importance for each candidate, and the walks behind it.
 
-    Phase one runs ``floor(avg boundary degree) * |B|`` walks of ``layers``
-    uniform steps from random boundary nodes; the provisional importance
-    values fix the total walk count through :func:`estimate_walk_count`, and
-    the remaining walks are then drawn from the same stream.  In the default
-    indicator mode I(v) is the fraction of walks visiting v at least once.
-    ``boundary``, when given, is the boundary of ``sub_i``'s owned nodes;
-    a node in it without a neighbor raises :class:`GadError`.
+    Walks start at ``boundary`` nodes (a part's :func:`boundary_nodes`); one
+    without a neighbor raises :class:`GadError`.  Phase one runs
+    ``floor(avg boundary degree) * |B|`` walks of ``layers`` uniform steps;
+    the provisional importance values fix the total walk count through
+    :func:`estimate_walk_count`, and the remaining walks are then drawn from
+    the same stream.  In the default indicator mode I(v) is the fraction of
+    walks visiting v at least once; in multiplicity mode it is v's share of
+    all candidate visits.  With no boundary node or no candidate no walk
+    runs and every I(v) is 0.  The walks are the (n, layers + 1) array of
+    :func:`_random_walks`.
     """
     if mode not in IMPORTANCE_MODES:
         raise GadError(f"unknown importance mode {mode!r}")
-    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
-    if boundary is None:
-        member = np.zeros(g.num_nodes, dtype=bool)
-        member[sub_i.owned_ids] = True
-        boundary = _boundary(g, member)
-    elif (g.degrees[boundary] == 0).any():
+    if (g.degrees[boundary] == 0).any():
         raise GadError("boundary nodes must have a neighbor")
+    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+    walks = np.zeros((0, layers + 1), dtype=np.int64)
+    counts = np.zeros(len(candidates), dtype=np.int64)
+    x_bar = sigma_x = 0.0
+    if len(boundary) and len(candidates):
+        cand_index = np.full(g.num_nodes, -1, dtype=np.int64)
+        cand_index[candidates] = np.arange(len(candidates))
+        rng = rngs.stream(seed, rngs.AUGMENT)
+        n_phase1 = max(1, int(np.floor(g.degrees[boundary].mean()))) * len(boundary)
+        starts = boundary[rng.integers(0, len(boundary), size=n_phase1)]
+        walks = _random_walks(g, starts, layers, rng)
+        counts = _candidate_visits(walks, cand_index, len(candidates), indicator=True)
 
-    if boundary.size == 0 or candidates.size == 0:
-        table = ImportanceTable(
-            candidates=candidates,
-            importance=np.zeros(len(candidates)),
-            total_walks=0,
-            z_c=z_c,
-            err_target=err_target,
-            sigma_x=0.0,
-            x_bar=0.0,
-            mode=mode,
-        )
-        return table, WalkSet(
-            walks=np.zeros((0, layers + 1), dtype=np.int64),
-            visit_counts=np.zeros(len(candidates), dtype=np.int64),
-        )
+        prov = counts[counts > 0] / n_phase1
+        x_bar = float(prov.mean()) if prov.size else 0.0
+        sigma_x = float(prov.std(ddof=1)) if prov.size > 1 else 0.0
+        # 0 when no phase-1 walk visits a candidate; with every count 0 the
+        # phase-1 walks stand as the sample
+        n_more = estimate_walk_count(prov, z_c, err_target, provisional_count=n_phase1) - n_phase1
+        if n_more > 0:
+            starts = boundary[rng.integers(0, len(boundary), size=n_more)]
+            more = _random_walks(g, starts, layers, rng)
+            counts = counts + _candidate_visits(more, cand_index, len(candidates), indicator=True)
+            walks = np.concatenate([walks, more], axis=0)
+        if mode == "multiplicity":
+            counts = _candidate_visits(walks, cand_index, len(candidates), indicator=False)
 
-    cand_index = np.full(g.num_nodes, -1, dtype=np.int64)
-    cand_index[candidates] = np.arange(len(candidates))
-
-    rng = rngs.stream(seed, rngs.AUGMENT)
-    d_bar = max(1, int(np.floor(g.degrees[boundary].mean())))
-    n_phase1 = d_bar * len(boundary)
-
-    starts = boundary[rng.integers(0, len(boundary), size=n_phase1)]
-    walks = _random_walks(g, starts, layers, rng)
-    counts = _candidate_visits(walks, cand_index, len(candidates), indicator=True)
-
-    prov = counts[counts > 0] / n_phase1
-    x_bar = float(prov.mean()) if prov.size else 0.0
-    sigma_x = float(prov.std(ddof=1)) if prov.size > 1 else 0.0
-    # 0 when no phase-1 walk visits a candidate; with every count 0 the
-    # phase-1 walks stand as the sample below
-    n_total = estimate_walk_count(prov, z_c, err_target, provisional_count=n_phase1)
-    if n_total > n_phase1:
-        starts2 = boundary[rng.integers(0, len(boundary), size=n_total - n_phase1)]
-        walks2 = _random_walks(g, starts2, layers, rng)
-        counts = counts + _candidate_visits(walks2, cand_index, len(candidates), indicator=True)
-        walks = np.concatenate([walks, walks2], axis=0)
-    else:
-        n_total = n_phase1
-
-    if mode == "indicator":
-        importance = counts / n_total
-    else:
-        multiplicity = _candidate_visits(walks, cand_index, len(candidates), indicator=False)
-        total = multiplicity.sum()
-        importance = multiplicity / total if total > 0 else multiplicity.astype(np.float64)
-    importance = np.clip(importance, 0.0, 1.0)
-
+    total = counts.sum() if mode == "multiplicity" else len(walks)
     table = ImportanceTable(
         candidates=candidates,
-        importance=importance,
-        total_walks=int(n_total),
+        importance=counts / max(total, 1),
+        total_walks=len(walks),
         z_c=z_c,
         err_target=err_target,
         sigma_x=sigma_x,
         x_bar=x_bar,
-        mode=mode,
     )
-    return table, WalkSet(walks=walks, visit_counts=counts)
+    return table, walks
 
 
 def replication_budget(sub_i: SubgraphView, alpha: float = DEFAULT_ALPHA) -> int:
@@ -282,7 +238,7 @@ def replication_budget(sub_i: SubgraphView, alpha: float = DEFAULT_ALPHA) -> int
     return int(math.ceil(alpha * (1.0 + density(sub_i)) * sub_i.num_nodes))
 
 
-def _score_walks(table: ImportanceTable, walks: WalkSet) -> tuple[np.ndarray, np.ndarray]:
+def _score_walks(table: ImportanceTable, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score of every walk, and the candidate flag per node id.
 
     A walk's score is the sum of I(v) over the distinct candidates it visits,
@@ -293,22 +249,19 @@ def _score_walks(table: ImportanceTable, walks: WalkSet) -> tuple[np.ndarray, np
     or more distinct candidates (``layers`` >= 7) is summed on its own, as
     NumPy sums it pairwise.  So each score equals
     ``imp[np.unique(candidates on the walk)].sum()`` bit for bit at every
-    walk length.  Candidates above ``walks.walks.max()`` are left out.
+    walk length.
     """
-    w = walks.walks
-    size = int(w.max()) + 1
-    cands = table.candidates
-    inside = cands < size
+    size = max(int(walks.max()), int(table.candidates.max(initial=0))) + 1
     imp = np.zeros(size, dtype=np.float64)
-    imp[cands[inside]] = table.importance[inside]
+    imp[table.candidates] = table.importance
     is_cand = np.zeros(size, dtype=bool)
-    is_cand[cands[inside]] = True
+    is_cand[table.candidates] = True
 
-    s = np.sort(w, axis=1)
+    s = np.sort(walks, axis=1)
     keep = is_cand[s]
     keep[:, 1:] &= s[:, 1:] != s[:, :-1]
     vals = np.where(keep, imp[s], 0.0)
-    scores = np.zeros(len(w))
+    scores = np.zeros(len(walks))
     for col in vals.T:
         scores += col
     for r in np.flatnonzero(keep.sum(axis=1) >= 8):
@@ -317,7 +270,7 @@ def _score_walks(table: ImportanceTable, walks: WalkSet) -> tuple[np.ndarray, np
 
 
 def depth_first_select(
-    table: ImportanceTable, walks: WalkSet, budget: int
+    table: ImportanceTable, walks: np.ndarray, budget: int
 ) -> np.ndarray:
     """Pick replicas by draining the highest-scoring walks in walk order.
 
@@ -327,11 +280,11 @@ def depth_first_select(
     """
     if budget < 0:
         raise GadError("budget must be >= 0")
-    if budget == 0 or walks.num_walks == 0:
+    if budget == 0 or len(walks) == 0:
         return np.zeros(0, dtype=np.int64)
     scores, is_cand = _score_walks(table, walks)
-    order = np.lexsort((np.arange(walks.num_walks), -scores))
-    cand_walks = np.where(is_cand[walks.walks], walks.walks, -1)
+    order = np.lexsort((np.arange(len(walks)), -scores))
+    cand_walks = np.where(is_cand[walks], walks, -1)
     selected: list[int] = []
     chosen = set()
     for row in order.tolist():
@@ -407,14 +360,13 @@ def augment_partitions(
             if enabled else np.zeros(0, np.int64)
         )
         part_seed = rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1)
-        table, walkset = node_importance(
-            g, sub_i, candidates, layers, int(part_seed),
-            z_c=z_c, err_target=err_target, mode=mode, boundary=boundary,
+        table, walks = node_importance(
+            g, boundary, candidates, layers, int(part_seed), z_c, err_target, mode
         )
         budget = min(replication_budget(sub_i, alpha), len(candidates))
-        replicas = depth_first_select(table, walkset, budget)
+        replicas = depth_first_select(table, walks, budget)
         aug = augment_subgraph(
             g, sub_i, replicas, part=i, budget=budget, shortfall=budget - len(replicas)
         )
-        records.append(AugmentationRecord(part=i, subgraph=aug, table=table))
+        records.append(AugmentationRecord(subgraph=aug, table=table))
     return records

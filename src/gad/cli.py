@@ -26,6 +26,8 @@ from .graph import Graph, induce_subgraph, load_dataset
 from .partition import (
     Partitioning,
     balance_cap,
+    json_array,
+    json_checked,
     load_partitioning,
     partition_graph,
     save_partitioning,
@@ -56,7 +58,7 @@ def _reading(path):
         raise GadError(f"{path}: not valid JSON ({exc})") from None
     except KeyError as exc:
         raise GadError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise GadError(f"{path}: malformed content ({exc})") from None
 
 
@@ -153,7 +155,7 @@ def cmd_augment(args) -> int:
         "augment_enabled": cfg.augment,
         "partitions": [
             {
-                "part": rec.part,
+                "part": rec.subgraph.part,
                 "nodes": rec.subgraph.view.local_ids.tolist(),
                 "owned": rec.subgraph.view.owned.astype(int).tolist(),
                 "edges": rec.subgraph.view.edge_list_global().tolist(),
@@ -179,17 +181,19 @@ def _rebuild_augmented(g: Graph, path) -> tuple[Partitioning, list[AugmentedSubg
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
         part = Partitioning.from_json_dict(payload["partition"])
-        entries = [
-            (
-                int(e["part"]),
-                np.asarray(e["nodes"], dtype=np.int64),
-                np.asarray(e["owned"], dtype=bool),
+        entries = []
+        for e in payload["partitions"]:
+            owned = json_array(e["owned"], "owned", (int, bool))
+            if not np.isin(owned, (0, 1)).all():
+                raise ValueError("owned flags must be 0/1 or booleans")
+            entries.append((
+                json_checked(e["part"], "part"),
+                json_array(e["nodes"], "nodes"),
+                owned.astype(bool),
                 len(e["edges"]),
-                int(e["budget"]),
-                int(e.get("shortfall", 0)),
-            )
-            for e in payload["partitions"]
-        ]
+                json_checked(e["budget"], "budget"),
+                json_checked(e.get("shortfall", 0), "shortfall"),
+            ))
     if len(part.assignment) != g.num_nodes:
         raise GadError("augmented file does not match the dataset (assignment length)")
     augmented = []

@@ -34,7 +34,6 @@ class SubgraphWeight:
 
     zeta: float
     pair_probability_sum: float      # sum over i<j of p_i p_j
-    beta: float
     exact: bool = True
     stderr: float = 0.0              # standard error of a sampled zeta; 0.0 when exact
 
@@ -156,7 +155,7 @@ def zeta(
         raise GadError("beta must be positive")
     n = sub.view.num_nodes
     if n < 2:
-        return SubgraphWeight(zeta=1.0, pair_probability_sum=0.0, beta=beta)
+        return SubgraphWeight(zeta=1.0, pair_probability_sum=0.0)
     if not sp.issparse(features):
         features = np.asarray(features, dtype=np.float64)
     if features.shape[0] != n:
@@ -173,7 +172,7 @@ def zeta(
     if value <= 0 or not np.isfinite(value):
         value = 1.0
     return SubgraphWeight(
-        zeta=value, pair_probability_sum=pair_sum, beta=beta, exact=n <= pair_cap, stderr=stderr
+        zeta=value, pair_probability_sum=pair_sum, exact=n <= pair_cap, stderr=stderr
     )
 
 

@@ -37,10 +37,6 @@ class GcnParams:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
     def __post_init__(self):
         for a, b in zip(self.weights, self.weights[1:]):
             if a.shape[1] != b.shape[0]:

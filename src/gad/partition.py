@@ -81,12 +81,28 @@ class Partitioning:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Partitioning":
         return cls(
-            assignment=np.asarray(d["assignment"], dtype=np.int64),
-            k=int(d["k"]),
-            epsilon=float(d["epsilon"]),
-            edge_cut=int(d["edge_cut"]),
-            restarts_used=int(d["restarts_used"]),
+            assignment=json_array(d["assignment"], "assignment"),
+            k=json_checked(d["k"], "k"),
+            epsilon=float(json_checked(d["epsilon"], "epsilon", (int, float))),
+            edge_cut=json_checked(d["edge_cut"], "edge_cut"),
+            restarts_used=json_checked(d["restarts_used"], "restarts_used"),
         )
+
+
+def json_checked(value, what: str, kinds: tuple = (int,)):
+    """``value`` if its type is one of ``kinds``, else TypeError.  A JSON
+    ``true`` is not an int here, nor is ``"3"`` or ``3.0``."""
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise TypeError(f"{what} must be {names}, not {value!r}")
+    return value
+
+
+def json_array(values, what: str, kinds: tuple = (int,)) -> np.ndarray:
+    """A JSON list whose entries pass :func:`json_checked`, as an int64 array."""
+    for v in json_checked(values, what, (list,)):
+        json_checked(v, f"{what} entry", kinds)
+    return np.array(values, dtype=np.int64)
 
 
 def balance_cap(num_nodes: int, k: int, epsilon: float) -> int:

@@ -24,7 +24,7 @@ import pytest
 
 import conftest
 import gad
-from gad.augment import candidate_replication_nodes, node_importance
+from gad.augment import boundary_nodes, candidate_replication_nodes, node_importance
 from gad.config import Config
 from gad.consensus import zeta
 from gad.gcn import forward, init_params, loss_and_backward, sgd_update
@@ -248,13 +248,13 @@ class TestCriterion6MonteCarloImportance:
         for (nb, m), base, n_runs in self.BATTERY:
             g, p = _hub_fixture(nb, m)
             owned = p.part_nodes(0)
-            sub = induce_subgraph(g, owned, owned)
+            boundary = boundary_nodes(g, p, 0)
             cands = candidate_replication_nodes(g, p, 0, 2)
             exact = exact_visit_probs(g, owned, 2)
             ev = np.array([exact.get(int(c), 0.0) for c in cands])
             bound = 2 * 0.05 * ev.mean()   # 2 * E * exact mean, E = 0.05
             for s in range(n_runs):
-                table, _ = node_importance(g, sub, cands, 2, base + s,
+                table, _ = node_importance(g, boundary, cands, 2, base + s,
                                            z_c=1.96, err_target=0.05)
                 passed += np.abs(table.importance - ev).max() <= bound
                 total += 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gad import augment
+from gad import augment, rngs
 from gad.augment import (
     _score_walks,
     assign_to_workers,
@@ -14,7 +14,6 @@ from gad.augment import (
     node_importance,
     replication_budget,
     ImportanceTable,
-    WalkSet,
 )
 from gad.errors import GadError
 from gad.graph import Graph, induce_subgraph
@@ -109,18 +108,32 @@ class TestNodeImportance:
         # part {0} whose single neighbor is external: every walk must visit it
         g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [1, 3]]))
         p = Partitioning(np.array([0, 1, 1, 1]), 2, 1.0, 1, 0)
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 1)
-        table, _ = node_importance(g, sub, cands, 1, seed=3)
+        table, _ = node_importance(g, boundary_nodes(g, p, 0), cands, 1, seed=3)
         assert table.candidates.tolist() == [1] and table.importance[0] == 1.0
 
     def test_empty_candidates(self):
         g, _ = two_triangles()
         p = Partitioning(np.zeros(6, dtype=np.int64), 1, 1.0, 0, 0)
-        sub = part_view(g, p, 0)
-        table, walks = node_importance(g, sub, np.zeros(0, np.int64), 2, seed=0)
+        table, walks = node_importance(g, boundary_nodes(g, p, 0), np.zeros(0, np.int64), 2, seed=0)
         assert table.candidates.size == 0
-        assert walks.num_walks == 0
+        assert len(walks) == 0
+
+    @pytest.mark.parametrize("mode", augment.IMPORTANCE_MODES)
+    def test_empty_boundary_with_candidates(self, mode):
+        # one part holds every node, so no walk can start; the candidates
+        # still get a zero importance each
+        g, _ = two_triangles()
+        p = Partitioning(np.zeros(6, dtype=np.int64), 1, 1.0, 0, 0)
+        boundary = boundary_nodes(g, p, 0)
+        assert boundary.size == 0
+        table, walks = node_importance(g, boundary, np.array([4, 3]), 2, seed=0, mode=mode)
+        assert walks.shape == (0, 3) and walks.dtype == np.int64
+        assert table.total_walks == 0
+        assert table.candidates.tolist() == [3, 4]
+        assert table.importance.dtype == np.float64
+        assert table.importance.tolist() == [0.0, 0.0]
+        assert table.sigma_x == table.x_bar == 0.0
 
     @pytest.mark.parametrize("mode", augment.IMPORTANCE_MODES)
     def test_unvisited_candidates_keep_phase1_walks(self, mode):
@@ -130,82 +143,74 @@ class TestNodeImportance:
         p = Partitioning(np.array([0] * 21 + [1]), 2, 1.0, 1, 0)
         cands = candidate_replication_nodes(g, p, 0, 1)
         assert cands.tolist() == [21]
-        table, walks = node_importance(g, part_view(g, p, 0), cands, 1, seed=1, mode=mode)
-        assert table.total_walks == walks.num_walks == 21   # floor(degree 21) * |B| 1
+        table, walks = node_importance(g, boundary_nodes(g, p, 0), cands, 1, seed=1, mode=mode)
+        assert table.total_walks == len(walks) == 21   # floor(degree 21) * |B| 1
         assert table.importance.dtype == np.float64
         assert table.importance.tolist() == [0.0]
-        assert walks.visit_counts.tolist() == [0]
+        assert np.array_equal(table.importance, visit_counts(walks, cands) / table.total_walks)
         assert table.sigma_x == table.x_bar == 0.0
-        assert (walks.walks[:, 0] == 0).all() and 21 not in walks.walks
+        assert (walks[:, 0] == 0).all() and 21 not in walks
 
     def test_two_triangle_exact_oracle(self):
         # exhaustive enumeration gives visit probabilities (1/3, 1/9, 1/9);
         # seed frozen to a stream whose estimates land within the stated 0.05
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 2)
         exact = exact_visit_probs(g, [0, 1, 2], 2)
         assert exact == pytest.approx({3: 1 / 3, 4: 1 / 9, 5: 1 / 9})
-        table, _ = node_importance(g, sub, cands, 2, seed=7)
+        table, _ = node_importance(g, boundary_nodes(g, p, 0), cands, 2, seed=7)
         got = dict(zip(table.candidates.tolist(), table.importance.tolist()))
         for c in cands:
             assert abs(got[int(c)] - exact[int(c)]) <= 0.05
 
     def test_walk_length_equals_layers(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 3)
         for layers in (1, 2, 3):
-            _, walks = node_importance(g, sub, cands, layers, seed=1)
-            assert walks.walks.shape[1] == layers + 1
-            assert (walks.walks >= 0).all()
+            _, walks = node_importance(g, boundary_nodes(g, p, 0), cands, layers, seed=1)
+            assert walks.shape[1] == layers + 1
+            assert (walks >= 0).all()
 
     def test_boundary_node_without_neighbor_rejected(self):
-        # a given boundary holding isolated node 3: no walk could leave it
+        # a boundary holding isolated node 3: no walk could leave it
         g = Graph.from_edges(4, np.array([[0, 1], [1, 2]]))
-        p = Partitioning(np.array([0, 0, 1, 0]), 2, 1.0, 1, 0)
         with pytest.raises(GadError, match="neighbor"):
-            node_importance(g, part_view(g, p, 0), np.array([2]), 1, seed=0,
-                            boundary=np.array([1, 3]))
+            node_importance(g, np.array([1, 3]), np.array([2]), 1, seed=0)
 
     def test_walks_start_at_boundary(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 2)
-        _, walks = node_importance(g, sub, cands, 2, seed=2)
-        assert (walks.walks[:, 0] == 2).all()   # only boundary node of part 0
+        _, walks = node_importance(g, boundary_nodes(g, p, 0), cands, 2, seed=2)
+        assert (walks[:, 0] == 2).all()   # only boundary node of part 0
 
     def test_deterministic(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 2)
-        t1, w1 = node_importance(g, sub, cands, 2, seed=11)
-        t2, w2 = node_importance(g, sub, cands, 2, seed=11)
+        t1, w1 = node_importance(g, boundary_nodes(g, p, 0), cands, 2, seed=11)
+        t2, w2 = node_importance(g, boundary_nodes(g, p, 0), cands, 2, seed=11)
         assert np.array_equal(t1.importance, t2.importance)
-        assert np.array_equal(w1.walks, w2.walks)
+        assert np.array_equal(w1, w2)
 
     def test_phase1_count_uses_floor_of_avg_degree(self):
         # boundary {2}: degree 3 in the full graph, so phase one runs 3 walks;
         # with a forced zero-variance sample the total stays at 3
         g = Graph.from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [2, 4], [3, 4]]))
         p = Partitioning(np.array([0, 0, 0, 1, 1]), 2, 1.0, 2, 0)
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 1)
-        table, walks = node_importance(g, sub, cands, 1, seed=0)
-        assert walks.num_walks >= 3
+        table, walks = node_importance(g, boundary_nodes(g, p, 0), cands, 1, seed=0)
+        assert len(walks) >= 3
 
     def test_multiplicity_mode_distribution(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 2)
-        table, _ = node_importance(g, sub, cands, 2, seed=5, mode="multiplicity")
+        table, _ = node_importance(g, boundary_nodes(g, p, 0), cands, 2, seed=5,
+                                   mode="multiplicity")
         assert table.importance.sum() == pytest.approx(1.0)
 
     def test_importance_in_unit_interval(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
         cands = candidate_replication_nodes(g, p, 0, 2)
-        table, _ = node_importance(g, sub, cands, 2, seed=9)
+        table, _ = node_importance(g, boundary_nodes(g, p, 0), cands, 2, seed=9)
         assert (table.importance >= 0).all() and (table.importance <= 1).all()
 
 
@@ -243,7 +248,7 @@ class TestReplicationBudget:
             assert replication_budget(sub, 0.05) <= int(np.ceil(0.05 * 2 * n)) + 1
 
 
-def make_walkset(walks, candidates, importance):
+def make_walks(walks, candidates, importance):
     walks = np.asarray(walks, dtype=np.int64)
     table = ImportanceTable(
         candidates=np.asarray(candidates, dtype=np.int64),
@@ -254,47 +259,46 @@ def make_walkset(walks, candidates, importance):
         sigma_x=0.0,
         x_bar=0.0,
     )
-    ws = WalkSet(walks=walks, visit_counts=np.zeros(len(table.candidates), dtype=np.int64))
-    return table, ws
+    return table, walks
 
 
 class TestDepthFirstSelect:
     def test_zero_budget(self):
-        table, ws = make_walkset([[0, 5, 6]], [5, 6], [0.9, 0.5])
-        assert depth_first_select(table, ws, 0).size == 0
+        table, walks = make_walks([[0, 5, 6]], [5, 6], [0.9, 0.5])
+        assert depth_first_select(table, walks, 0).size == 0
 
     def test_walk_order_prefix(self):
         # one walk [b, c1, c2], budget 1 -> [c1]
-        table, ws = make_walkset([[0, 5, 6]], [5, 6], [0.5, 0.9])
-        assert depth_first_select(table, ws, 1).tolist() == [5]
+        table, walks = make_walks([[0, 5, 6]], [5, 6], [0.5, 0.9])
+        assert depth_first_select(table, walks, 1).tolist() == [5]
 
     def test_shared_node_attributed_to_stronger_walk(self):
         # walks scoring 0.9 and 0.7 share node 7: it is taken from the
         # stronger walk first, then the weaker walk adds only new nodes
-        table, ws = make_walkset(
+        table, walks = make_walks(
             [[0, 7, 8], [1, 7, 9]],
             [7, 8, 9],
             [0.6, 0.3, 0.1],
         )
         # scores: walk0 = 0.6 + 0.3 = 0.9, walk1 = 0.6 + 0.1 = 0.7
-        got = depth_first_select(table, ws, 3).tolist()
+        got = depth_first_select(table, walks, 3).tolist()
         assert got == [7, 8, 9]
 
     def test_budget_exceeds_coverage(self):
-        table, ws = make_walkset([[0, 5, 5]], [5, 6], [0.9, 0.5])
-        got = depth_first_select(table, ws, 10)
+        table, walks = make_walks([[0, 5, 5]], [5, 6], [0.9, 0.5])
+        got = depth_first_select(table, walks, 10)
         assert got.tolist() == [5]
 
     def test_tie_goes_to_earlier_walk(self):
-        table, ws = make_walkset(
+        table, walks = make_walks(
             [[0, 5, 0], [1, 6, 1]],
             [5, 6],
             [0.5, 0.5],
         )
-        assert depth_first_select(table, ws, 1).tolist() == [5]
+        assert depth_first_select(table, walks, 1).tolist() == [5]
 
 
-def random_walkset(seed, width):
+def random_walks(seed, width):
     """Walk rows over a few nodes, so rows repeat nodes and scores tie.
 
     Some nodes are not candidates, and some candidates lie above every
@@ -308,7 +312,7 @@ def random_walkset(seed, width):
     nodes = np.arange(top + 5)
     cands = nodes[rng.random(len(nodes)) < 0.7]
     importance = rng.integers(0, 8, len(cands)) / 37.0
-    return make_walkset(walks, cands, importance)
+    return make_walks(walks, cands, importance)
 
 
 class TestWalkScoringOracle:
@@ -318,35 +322,35 @@ class TestWalkScoringOracle:
     def test_scores_bit_identical(self, width):
         wide = 0
         for seed in range(40):
-            table, ws = random_walkset(1000 * width + seed, width)
-            got, _ = _score_walks(table, ws)
-            assert got.tobytes() == walk_scores(table, ws).tobytes()
-            wide += int((_distinct_candidates(table, ws) >= 8).sum())
+            table, walks = random_walks(1000 * width + seed, width)
+            got, _ = _score_walks(table, walks)
+            assert got.tobytes() == walk_scores(table, walks).tobytes()
+            wide += int((_distinct_candidates(table, walks) >= 8).sum())
         if width >= 9:
             assert wide > 0   # the rows NumPy sums pairwise were exercised
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9])
     def test_replicas_equal_for_every_budget(self, width):
         for seed in range(25):
-            table, ws = random_walkset(7000 + 100 * width + seed, width)
-            coverage = len(select_replicas(table, ws, ws.walks.size))
+            table, walks = random_walks(7000 + 100 * width + seed, width)
+            coverage = len(select_replicas(table, walks, walks.size))
             for budget in sorted({0, 1, coverage // 2, coverage, coverage + 3}):
-                got = depth_first_select(table, ws, budget)
-                want = select_replicas(table, ws, budget)
+                got = depth_first_select(table, walks, budget)
+                want = select_replicas(table, walks, budget)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), (seed, budget)
 
     def test_ties_and_candidates_above_every_walk(self):
         # walks 0 and 2 tie at 0.5; node 9 is a candidate no walk reaches
-        table, ws = make_walkset(
+        table, walks = make_walks(
             [[0, 5, 5, 0], [1, 6, 3, 3], [2, 7, 2, 2]],
             [5, 6, 7, 9],
             [0.5, 0.25, 0.5, 1.0],
         )
-        scores, _ = _score_walks(table, ws)
+        scores, _ = _score_walks(table, walks)
         assert scores.tolist() == [0.5, 0.25, 0.5]
-        assert depth_first_select(table, ws, 2).tolist() == [5, 7]
-        assert depth_first_select(table, ws, 10).tolist() == [5, 7, 6]
+        assert depth_first_select(table, walks, 2).tolist() == [5, 7]
+        assert depth_first_select(table, walks, 10).tolist() == [5, 7, 6]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_augment_partitions_matches_reference(self, seed, monkeypatch):
@@ -376,12 +380,12 @@ class TestVisitCountOracle:
     @pytest.mark.parametrize("width", [1, 2, 3, 6])
     def test_candidate_visits(self, width, indicator):
         for seed in range(30):
-            table, ws = random_walkset(3000 * width + seed, width)
+            table, walks = random_walks(3000 * width + seed, width)
             cands = table.candidates
-            cand_index = np.full(max(cands.max(initial=0), ws.walks.max()) + 1, -1, dtype=np.int64)
+            cand_index = np.full(max(cands.max(initial=0), walks.max()) + 1, -1, dtype=np.int64)
             cand_index[cands] = np.arange(len(cands))
-            got = augment._candidate_visits(ws.walks, cand_index, len(cands), indicator)
-            assert np.array_equal(got, visit_counts(ws.walks, cands, indicator))
+            got = augment._candidate_visits(walks, cand_index, len(cands), indicator)
+            assert np.array_equal(got, visit_counts(walks, cands, indicator))
 
     @pytest.mark.parametrize("mode", ["indicator", "multiplicity"])
     def test_node_importance_counts_every_walk(self, mode):
@@ -391,17 +395,16 @@ class TestVisitCountOracle:
         second_phase = 0
         for i in range(p.k):
             cands = candidate_replication_nodes(g, p, i, 2)
-            table, ws = node_importance(g, part_view(g, p, i), cands, 2, seed=i, mode=mode)
-            want = visit_counts(ws.walks, cands)
-            assert np.array_equal(ws.visit_counts, want)
-            assert ws.num_walks == table.total_walks
-            if mode == "indicator":
-                assert np.array_equal(table.importance, want / table.total_walks)
-            else:
-                mult = visit_counts(ws.walks, cands, indicator=False)
-                assert np.array_equal(table.importance, mult / mult.sum())
             boundary = boundary_nodes(g, p, i)
-            second_phase += ws.num_walks > len(boundary) * max(
+            table, walks = node_importance(g, boundary, cands, 2, seed=i, mode=mode)
+            assert len(walks) == table.total_walks
+            if mode == "indicator":
+                want = visit_counts(walks, cands) / table.total_walks
+            else:
+                mult = visit_counts(walks, cands, indicator=False)
+                want = mult / mult.sum()
+            assert np.array_equal(table.importance, want)
+            second_phase += len(walks) > len(boundary) * max(
                 1, int(np.floor(g.degrees[boundary].mean()))
             )
         assert second_phase > 0
@@ -424,10 +427,10 @@ class TestVisitCountOracle:
             assert np.array_equal(a.subgraph.view.local_ids, b.subgraph.view.local_ids)
 
 
-def _distinct_candidates(table, ws):
+def _distinct_candidates(table, walks):
     """Distinct candidates per walk, counted one walk at a time."""
     cands = set(table.candidates.tolist())
-    return np.array([len(set(row.tolist()) & cands) for row in ws.walks])
+    return np.array([len(set(row.tolist()) & cands) for row in walks])
 
 
 class TestAugmentSubgraph:
@@ -512,10 +515,10 @@ class TestAugmentPartitions:
         for rec in records:
             aug = rec.subgraph
             owned = set(aug.view.owned_ids.tolist())
-            assert owned == set(p.part_nodes(rec.part).tolist())
+            assert owned == set(p.part_nodes(rec.subgraph.part).tolist())
             # replica count within budget, and budget within the cap
             assert aug.num_replicas <= aug.budget
-            cands = candidate_replication_nodes(g, p, rec.part, 2)
+            cands = candidate_replication_nodes(g, p, rec.subgraph.part, 2)
             assert aug.budget <= len(cands)
             assert set(aug.view.replica_ids.tolist()) <= set(cands.tolist())
             # no dangling replica: every replica has a local edge
@@ -532,6 +535,37 @@ class TestAugmentPartitions:
         g, p = two_triangles()
         records = augment_partitions(g, p, layers=2, alpha=0.5, seed=0, enabled=False)
         assert all(r.subgraph.num_replicas == 0 for r in records)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("mode", augment.IMPORTANCE_MODES)
+    def test_pieces_by_hand_match(self, mode, enabled):
+        # the public pieces, put together per part with the per-part seed
+        g = sbm_graph([40, 30, 30, 20], [0.3, 0.1, 0.2, 0.4], 0.03, seed=1)
+        p = partition_graph(g, 4, seed=1)
+        seed, layers, alpha = 5, 2, 0.3
+        records = augment_partitions(g, p, layers=layers, alpha=alpha, seed=seed, mode=mode,
+                                     enabled=enabled)
+        assert len(records) == p.k
+        for i, rec in enumerate(records):
+            owned = p.part_nodes(i)
+            sub = induce_subgraph(g, owned, owned)
+            boundary = boundary_nodes(g, p, i)
+            cands = (candidate_replication_nodes(g, p, i, layers) if enabled
+                     else np.zeros(0, np.int64))
+            part_seed = int(rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1))
+            table, walks = node_importance(g, boundary, cands, layers, part_seed, mode=mode)
+            budget = min(replication_budget(sub, alpha), len(cands))
+            replicas = depth_first_select(table, walks, budget)
+            aug = augment_subgraph(g, sub, replicas, part=i, budget=budget,
+                                   shortfall=budget - len(replicas))
+            assert rec.subgraph.part == aug.part == i
+            assert np.array_equal(rec.subgraph.view.local_ids, aug.view.local_ids)
+            assert np.array_equal(rec.subgraph.view.replica_ids, np.sort(replicas))
+            assert (rec.subgraph.budget, rec.subgraph.shortfall) == (aug.budget, aug.shortfall)
+            assert np.array_equal(rec.table.candidates, table.candidates)
+            assert rec.table.importance.tobytes() == table.importance.tobytes()
+            assert rec.table.total_walks == table.total_walks
+        assert (sum(r.subgraph.num_replicas for r in records) > 0) == enabled
 
     def test_deterministic(self):
         g, p = two_triangles()

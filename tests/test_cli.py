@@ -26,9 +26,10 @@ def run(args):
 
 def _with_parts(payload, **changes):
     """The augmented payload as JSON text, with ``changes`` made to every
-    partition entry; a change to None drops the key."""
+    partition entry: a callable maps the entry's value, None drops the key."""
     parts = [
-        {k: v for k, v in {**entry, **changes}.items() if v is not None}
+        {k: v(entry[k]) if callable(v) else v for k, v in {**entry, **changes}.items()
+         if v is not None}
         for entry in payload["partitions"]
     ]
     return json.dumps({**payload, "partitions": parts})
@@ -122,15 +123,36 @@ class TestAugmentCmd:
         ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": "abc"}',
          "malformed content"),
         ("[2, 0.3]", "malformed content"),
-    ], ids=["not_json", "no_assignment", "k_str", "assignment_str", "list"])
+        ('{"k": 4.9, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": [0]}',
+         "malformed content (k must be int, not 4.9)"),
+        ('{"k": true, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": [0]}',
+         "malformed content (k must be int, not True)"),
+        ('{"k": 2, "epsilon": "0.3", "edge_cut": 0, "restarts_used": 0, "assignment": [0]}',
+         "malformed content (epsilon must be int or float, not '0.3')"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 1.5, "restarts_used": 0, "assignment": [0]}',
+         "malformed content (edge_cut must be int, not 1.5)"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": false, "assignment": [0]}',
+         "malformed content (restarts_used must be int, not False)"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": [1.7, 0]}',
+         "malformed content (assignment entry must be int, not 1.7)"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": ["1"]}',
+         "malformed content (assignment entry must be int, not '1')"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": [true]}',
+         "malformed content (assignment entry must be int, not True)"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": [1e400]}',
+         "malformed content (assignment entry must be int, not inf)"),
+        ('{"k": 2, "epsilon": 0.3, "edge_cut": 0, "restarts_used": 0, "assignment": [' + "9" * 30
+         + "]}", "malformed content (Python int too large"),
+    ], ids=["not_json", "no_assignment", "k_str", "assignment_str", "list", "k_float", "k_bool",
+            "epsilon_str", "edge_cut_float", "restarts_bool", "assignment_float",
+            "assignment_numeric_str", "assignment_bool", "assignment_inf", "assignment_huge"])
     def test_malformed_partition_file_exit_1(self, dataset, tmp_path, capsys, text, detail):
         part = tmp_path / "p.json"
         part.write_text(text)
         capsys.readouterr()
         assert run(["augment", dataset, "--partition", part, "--out", tmp_path / "a.json"]) == 1
         err = capsys.readouterr().err
-        assert f"gad: error: {part}: {detail}" in err
-        assert "Traceback" not in err
+        assert err.startswith(f"gad: error: {part}: {detail}") and err.count("\n") == 1
 
 
 class TestTrainCmd:
@@ -214,6 +236,14 @@ class TestTrainCmd:
         assert "gad: error" in err and "part 1 owned flags" in err
         assert "Traceback" not in err
 
+    def test_owned_as_booleans_loads(self, dataset, staged, tmp_path):
+        d, part, aug = staged
+        ok = tmp_path / "bools.json"
+        ok.write_text(_with_parts(json.loads(aug.read_text()),
+                                  owned=lambda o: [bool(f) for f in o]))
+        assert run(["train", dataset, "--augmented", ok, "--epochs", "1",
+                    "--out", tmp_path / "r.json"]) == 0
+
     @pytest.mark.parametrize("edit, detail", [
         (lambda p: json.dumps(p)[:-1], "not valid JSON"),   # cut, it is not JSON
         (lambda p: _with_parts(p, budget=None), "missing key 'budget'"),
@@ -222,7 +252,26 @@ class TestTrainCmd:
          "malformed content"),
         (lambda p: _with_parts(p, nodes=["a", "b"]), "malformed content"),
         (lambda p: json.dumps([p]), "malformed content"),
-    ], ids=["not_json", "no_budget", "part_str", "partitions_object", "nodes_str", "list"])
+        (lambda p: _with_parts(p, owned=lambda o: ["yes" if f else "no" for f in o]),
+         "malformed content (owned entry must be int or bool, not 'no')"),
+        (lambda p: _with_parts(p, owned=lambda o: [2 * f for f in o]),
+         "malformed content (owned flags must be 0/1 or booleans)"),
+        (lambda p: _with_parts(p, owned=lambda o: [float(f) for f in o]),
+         "malformed content (owned entry must be int or bool, not 0.0)"),
+        (lambda p: _with_parts(p, nodes=lambda n: [str(v) for v in n]),
+         "malformed content (nodes entry must be int, not '"),
+        (lambda p: _with_parts(p, nodes=lambda n: [v + 0.5 for v in n]),
+         "malformed content (nodes entry must be int, not "),
+        (lambda p: _with_parts(p, part=True), "malformed content (part must be int, not True)"),
+        (lambda p: _with_parts(p, part=0.0), "malformed content (part must be int, not 0.0)"),
+        (lambda p: _with_parts(p, budget=1.5), "malformed content (budget must be int, not 1.5)"),
+        (lambda p: _with_parts(p, shortfall="0"),
+         "malformed content (shortfall must be int, not '0')"),
+        (lambda p: json.dumps({**p, "partition": {**p["partition"], "k": 3.9}}),
+         "malformed content (k must be int, not 3.9)"),
+    ], ids=["not_json", "no_budget", "part_str", "partitions_object", "nodes_str", "list",
+            "owned_words", "owned_two", "owned_float", "nodes_numeric_str", "nodes_float",
+            "part_bool", "part_float", "budget_float", "shortfall_str", "partition_k_float"])
     def test_malformed_augmented_file_exit_1(self, dataset, staged, tmp_path, capsys, edit,
                                              detail):
         d, part, aug = staged
@@ -232,8 +281,7 @@ class TestTrainCmd:
         assert run(["train", dataset, "--augmented", bad, "--epochs", "1",
                     "--out", tmp_path / "r.json"]) == 1
         err = capsys.readouterr().err
-        assert f"gad: error: {bad}: {detail}" in err
-        assert "Traceback" not in err
+        assert err.startswith(f"gad: error: {bad}: {detail}") and err.count("\n") == 1
 
 
 class TestBadDataset:

@@ -55,9 +55,9 @@ def walk_scores(table, walks):
     reference for the vectorised scoring in ``depth_first_select``.
     """
     imp, is_cand = _candidate_lookup(table, walks)
-    scores = np.zeros(walks.num_walks)
-    for w in range(walks.num_walks):
-        nodes = walks.walks[w]
+    scores = np.zeros(len(walks))
+    for w in range(len(walks)):
+        nodes = walks[w]
         nodes = np.unique(nodes[nodes >= 0])
         scores[w] = imp[nodes[is_cand[nodes]]].sum()
     return scores
@@ -77,17 +77,17 @@ def visit_counts(walks, candidates, indicator=True):
 
 def select_replicas(table, walks, budget):
     """Reference drain: best walk first (earlier walk on ties), new candidates in step order."""
-    if budget == 0 or walks.num_walks == 0:
+    if budget == 0 or len(walks) == 0:
         return np.zeros(0, dtype=np.int64)
     _, is_cand = _candidate_lookup(table, walks)
     scores = walk_scores(table, walks)
-    order = np.lexsort((np.arange(walks.num_walks), -scores))
+    order = np.lexsort((np.arange(len(walks)), -scores))
     selected = []
     chosen = set()
     for w in order:
         if len(selected) >= budget:
             break
-        for node in walks.walks[w]:
+        for node in walks[w]:
             if node < 0:
                 continue
             node = int(node)
@@ -101,7 +101,7 @@ def select_replicas(table, walks, budget):
 
 def _candidate_lookup(table, walks):
     """Importance and candidate flag per node id up to ``walks.max() + 1``."""
-    top = int(walks.walks.max())
+    top = int(walks.max())
     imp = np.zeros(top + 2, dtype=np.float64)
     is_cand = np.zeros(top + 2, dtype=bool)
     for j, c in enumerate(table.candidates):
