@@ -44,11 +44,11 @@ exact = {3: 1 / 3, 4: 1 / 9, 5: 1 / 9}   # enumerate all length-2 walks by hand
 for c, i_v in zip(table.candidates.tolist(), table.importance.tolist()):
     print(f"  node {c}: I={i_v:.4f}   exact={exact[c]:.4f}")
 
-budget = min(replication_budget(sub, alpha=0.4), len(cands))
+budget = min(replication_budget(sub.num_nodes, sub.num_edges, alpha=0.4), len(cands))
 chosen = depth_first_select(table, walks, budget)
 print(f"\nbudget {budget} -> replicate {chosen.tolist()}")
 
-aug = augment_subgraph(g, sub, chosen, part=part)
+aug = augment_subgraph(g, owned, chosen, part=part)
 print(f"augmented subgraph: {aug.view.num_nodes} nodes "
       f"({aug.num_replicas} replicas), {aug.view.num_edges} edges")
 sources = dict(zip(aug.view.replica_ids.tolist(), p.assignment[aug.view.replica_ids].tolist()))

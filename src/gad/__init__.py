@@ -37,7 +37,6 @@ from .gcn import (
 from .graph import (
     Graph,
     SubgraphView,
-    density,
     full_view,
     induce_subgraph,
     load_dataset,

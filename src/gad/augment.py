@@ -1,7 +1,7 @@
 """Subgraph augmentation: replicate important remote nodes into each partition.
 
 For every partition the steps are: find boundary nodes, collect candidate
-replication nodes (external nodes within ``layers`` hops of the boundary),
+replication nodes (external nodes within ``layers`` hops of the partition),
 score candidates by the fraction of boundary-rooted random walks that visit
 them (two-phase Monte-Carlo with a walk count chosen from the error formula
 E = z_c * sigma / (mean * sqrt(n))), then copy the best walk prefixes into
@@ -18,13 +18,12 @@ import numpy as np
 
 from . import rngs
 from .errors import GadError
-from .graph import Graph, SubgraphView, density, induce_subgraph
+from .graph import Graph, SubgraphView, _unique, induce_subgraph
 from .partition import Partitioning
 
 Z_95 = 1.96
 DEFAULT_ERR_TARGET = 0.05
 DEFAULT_ALPHA = 0.01
-IMPORTANCE_MODES = ("indicator", "multiplicity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,44 +61,39 @@ class AugmentationRecord:
     table: ImportanceTable
 
 
-def _boundary(g: Graph, member: np.ndarray) -> np.ndarray:
-    """Nodes flagged in ``member`` with at least one neighbor not flagged."""
+def _members(p: Partitioning, i: int) -> np.ndarray:
+    """Part ``i``'s member mask; a part id outside 0..k-1 raises GadError."""
+    if not 0 <= i < p.k:
+        raise GadError(f"part id {i} out of range")
+    return p.assignment == i
+
+
+def boundary_nodes(g: Graph, p: Partitioning, i: int) -> np.ndarray:
+    """Owned nodes of part ``i`` with at least one neighbor in another part."""
+    member = _members(p, i)
     flag = np.zeros(g.num_nodes, dtype=bool)
     flag[g.rows[member[g.rows] & ~member[g.targets]]] = True
     return np.flatnonzero(flag)
 
 
-def boundary_nodes(g: Graph, p: Partitioning, i: int) -> np.ndarray:
-    """Owned nodes of part ``i`` with at least one neighbor in another part."""
-    if not 0 <= i < p.k:
-        raise GadError(f"part id {i} out of range")
-    return _boundary(g, p.assignment == i)
+def candidate_replication_nodes(g: Graph, p: Partitioning, i: int, layers: int) -> np.ndarray:
+    """External nodes within ``layers`` hops of part ``i`` (BFS from its members).
 
-
-def candidate_replication_nodes(
-    g: Graph, p: Partitioning, i: int, layers: int, boundary: np.ndarray | None = None
-) -> np.ndarray:
-    """External nodes within ``layers`` hops of part ``i``'s boundary (BFS).
-
-    ``boundary``, when given, is part ``i``'s :func:`boundary_nodes`.
+    An external node's nearest member is a boundary node, so this is also
+    the ``layers``-hop reach of the part's :func:`boundary_nodes`.
     """
     if layers < 1:
         raise GadError("layers must be >= 1")
-    if boundary is None:
-        boundary = boundary_nodes(g, p, i)
-    if boundary.size == 0:
-        return np.zeros(0, dtype=np.int64)
+    frontier = member = _members(p, i)
     adj = g.sparse_adjacency
-    visited = np.zeros(g.num_nodes, dtype=bool)
-    visited[boundary] = True
-    frontier = visited.copy()
+    visited = member.copy()
     for _ in range(layers):
         reached = adj @ frontier
         frontier = reached & ~visited
         if not frontier.any():
             break
         visited |= frontier
-    return np.flatnonzero(visited & (p.assignment != i)).astype(np.int64)
+    return np.flatnonzero(visited & ~member).astype(np.int64)
 
 
 def sample_size(scale: float, sigma: float, target: float) -> int:
@@ -148,19 +142,15 @@ def _random_walks(
     return walks
 
 
-def _candidate_visits(
-    walks: np.ndarray, cand_index: np.ndarray, num_candidates: int, indicator: bool
-) -> np.ndarray:
-    """Visit counts per candidate; with ``indicator`` each walk counts once.
+def _candidate_visits(walks: np.ndarray, cand_index: np.ndarray, num_candidates: int) -> np.ndarray:
+    """Number of walks visiting each candidate.
 
-    Indicator mode sorts each walk row and skips a node equal to its left
-    neighbor, so a repeated visit within one walk is not counted again.
+    Each walk row is sorted and a node equal to its left neighbor skipped,
+    so a repeated visit within one walk is not counted again.
     """
-    if indicator:
-        walks = np.sort(walks, axis=1)
+    walks = np.sort(walks, axis=1)
     cidx = cand_index[walks]
-    if indicator:
-        cidx[:, 1:][walks[:, 1:] == walks[:, :-1]] = -1
+    cidx[:, 1:][walks[:, 1:] == walks[:, :-1]] = -1
     return np.bincount(cidx[cidx >= 0], minlength=num_candidates)
 
 
@@ -172,7 +162,6 @@ def node_importance(
     seed: int,
     z_c: float = Z_95,
     err_target: float = DEFAULT_ERR_TARGET,
-    mode: str = "indicator",
 ) -> tuple[ImportanceTable, np.ndarray]:
     """Monte-Carlo visit importance for each candidate, and the walks behind it.
 
@@ -181,17 +170,14 @@ def node_importance(
     ``floor(avg boundary degree) * |B|`` walks of ``layers`` uniform steps;
     the provisional importance values fix the total walk count through
     :func:`estimate_walk_count`, and the remaining walks are then drawn from
-    the same stream.  In the default indicator mode I(v) is the fraction of
-    walks visiting v at least once; in multiplicity mode it is v's share of
-    all candidate visits.  With no boundary node or no candidate no walk
-    runs and every I(v) is 0.  The walks are the (n, layers + 1) array of
+    the same stream.  I(v) is the fraction of walks visiting v at least
+    once.  With no boundary node or no candidate no walk runs and every
+    I(v) is 0.  The walks are the (n, layers + 1) array of
     :func:`_random_walks`.
     """
-    if mode not in IMPORTANCE_MODES:
-        raise GadError(f"unknown importance mode {mode!r}")
     if (g.degrees[boundary] == 0).any():
         raise GadError("boundary nodes must have a neighbor")
-    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+    candidates = _unique(candidates)
     walks = np.zeros((0, layers + 1), dtype=np.int64)
     counts = np.zeros(len(candidates), dtype=np.int64)
     x_bar = sigma_x = 0.0
@@ -202,7 +188,7 @@ def node_importance(
         n_phase1 = max(1, int(np.floor(g.degrees[boundary].mean()))) * len(boundary)
         starts = boundary[rng.integers(0, len(boundary), size=n_phase1)]
         walks = _random_walks(g, starts, layers, rng)
-        counts = _candidate_visits(walks, cand_index, len(candidates), indicator=True)
+        counts = _candidate_visits(walks, cand_index, len(candidates))
 
         prov = counts[counts > 0] / n_phase1
         x_bar = float(prov.mean()) if prov.size else 0.0
@@ -213,15 +199,12 @@ def node_importance(
         if n_more > 0:
             starts = boundary[rng.integers(0, len(boundary), size=n_more)]
             more = _random_walks(g, starts, layers, rng)
-            counts = counts + _candidate_visits(more, cand_index, len(candidates), indicator=True)
+            counts = counts + _candidate_visits(more, cand_index, len(candidates))
             walks = np.concatenate([walks, more], axis=0)
-        if mode == "multiplicity":
-            counts = _candidate_visits(walks, cand_index, len(candidates), indicator=False)
 
-    total = counts.sum() if mode == "multiplicity" else len(walks)
     table = ImportanceTable(
         candidates=candidates,
-        importance=counts / max(total, 1),
+        importance=counts / max(len(walks), 1),
         total_walks=len(walks),
         z_c=z_c,
         err_target=err_target,
@@ -231,11 +214,17 @@ def node_importance(
     return table, walks
 
 
-def replication_budget(sub_i: SubgraphView, alpha: float = DEFAULT_ALPHA) -> int:
-    """ceil(alpha * (1 + density) * |v|); callers cap it at the candidate count."""
+def replication_budget(num_nodes: int, num_edges: int, alpha: float = DEFAULT_ALPHA) -> int:
+    """ceil(alpha * (1 + density) * |v|) for a part of ``num_nodes`` nodes and
+    ``num_edges`` internal edges; callers cap it at the candidate count.
+
+    The density is 2|e| / (|v| (|v| - 1)), and 0 below two nodes.
+    """
     if alpha <= 0:
         raise GadError("alpha must be positive")
-    return int(math.ceil(alpha * (1.0 + density(sub_i)) * sub_i.num_nodes))
+    n = int(num_nodes)
+    density = 2.0 * num_edges / (n * (n - 1)) if n > 1 else 0.0
+    return int(math.ceil(alpha * (1.0 + density) * n))
 
 
 def _score_walks(table: ImportanceTable, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,21 +288,19 @@ def depth_first_select(
 
 def augment_subgraph(
     g: Graph,
-    sub_i: SubgraphView,
+    owned,
     replicas,
     part: int = 0,
     budget: int | None = None,
     shortfall: int = 0,
 ) -> AugmentedSubgraph:
-    """Induce the subgraph over owned nodes plus replicas (maximal edges kept)."""
-    owned = sub_i.local_ids[sub_i.owned]
-    replicas = np.unique(np.asarray(replicas, dtype=np.int64)).astype(np.int64)
+    """Induce the subgraph over ``owned`` node ids plus ``replicas`` (maximal edges kept)."""
+    replicas = _unique(replicas)
     if np.isin(replicas, owned).any():
-        raise GadError("replicas must be disjoint from the owned node set")
-    node_ids = np.union1d(owned, replicas)
+        raise GadError(f"part {part} replicas must be disjoint from its owned nodes")
     return AugmentedSubgraph(
         part=part,
-        view=induce_subgraph(g, node_ids, owned),
+        view=induce_subgraph(g, np.concatenate([owned, replicas]), owned),
         budget=len(replicas) if budget is None else int(budget),
         shortfall=shortfall,
     )
@@ -348,25 +335,23 @@ def augment_partitions(
     """Run the full augmentation pass for every partition.
 
     With ``enabled=False`` the records carry the bare partition subgraphs
-    (the no-augmentation baseline used for comparisons).
+    (the no-augmentation baseline used for comparisons).  ``mode`` must be
+    ``"indicator"``, the only importance rule.
     """
+    if mode != "indicator":
+        raise GadError(f"unknown importance mode {mode!r}")
     records = []
     for i in range(p.k):
-        owned = p.part_nodes(i)
-        sub_i = induce_subgraph(g, owned, owned)
-        boundary = boundary_nodes(g, p, i)
-        candidates = (
-            candidate_replication_nodes(g, p, i, layers, boundary=boundary)
-            if enabled else np.zeros(0, np.int64)
-        )
+        member = p.assignment == i
+        halo = candidate_replication_nodes(g, p, i, layers) if enabled else np.zeros(0, np.int64)
         part_seed = rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1)
         table, walks = node_importance(
-            g, boundary, candidates, layers, int(part_seed), z_c, err_target, mode
+            g, boundary_nodes(g, p, i), halo, layers, int(part_seed), z_c, err_target
         )
-        budget = min(replication_budget(sub_i, alpha), len(candidates))
+        internal_edges = int((member[g.rows] & member[g.targets]).sum()) // 2
+        budget = min(replication_budget(member.sum(), internal_edges, alpha), len(halo))
         replicas = depth_first_select(table, walks, budget)
-        aug = augment_subgraph(
-            g, sub_i, replicas, part=i, budget=budget, shortfall=budget - len(replicas)
-        )
+        aug = augment_subgraph(g, np.flatnonzero(member), replicas, i, budget,
+                               budget - len(replicas))
         records.append(AugmentationRecord(subgraph=aug, table=table))
     return records

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import rngs
-from .augment import AugmentedSubgraph, augment_partitions
+from .augment import AugmentedSubgraph, augment_partitions, augment_subgraph
 from .config import Config
 from .errors import GadError, NumericalError
-from .graph import Graph, induce_subgraph, load_dataset
+from .graph import Graph, load_dataset
 from .partition import (
     Partitioning,
     balance_cap,
@@ -50,10 +50,12 @@ def _write_json(path, payload: dict) -> None:
 
 @contextmanager
 def _reading(path):
-    """Report a file that is not JSON, lacks a key or holds a value of the
-    wrong type as a GadError naming it."""
+    """Report a file that is not JSON, lacks a key, holds a value of the
+    wrong type or fails a check as a GadError naming it."""
     try:
         yield
+    except GadError as exc:
+        raise GadError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GadError(f"{path}: not valid JSON ({exc})") from None
     except KeyError as exc:
@@ -96,7 +98,8 @@ def _config_from_args(args) -> Config:
     if not getattr(args, "config", None):
         return Config.from_sources(None, overrides)
     with _reading(args.config), open(args.config, "r", encoding="utf-8") as fh:
-        return Config.from_sources(json.load(fh), overrides)
+        file_dict = json_checked(json.load(fh), "config", (dict,))
+    return Config.from_sources(file_dict, overrides)
 
 
 def _add_common(p: argparse.ArgumentParser, with_data: bool = True):
@@ -143,15 +146,13 @@ def cmd_augment(args) -> int:
         raise GadError("partition file does not match the dataset")
     records = augment_partitions(
         g, part, layers=cfg.layers, alpha=cfg.alpha, seed=cfg.seed,
-        z_c=cfg.z_c, err_target=cfg.err_target, mode=cfg.importance_mode,
-        enabled=cfg.augment,
+        z_c=cfg.z_c, err_target=cfg.err_target, enabled=cfg.augment,
     )
     payload = {
         "partition": part.to_json_dict(),
         "layers": cfg.layers,
         "alpha": cfg.alpha,
         "seed": cfg.seed,
-        "importance_mode": cfg.importance_mode,
         "augment_enabled": cfg.augment,
         "partitions": [
             {
@@ -178,32 +179,34 @@ def cmd_augment(args) -> int:
 
 
 def _rebuild_augmented(g: Graph, path) -> tuple[Partitioning, list[AugmentedSubgraph]]:
+    """Each part rebuilt from the partition record's owned nodes and the
+    entry's replicas, and checked against the entry's nodes, owned flags and
+    edge count.  The entries must hold each part id 0..k-1 once."""
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
         part = Partitioning.from_json_dict(payload["partition"])
-        entries = []
-        for e in payload["partitions"]:
-            owned = json_array(e["owned"], "owned", (int, bool))
-            if not np.isin(owned, (0, 1)).all():
-                raise ValueError("owned flags must be 0/1 or booleans")
-            entries.append((
-                json_checked(e["part"], "part"),
-                json_array(e["nodes"], "nodes"),
-                owned.astype(bool),
-                len(e["edges"]),
-                json_checked(e["budget"], "budget"),
-                json_checked(e.get("shortfall", 0), "shortfall"),
-            ))
-    if len(part.assignment) != g.num_nodes:
-        raise GadError("augmented file does not match the dataset (assignment length)")
-    augmented = []
-    for p, nodes, owned_flags, num_edges, budget, shortfall in entries:
-        if len(owned_flags) != len(nodes):
-            raise GadError(f"augmented file does not match dataset (part {p} owned flags)")
-        view = induce_subgraph(g, nodes, nodes[owned_flags])
-        if view.num_edges != num_edges:
-            raise GadError(f"augmented file does not match dataset (part {p} edges)")
-        augmented.append(AugmentedSubgraph(part=p, view=view, budget=budget, shortfall=shortfall))
+        entries = [(
+            json_checked(e["part"], "part"),
+            json_array(e["replicas"], "replicas"),
+            json_checked(e["budget"], "budget"),
+            json_checked(e.get("shortfall", 0), "shortfall"),
+            json_array(e["nodes"], "nodes"),
+            json_array(e["owned"], "owned", (int, bool)),
+            len(e["edges"]),
+        ) for e in payload["partitions"]]
+        if len(part.assignment) != g.num_nodes:
+            raise GadError("augmented file does not match the dataset (assignment length)")
+        if sorted(e[0] for e in entries) != list(range(part.k)):
+            raise GadError(f"the entries must hold each part id 0..{part.k - 1} once")
+        augmented = []
+        for p, replicas, budget, shortfall, nodes, owned, num_edges in entries:
+            aug = augment_subgraph(g, part.part_nodes(p), replicas, p, budget, shortfall)
+            for what, same in (("nodes", np.array_equal(nodes, aug.view.local_ids)),
+                               ("owned flags", np.array_equal(owned, aug.view.owned)),
+                               ("edges", num_edges == aug.view.num_edges)):
+                if not same:
+                    raise GadError(f"part {p} {what} do not match the partition and replicas")
+            augmented.append(aug)
     return part, augmented
 
 
@@ -315,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--alpha", type=float)
     pa.add_argument("--z-c", dest="z_c", type=float)
     pa.add_argument("--err-target", dest="err_target", type=float)
-    pa.add_argument("--importance-mode", dest="importance_mode")
     pa.add_argument("--no-augment", dest="augment", action="store_false", default=None)
     pa.add_argument("--out", default="augmented.json")
     pa.set_defaults(func=cmd_augment)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-from .augment import DEFAULT_ALPHA, DEFAULT_ERR_TARGET, IMPORTANCE_MODES, Z_95
+from .augment import DEFAULT_ALPHA, DEFAULT_ERR_TARGET, Z_95
 from .consensus import DEFAULT_BETA, DEFAULT_PAIR_CAP
 from .errors import GadError
 
@@ -76,8 +76,8 @@ class Config:
             raise GadError("pair_cap must be >= 2")
         if len(self.split) != 3 or any(s < 0 for s in self.split) or sum(self.split) > 1 + 1e-9:
             raise GadError("split fractions must be nonnegative and sum to <= 1")
-        if self.importance_mode not in IMPORTANCE_MODES:
-            raise GadError(f"importance_mode must be one of {IMPORTANCE_MODES}")
+        if self.importance_mode != "indicator":
+            raise GadError("importance_mode must be 'indicator'")
         return self
 
     def to_json_dict(self) -> dict:

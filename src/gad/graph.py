@@ -269,14 +269,6 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     )
 
 
-def density(sub: SubgraphView) -> float:
-    """Undirected edge density 2|e| / (|v| (|v|-1)); 0 for fewer than 2 nodes."""
-    n = sub.num_nodes
-    if n < 2:
-        return 0.0
-    return 2.0 * sub.num_edges / (n * (n - 1))
-
-
 def normalized_adjacency(sub: SubgraphView) -> sp.csr_matrix:
     """Symmetric-normalized adjacency with self-loops over ``sub``, in CSR.
 

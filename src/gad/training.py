@@ -168,7 +168,7 @@ def communication_size(
         halo = candidate_replication_nodes(g, p, aug.part, layers)
         replicas = aug.view.replica_ids
         per_part.append(len(halo))
-        per_part_after.append(len(np.setdiff1d(halo, replicas)))
+        per_part_after.append(len(halo) - int(np.isin(replicas, halo).sum()))
     if worker_of is None:
         worker_of = list(range(len(augmented)))
     per_worker: dict[int, int] = {}

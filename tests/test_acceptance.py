@@ -28,7 +28,7 @@ from gad.augment import boundary_nodes, candidate_replication_nodes, node_import
 from gad.config import Config
 from gad.consensus import zeta
 from gad.gcn import forward, init_params, loss_and_backward, sgd_update
-from gad.graph import full_view, induce_subgraph, load_dataset, normalized_adjacency
+from gad.graph import full_view, load_dataset, normalized_adjacency
 from gad.partition import (
     Partitioning,
     balance_cap,
@@ -273,8 +273,7 @@ class TestCriterion7ZetaFidelity:
         vals = {}
         for name, pairs in (("regular", ring4()), ("skewed", tailed())):
             g = gad.Graph.from_edges(4, np.array(pairs))
-            sub = induce_subgraph(g, np.arange(4), np.arange(4))
-            aug = gad.augment_subgraph(g, sub, [])
+            aug = gad.augment_subgraph(g, np.arange(4), [])
             vals[name] = zeta(aug, np.ones((4, 2)), beta=1.0).zeta
         ratio = vals["regular"] / vals["skewed"]
         expected = 3.75 / 3.59375

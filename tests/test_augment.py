@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,11 +31,6 @@ def two_triangles():
     g = Graph.from_edges(6, pairs)
     p = Partitioning(np.array([0, 0, 0, 1, 1, 1]), 2, 1.0, 1, 0)
     return g, p
-
-
-def part_view(g, p, i):
-    ids = p.part_nodes(i)
-    return induce_subgraph(g, ids, ids)
 
 
 class TestBoundary:
@@ -87,6 +84,61 @@ class TestCandidates:
         with pytest.raises(GadError):
             candidate_replication_nodes(g, p, 0, 0)
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_part_id_validated(self, i):
+        g, p = two_triangles()
+        with pytest.raises(GadError, match="out of range"):
+            candidate_replication_nodes(g, p, i, 1)
+
+    def test_matches_bfs_distance_oracle(self):
+        # the halo is every external node within ``layers`` hops of the
+        # part's members, which is the same set as within ``layers`` hops of
+        # its boundary.  Each graph has two components, [0, n1) and [n1, n),
+        # and isolated nodes; every third trial part 0 is the first
+        # component, so it has members but no boundary
+        rng = np.random.default_rng(11)
+        cases = no_boundary = 0
+        for trial in range(60):
+            n1, n = int(rng.integers(2, 10)), int(rng.integers(14, 30))
+            pairs = np.concatenate([rng.integers(0, n1, (n1, 2)),
+                                    rng.integers(n1, n - 3, (n, 2))])
+            g = Graph.from_edges(n, pairs)
+            k = int(rng.integers(2, 5))
+            assign = rng.integers(0, k, n)
+            if trial % 3 == 0:
+                assign[:n1] = 0
+                assign[n1:] = rng.integers(1, k, n - n1)
+            p = Partitioning(assign, k, 10.0, 0, 0)
+            for i in range(k):
+                members = np.flatnonzero(assign == i)
+                boundary = boundary_of(g, members)
+                no_boundary += len(members) > 0 and not boundary
+                from_members = _bfs_distances(g, members)
+                from_boundary = _bfs_distances(g, boundary)
+                for layers in (1, 2, 3):
+                    want = [v for v in range(n) if assign[v] != i and from_members[v] <= layers]
+                    assert want == [v for v in range(n)
+                                    if assign[v] != i and from_boundary[v] <= layers]
+                    assert candidate_replication_nodes(g, p, i, layers).tolist() == want
+                    cases += 1
+        assert cases > 300 and no_boundary > 0
+
+
+def _bfs_distances(g, starts):
+    """Hop distance of every node from the nearest of ``starts`` (inf if none)."""
+    dist = np.full(g.num_nodes, np.inf)
+    dist[list(starts)] = 0
+    frontier = [int(u) for u in starts]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.neighbors(u):
+                if dist[v] == np.inf:
+                    dist[v] = dist[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    return dist
+
 
 class TestEstimateWalkCount:
     def test_formula_example(self):
@@ -119,15 +171,14 @@ class TestNodeImportance:
         assert table.candidates.size == 0
         assert len(walks) == 0
 
-    @pytest.mark.parametrize("mode", augment.IMPORTANCE_MODES)
-    def test_empty_boundary_with_candidates(self, mode):
+    def test_empty_boundary_with_candidates(self):
         # one part holds every node, so no walk can start; the candidates
         # still get a zero importance each
         g, _ = two_triangles()
         p = Partitioning(np.zeros(6, dtype=np.int64), 1, 1.0, 0, 0)
         boundary = boundary_nodes(g, p, 0)
         assert boundary.size == 0
-        table, walks = node_importance(g, boundary, np.array([4, 3]), 2, seed=0, mode=mode)
+        table, walks = node_importance(g, boundary, np.array([4, 3]), 2, seed=0)
         assert walks.shape == (0, 3) and walks.dtype == np.int64
         assert table.total_walks == 0
         assert table.candidates.tolist() == [3, 4]
@@ -135,15 +186,14 @@ class TestNodeImportance:
         assert table.importance.tolist() == [0.0, 0.0]
         assert table.sigma_x == table.x_bar == 0.0
 
-    @pytest.mark.parametrize("mode", augment.IMPORTANCE_MODES)
-    def test_unvisited_candidates_keep_phase1_walks(self, mode):
+    def test_unvisited_candidates_keep_phase1_walks(self):
         # boundary node 0 with 20 owned leaves and one external neighbor 21:
         # under seed 1 none of the 21 phase-1 walks steps onto node 21
         g = Graph.from_edges(22, np.array([[0, v] for v in range(1, 22)]))
         p = Partitioning(np.array([0] * 21 + [1]), 2, 1.0, 1, 0)
         cands = candidate_replication_nodes(g, p, 0, 1)
         assert cands.tolist() == [21]
-        table, walks = node_importance(g, boundary_nodes(g, p, 0), cands, 1, seed=1, mode=mode)
+        table, walks = node_importance(g, boundary_nodes(g, p, 0), cands, 1, seed=1)
         assert table.total_walks == len(walks) == 21   # floor(degree 21) * |B| 1
         assert table.importance.dtype == np.float64
         assert table.importance.tolist() == [0.0]
@@ -200,13 +250,6 @@ class TestNodeImportance:
         table, walks = node_importance(g, boundary_nodes(g, p, 0), cands, 1, seed=0)
         assert len(walks) >= 3
 
-    def test_multiplicity_mode_distribution(self):
-        g, p = two_triangles()
-        cands = candidate_replication_nodes(g, p, 0, 2)
-        table, _ = node_importance(g, boundary_nodes(g, p, 0), cands, 2, seed=5,
-                                   mode="multiplicity")
-        assert table.importance.sum() == pytest.approx(1.0)
-
     def test_importance_in_unit_interval(self):
         g, p = two_triangles()
         cands = candidate_replication_nodes(g, p, 0, 2)
@@ -218,34 +261,30 @@ class TestReplicationBudget:
     def test_formula_example(self):
         # alpha 0.01, 200 nodes, density 0.2 -> ceil(2.4) = 3
         n = 200
-        target_edges = round(0.2 * n * (n - 1) / 2)
-        rng = np.random.default_rng(1)
-        seen = set()
-        while len(seen) < target_edges:
-            u, v = rng.integers(0, n, 2)
-            if u != v:
-                seen.add((min(u, v), max(u, v)))
-        g = Graph.from_edges(n, np.array(sorted(seen)))
-        sub = induce_subgraph(g, np.arange(n), np.arange(n))
-        assert replication_budget(sub, 0.01) == 3
+        assert replication_budget(n, round(0.2 * n * (n - 1) / 2), 0.01) == 3
 
     def test_zero_density_floor(self):
-        g = Graph.from_edges(100, np.zeros((0, 2)))
-        sub = induce_subgraph(g, np.arange(100), np.arange(100))
-        assert replication_budget(sub, 0.01) == 1
+        assert replication_budget(100, 0, 0.01) == 1
 
     def test_alpha_must_be_positive(self):
-        g = Graph.from_edges(3, np.array([[0, 1]]))
-        sub = induce_subgraph(g, np.arange(3), np.arange(3))
         with pytest.raises(GadError):
-            replication_budget(sub, 0.0)
+            replication_budget(3, 1, 0.0)
 
     def test_upper_bound_two_alpha_v(self):
         rng = np.random.default_rng(2)
         for n in (5, 20, 50):
             g = Graph.from_edges(n, rng.integers(0, n, (3 * n, 2)))
-            sub = induce_subgraph(g, np.arange(n), np.arange(n))
-            assert replication_budget(sub, 0.05) <= int(np.ceil(0.05 * 2 * n)) + 1
+            assert replication_budget(n, g.num_edges, 0.05) <= int(np.ceil(0.05 * 2 * n)) + 1
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 1.0])
+    def test_density_formula(self, alpha):
+        # ceil(alpha * (1 + 2|e| / (|v| (|v| - 1))) * |v|), density 0 below two nodes
+        assert replication_budget(0, 0, alpha) == 0
+        assert replication_budget(1, 0, alpha) == 1
+        for n in range(2, 12):
+            for m in range(n * (n - 1) // 2 + 1):
+                want = math.ceil(alpha * (1.0 + 2.0 * m / (n * (n - 1))) * n)
+                assert replication_budget(n, m, alpha) == want
 
 
 def make_walks(walks, candidates, importance):
@@ -376,19 +415,17 @@ class TestWalkScoringOracle:
 class TestVisitCountOracle:
     """Candidate visit counts against the per-walk rule in walk_oracle."""
 
-    @pytest.mark.parametrize("indicator", [True, False])
     @pytest.mark.parametrize("width", [1, 2, 3, 6])
-    def test_candidate_visits(self, width, indicator):
+    def test_candidate_visits(self, width):
         for seed in range(30):
             table, walks = random_walks(3000 * width + seed, width)
             cands = table.candidates
             cand_index = np.full(max(cands.max(initial=0), walks.max()) + 1, -1, dtype=np.int64)
             cand_index[cands] = np.arange(len(cands))
-            got = augment._candidate_visits(walks, cand_index, len(cands), indicator)
-            assert np.array_equal(got, visit_counts(walks, cands, indicator))
+            got = augment._candidate_visits(walks, cand_index, len(cands))
+            assert np.array_equal(got, visit_counts(walks, cands))
 
-    @pytest.mark.parametrize("mode", ["indicator", "multiplicity"])
-    def test_node_importance_counts_every_walk(self, mode):
+    def test_node_importance_counts_every_walk(self):
         # phase-1 counts plus phase-2 counts equal a count over all walks
         g = sbm_graph([40, 30, 30, 20], [0.3, 0.1, 0.2, 0.4], 0.03, seed=2)
         p = partition_graph(g, 4, seed=2)
@@ -396,14 +433,9 @@ class TestVisitCountOracle:
         for i in range(p.k):
             cands = candidate_replication_nodes(g, p, i, 2)
             boundary = boundary_nodes(g, p, i)
-            table, walks = node_importance(g, boundary, cands, 2, seed=i, mode=mode)
+            table, walks = node_importance(g, boundary, cands, 2, seed=i)
             assert len(walks) == table.total_walks
-            if mode == "indicator":
-                want = visit_counts(walks, cands) / table.total_walks
-            else:
-                mult = visit_counts(walks, cands, indicator=False)
-                want = mult / mult.sum()
-            assert np.array_equal(table.importance, want)
+            assert np.array_equal(table.importance, visit_counts(walks, cands) / table.total_walks)
             second_phase += len(walks) > len(boundary) * max(
                 1, int(np.floor(g.degrees[boundary].mean()))
             )
@@ -413,16 +445,22 @@ class TestVisitCountOracle:
         g = sbm_graph([40, 30, 30, 20], [0.3, 0.1, 0.2, 0.4], 0.03, seed=0)
         p = partition_graph(g, 4, seed=0)
         want = augment_partitions(g, p, layers=2, alpha=0.3, seed=0)
-        calls = []
-        original = augment._boundary
+        calls = {"boundary_nodes": 0, "induce_subgraph": 0}
 
-        def counted(graph, member):
-            calls.append(1)
-            return original(graph, member)
+        def counted(name):
+            original = getattr(augment, name)
 
-        monkeypatch.setattr(augment, "_boundary", counted)
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(augment, name, call)
+
+        counted("boundary_nodes")
+        counted("induce_subgraph")
         got = augment_partitions(g, p, layers=2, alpha=0.3, seed=0)
-        assert len(calls) == p.k
+        # the halo BFS starts from the members, not from a boundary, and
+        # each part's subgraph is induced once, with its replicas
+        assert calls == {"boundary_nodes": p.k, "induce_subgraph": p.k}
         for a, b in zip(got, want):
             assert np.array_equal(a.subgraph.view.local_ids, b.subgraph.view.local_ids)
 
@@ -436,16 +474,14 @@ def _distinct_candidates(table, walks):
 class TestAugmentSubgraph:
     def test_empty_replicas_identity(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
-        aug = augment_subgraph(g, sub, [])
+        aug = augment_subgraph(g, p.part_nodes(0), [])
         assert aug.view.num_nodes == 3
         assert aug.view.num_edges == 3
         assert aug.num_replicas == 0
 
     def test_replica_edges_included(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
-        aug = augment_subgraph(g, sub, [3])
+        aug = augment_subgraph(g, p.part_nodes(0), [3])
         # node 3 connects to 2 (owned) only within the set
         assert aug.view.num_nodes == 4
         assert aug.view.num_edges == 4
@@ -457,24 +493,22 @@ class TestAugmentSubgraph:
         g = Graph.from_edges(30, rng.integers(0, 30, (90, 2)))
         assign = (np.arange(30) >= 15).astype(np.int64)
         p = Partitioning(assign, 2, 1.0, 0, 0)
-        sub = part_view(g, p, 0)
+        owned = p.part_nodes(0)
         replicas = [15, 16, 17]
-        aug = augment_subgraph(g, sub, replicas)
-        ids = np.union1d(sub.local_ids, replicas)
+        aug = augment_subgraph(g, owned, replicas)
+        ids = np.union1d(owned, replicas)
         oracle = induce_subgraph(g, ids, ids)
         assert aug.view.num_edges == oracle.num_edges
 
     def test_overlap_rejected(self):
         g, p = two_triangles()
-        sub = part_view(g, p, 0)
         with pytest.raises(GadError):
-            augment_subgraph(g, sub, [0])
+            augment_subgraph(g, p.part_nodes(0), [0])
 
 
 class TestAssignToWorkers:
     def _aug(self, g, ids):
-        sub = induce_subgraph(g, ids, ids)
-        return augment_subgraph(g, sub, [])
+        return augment_subgraph(g, ids, [])
 
     def test_one_each(self):
         g = Graph.from_edges(8, np.array([[i, (i + 1) % 8] for i in range(8)]))
@@ -536,28 +570,31 @@ class TestAugmentPartitions:
         records = augment_partitions(g, p, layers=2, alpha=0.5, seed=0, enabled=False)
         assert all(r.subgraph.num_replicas == 0 for r in records)
 
+    @pytest.mark.parametrize("mode", ["multiplicity", "", "Indicator"])
+    def test_unknown_mode_rejected(self, mode):
+        g, p = two_triangles()
+        with pytest.raises(GadError, match="unknown importance mode"):
+            augment_partitions(g, p, layers=2, mode=mode)
+
     @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("mode", augment.IMPORTANCE_MODES)
-    def test_pieces_by_hand_match(self, mode, enabled):
+    def test_pieces_by_hand_match(self, enabled):
         # the public pieces, put together per part with the per-part seed
         g = sbm_graph([40, 30, 30, 20], [0.3, 0.1, 0.2, 0.4], 0.03, seed=1)
         p = partition_graph(g, 4, seed=1)
         seed, layers, alpha = 5, 2, 0.3
-        records = augment_partitions(g, p, layers=layers, alpha=alpha, seed=seed, mode=mode,
-                                     enabled=enabled)
+        records = augment_partitions(g, p, layers=layers, alpha=alpha, seed=seed, enabled=enabled)
         assert len(records) == p.k
         for i, rec in enumerate(records):
             owned = p.part_nodes(i)
-            sub = induce_subgraph(g, owned, owned)
+            internal_edges = g.sparse_adjacency[owned][:, owned].nnz // 2
             boundary = boundary_nodes(g, p, i)
             cands = (candidate_replication_nodes(g, p, i, layers) if enabled
                      else np.zeros(0, np.int64))
             part_seed = int(rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1))
-            table, walks = node_importance(g, boundary, cands, layers, part_seed, mode=mode)
-            budget = min(replication_budget(sub, alpha), len(cands))
+            table, walks = node_importance(g, boundary, cands, layers, part_seed)
+            budget = min(replication_budget(len(owned), internal_edges, alpha), len(cands))
             replicas = depth_first_select(table, walks, budget)
-            aug = augment_subgraph(g, sub, replicas, part=i, budget=budget,
-                                   shortfall=budget - len(replicas))
+            aug = augment_subgraph(g, owned, replicas, i, budget, budget - len(replicas))
             assert rec.subgraph.part == aug.part == i
             assert np.array_equal(rec.subgraph.view.local_ids, aug.view.local_ids)
             assert np.array_equal(rec.subgraph.view.replica_ids, np.sort(replicas))

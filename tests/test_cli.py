@@ -71,6 +71,7 @@ class TestAugmentCmd:
                     "--layers", "2", "--alpha", "0.05", "--out", out]) == 0
         payload = json.loads(out.read_text())
         assert payload["alpha"] == 0.05
+        assert "importance_mode" not in payload
         # the partition is carried over as the partition stage wrote it
         assert payload["partition"] == json.loads(part.read_text())
         for entry in payload["partitions"]:
@@ -255,7 +256,7 @@ class TestTrainCmd:
         (lambda p: _with_parts(p, owned=lambda o: ["yes" if f else "no" for f in o]),
          "malformed content (owned entry must be int or bool, not 'no')"),
         (lambda p: _with_parts(p, owned=lambda o: [2 * f for f in o]),
-         "malformed content (owned flags must be 0/1 or booleans)"),
+         "part 0 owned flags do not match the partition and replicas"),
         (lambda p: _with_parts(p, owned=lambda o: [float(f) for f in o]),
          "malformed content (owned entry must be int or bool, not 0.0)"),
         (lambda p: _with_parts(p, nodes=lambda n: [str(v) for v in n]),
@@ -269,9 +270,29 @@ class TestTrainCmd:
          "malformed content (shortfall must be int, not '0')"),
         (lambda p: json.dumps({**p, "partition": {**p["partition"], "k": 3.9}}),
          "malformed content (k must be int, not 3.9)"),
+        (lambda p: _with_parts(p, replicas=None), "missing key 'replicas'"),
+        # part 0 listed twice, part 2 dropped
+        (lambda p: json.dumps({**p, "partitions": [p["partitions"][0]] + p["partitions"][:2]}),
+         "the entries must hold each part id 0..2 once"),
+        # the part labels of entries 0 and 1 swapped
+        (lambda p: json.dumps({**p, "partitions": [
+            {**p["partitions"][0], "part": 1}, {**p["partitions"][1], "part": 0},
+            p["partitions"][2]]}),
+         "part 1 replicas must be disjoint from its owned nodes"),
+        (lambda p: _with_parts(p, replicas=[]), "part 0 nodes do not match the partition and replicas"),
+        (lambda p: _with_parts(p, edges=lambda e: e[1:]),
+         "part 0 edges do not match the partition and replicas"),
+        # an owned node of part 0 listed as its replica too
+        (lambda p: json.dumps({**p, "partitions": [
+            {**p["partitions"][0], "replicas": p["partitions"][0]["replicas"]
+             + [n for n, o in zip(p["partitions"][0]["nodes"], p["partitions"][0]["owned"]) if o][:1]},
+            *p["partitions"][1:]]}),
+         "part 0 replicas must be disjoint from its owned nodes"),
     ], ids=["not_json", "no_budget", "part_str", "partitions_object", "nodes_str", "list",
             "owned_words", "owned_two", "owned_float", "nodes_numeric_str", "nodes_float",
-            "part_bool", "part_float", "budget_float", "shortfall_str", "partition_k_float"])
+            "part_bool", "part_float", "budget_float", "shortfall_str", "partition_k_float",
+            "no_replicas", "part_twice", "parts_swapped", "replicas_dropped", "edge_dropped",
+            "replica_owned"])
     def test_malformed_augmented_file_exit_1(self, dataset, staged, tmp_path, capsys, edit,
                                              detail):
         d, part, aug = staged
@@ -466,6 +487,20 @@ class TestConfigPrecedence:
         assert err.startswith("gad: error: ") and err.count("\n") == 1
         assert detail in err
         assert "Traceback" not in err
+
+    def test_importance_mode_other_than_indicator_exit_1(self, dataset, tmp_path, capsys):
+        part = tmp_path / "p.json"
+        run(["partition", dataset, "--k", "2", "--seed", "1", "--out", part])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"importance_mode": "multiplicity"}))
+        capsys.readouterr()
+        assert run(["augment", dataset, "--config", cfg, "--partition", part,
+                    "--out", tmp_path / "a.json"]) == 1
+        assert capsys.readouterr().err == "gad: error: importance_mode must be 'indicator'\n"
+        assert not (tmp_path / "a.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            run(["augment", dataset, "--partition", part, "--importance-mode", "indicator"])
+        assert exc.value.code == 1
 
     def test_config_not_json_exit_1(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -15,13 +15,12 @@ from gad.consensus import (
 )
 from gad.errors import GadError
 from gad.gcn import Gradients
-from gad.graph import Graph, induce_subgraph
+from gad.graph import Graph
 
 
 def sub_from_pairs(pairs, n):
     g = Graph.from_edges(n, np.asarray(pairs).reshape(-1, 2))
-    view = induce_subgraph(g, np.arange(n), np.arange(n))
-    return augment_subgraph(g, view, [])
+    return augment_subgraph(g, np.arange(n), [])
 
 
 def skewed_sub(n, rng):

@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from gad.augment import replication_budget
 from gad.errors import GadError
 from gad.graph import (
     Graph,
     _csr_from_pairs,
     csr_rows,
-    density,
     full_view,
     induce_subgraph,
     load_dataset,
@@ -142,26 +142,28 @@ class TestArrayLengths:
 
 
 class TestDensity:
+    """The density 2|e| / (|v| (|v| - 1)) as it scales the replication
+    budget ceil(alpha * (1 + density) * |v|), here with alpha 1."""
+
+    @staticmethod
+    def budget(g):
+        return replication_budget(g.num_nodes, g.num_edges, 1.0)
+
     def test_complete_graph(self):
         k4 = _graph([[a, b] for a in range(4) for b in range(a + 1, 4)])
-        assert density(full_view(k4)) == 1.0
+        assert self.budget(k4) == 8   # density 1
 
     def test_path4(self):
-        g = _graph([[0, 1], [1, 2], [2, 3]])
-        assert density(full_view(g)) == pytest.approx(0.5)
+        assert self.budget(_graph([[0, 1], [1, 2], [2, 3]])) == 6   # density 0.5
 
     def test_single_node(self):
-        g = _graph([], n=1)
-        assert density(full_view(g)) == 0.0
+        assert self.budget(_graph([], n=1)) == 1   # density 0
 
     def test_monotone_in_edges(self):
         # fixed node count, growing edge set
         all_pairs = [[a, b] for a in range(6) for b in range(a + 1, 6)]
-        prev = -1.0
-        for m in range(len(all_pairs) + 1):
-            d = density(full_view(_graph(all_pairs[:m], n=6)))
-            assert d >= prev
-            prev = d
+        budgets = [self.budget(_graph(all_pairs[:m], n=6)) for m in range(len(all_pairs) + 1)]
+        assert budgets == sorted(budgets) and (budgets[0], budgets[-1]) == (6, 12)
 
 
 class TestInduceSubgraph:

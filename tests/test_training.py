@@ -16,7 +16,7 @@ from gad.gcn import (
     propagated_input,
     sgd_update,
 )
-from gad.graph import Graph, full_view, induce_subgraph, normalized_adjacency
+from gad.graph import Graph, full_view, normalized_adjacency
 from gad.partition import Partitioning, partition_graph
 from gad.synthetic import sbm_graph
 from gad.training import communication_size, evaluate, train
@@ -120,10 +120,8 @@ class TestCommunicationSize:
 
         augs = []
         for i in range(2):
-            owned = p.part_nodes(i)
-            sub = induce_subgraph(g, owned, owned)
             halo = candidate_replication_nodes(g, p, i, 2)
-            augs.append(augment_subgraph(g, sub, halo, part=i))
+            augs.append(augment_subgraph(g, p.part_nodes(i), halo, part=i))
         cm = communication_size(g, p, augs, 2)
         assert cm.bytes_with == 0
         assert cm.bytes_without > 0
@@ -133,15 +131,11 @@ class TestCommunicationSize:
         p = partition_graph(g, 2, seed=3)
         from gad.augment import candidate_replication_nodes
 
-        owned = p.part_nodes(0)
-        sub = induce_subgraph(g, owned, owned)
         halo = candidate_replication_nodes(g, p, 0, 2)
         prev = None
-        other = augment_subgraph(
-            g, induce_subgraph(g, p.part_nodes(1), p.part_nodes(1)), [], part=1
-        )
+        other = augment_subgraph(g, p.part_nodes(1), [], part=1)
         for take in range(len(halo) + 1):
-            aug0 = augment_subgraph(g, sub, halo[:take], part=0)
+            aug0 = augment_subgraph(g, p.part_nodes(0), halo[:take], part=0)
             cm = communication_size(g, p, [aug0, other], 2)
             if prev is not None:
                 assert cm.bytes_with <= prev

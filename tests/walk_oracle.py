@@ -63,13 +63,12 @@ def walk_scores(table, walks):
     return scores
 
 
-def visit_counts(walks, candidates, indicator=True):
-    """Visits per candidate, one walk at a time; with ``indicator`` a walk counts once."""
+def visit_counts(walks, candidates):
+    """Walks visiting each candidate, one walk at a time; a walk counts once."""
     index = {int(c): j for j, c in enumerate(candidates)}
     counts = np.zeros(len(candidates), dtype=np.int64)
     for row in walks:
-        nodes = [int(v) for v in row if v >= 0]
-        for v in (set(nodes) if indicator else nodes):
+        for v in {int(v) for v in row if v >= 0}:
             if v in index:
                 counts[index[v]] += 1
     return counts
