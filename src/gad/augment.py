@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rngs
 from .errors import GadError
-from .graph import Graph, SubgraphView, _unique, induce_subgraph
+from .graph import Graph, SubgraphView, _unique, csr_rows, gather_rows, induce_subgraph
 from .partition import Partitioning
 
 Z_95 = 1.96
@@ -69,11 +69,14 @@ def _members(p: Partitioning, i: int) -> np.ndarray:
 
 
 def boundary_nodes(g: Graph, p: Partitioning, i: int) -> np.ndarray:
-    """Owned nodes of part ``i`` with at least one neighbor in another part."""
+    """Owned nodes of part ``i`` with at least one neighbor in another part.
+
+    Only the members' own CSR rows are read.
+    """
     member = _members(p, i)
-    flag = np.zeros(g.num_nodes, dtype=bool)
-    flag[g.rows[member[g.rows] & ~member[g.targets]]] = True
-    return np.flatnonzero(flag)
+    ids = np.flatnonzero(member)
+    offsets, targets = gather_rows(g, ids)
+    return ids[_unique(csr_rows(offsets)[~member[targets]])]
 
 
 def candidate_replication_nodes(g: Graph, p: Partitioning, i: int, layers: int) -> np.ndarray:
@@ -84,15 +87,18 @@ def candidate_replication_nodes(g: Graph, p: Partitioning, i: int, layers: int) 
     """
     if layers < 1:
         raise GadError("layers must be >= 1")
-    frontier = member = _members(p, i)
-    adj = g.sparse_adjacency
+    member = _members(p, i)
     visited = member.copy()
+    frontier = np.flatnonzero(member)
     for _ in range(layers):
-        reached = adj @ frontier
-        frontier = reached & ~visited
-        if not frontier.any():
+        # expand from the frontier's own rows only
+        fresh = np.zeros(g.num_nodes, dtype=bool)
+        fresh[gather_rows(g, frontier)[1]] = True
+        fresh &= ~visited
+        frontier = np.flatnonzero(fresh)
+        if not frontier.size:
             break
-        visited |= frontier
+        visited |= fresh
     return np.flatnonzero(visited & ~member).astype(np.int64)
 
 
@@ -340,18 +346,19 @@ def augment_partitions(
     """
     if mode != "indicator":
         raise GadError(f"unknown importance mode {mode!r}")
+    # every part's internal edge count, from one pass over the entries
+    src = p.assignment[g.rows]
+    internal_edges = np.bincount(src[src == p.assignment[g.targets]], minlength=p.k) // 2
     records = []
     for i in range(p.k):
-        member = p.assignment == i
+        ids = np.flatnonzero(p.assignment == i)
         halo = candidate_replication_nodes(g, p, i, layers) if enabled else np.zeros(0, np.int64)
         part_seed = rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1)
         table, walks = node_importance(
             g, boundary_nodes(g, p, i), halo, layers, int(part_seed), z_c, err_target
         )
-        internal_edges = int((member[g.rows] & member[g.targets]).sum()) // 2
-        budget = min(replication_budget(member.sum(), internal_edges, alpha), len(halo))
+        budget = min(replication_budget(len(ids), internal_edges[i], alpha), len(halo))
         replicas = depth_first_select(table, walks, budget)
-        aug = augment_subgraph(g, np.flatnonzero(member), replicas, i, budget,
-                               budget - len(replicas))
+        aug = augment_subgraph(g, ids, replicas, i, budget, budget - len(replicas))
         records.append(AugmentationRecord(subgraph=aug, table=table))
     return records

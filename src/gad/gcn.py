@@ -8,10 +8,15 @@ features as P = A_hat @ X, made once per adjacency, and then computes P @ W_0
 summed over the selected nodes, and gradients come from exact reverse-mode
 differentiation of that chain, so they can be checked against finite
 differences.
+
+One pass can carry several subgraphs stacked as row segments of a
+block-diagonal A_hat (see :func:`forward`); each segment then gets the loss
+and gradients a pass over it alone gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +58,7 @@ class ForwardCache:
     activations: tuple[np.ndarray, ...]   # H_0 .. H_{L-1} (inputs to each layer)
     probs: np.ndarray                     # softmax output, rows sum to 1
     propagated: bool                      # H_0 is A_hat @ X, see Propagated
+    bounds: tuple[int, ...] | None = None  # segment row bounds given to forward
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +90,11 @@ def init_params(dims: tuple[int, ...], seed: int = 0) -> GcnParams:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax, computed in place in ``z``."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def layer_input(features) -> np.ndarray | sp.csr_matrix:
@@ -120,7 +128,28 @@ def propagated_input(x, adj: sp.csr_matrix):
     return Propagated(adj @ x)
 
 
-def forward(params: GcnParams, adj: sp.csr_matrix, features) -> ForwardCache:
+def _segment_bounds(n: int, bounds) -> tuple[int, ...]:
+    """Validated row bounds ``b``, from 0 up to ``n``; segment j is rows ``b[j]:b[j+1]``."""
+    b = (0, n) if bounds is None else tuple(np.asarray(bounds).tolist())
+    if len(b) < 2 or b[0] != 0 or b[-1] != n or any(x > y for x, y in zip(b, b[1:])):
+        raise GadError("segment bounds must rise from 0 to the row count")
+    return b
+
+
+def _segment_matmul(a: np.ndarray, b: np.ndarray, bounds: tuple[int, ...]) -> np.ndarray:
+    """``a @ b`` with one GEMM per row segment, each written into its rows.
+
+    BLAS picks its kernel by the matrix shape, so one GEMM over all rows
+    may round a segment's rows differently from a GEMM over that segment
+    alone; per segment, they match bit for bit.
+    """
+    out = np.empty((a.shape[0], b.shape[1]))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        np.matmul(a[s:e], b, out=out[s:e])
+    return out
+
+
+def forward(params: GcnParams, adj: sp.csr_matrix, features, bounds=None) -> ForwardCache:
     """Propagate features through every layer; softmax on the last.
 
     ``adj`` is the normalized adjacency A_hat (see
@@ -128,21 +157,35 @@ def forward(params: GcnParams, adj: sp.csr_matrix, features) -> ForwardCache:
     a scipy sparse matrix or a :class:`Propagated` made with ``adj``; layer 0
     keeps the given layout, so a CSR input makes ``X @ W_0`` a sparse
     product, and a propagated one needs no product with ``adj``.
+
+    ``bounds`` stacks several subgraphs in one pass: segment j is rows
+    ``bounds[j]:bounds[j+1]``, and ``adj`` must be block-diagonal on the
+    segments, as ``sp.block_diag`` of their own A_hat makes it.  The sparse
+    products, relu and softmax run once over all rows, since they act row
+    by row; each dense ``H @ W`` runs per segment (see
+    :func:`_segment_matmul`).  Every segment's rows then equal those of a
+    pass over that subgraph alone, bit for bit.  Without ``bounds`` all
+    rows form one segment.
     """
     propagated = isinstance(features, Propagated)
     if propagated:
         features = features.values
     if features.shape[0] != adj.shape[0]:
         raise GadError("feature rows must match adjacency dimension")
+    segments = _segment_bounds(adj.shape[0], bounds)
     h = layer_input(features) if sp.issparse(features) else np.asarray(features, dtype=np.float64)
     activations = []
     for l, w in enumerate(params.weights):
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
         activations.append(h)
-        z = h @ w if l == 0 and propagated else adj @ (h @ w)
-        h = _softmax_rows(z) if l == params.num_layers - 1 else np.maximum(z, 0.0)
-    return ForwardCache(activations=tuple(activations), probs=h, propagated=propagated)
+        hw = h @ w if sp.issparse(h) else _segment_matmul(h, w, segments)
+        z = hw if l == 0 and propagated else adj @ hw
+        h = _softmax_rows(z) if l == params.num_layers - 1 else np.maximum(z, 0.0, out=z)
+    return ForwardCache(
+        activations=tuple(activations), probs=h, propagated=propagated,
+        bounds=None if bounds is None else segments,
+    )
 
 
 def loss_and_backward(
@@ -151,7 +194,7 @@ def loss_and_backward(
     adj: sp.csr_matrix,
     labels: np.ndarray,
     loss_mask: np.ndarray,
-) -> Gradients:
+) -> Gradients | tuple[Gradients, ...]:
     """Masked categorical cross-entropy, summed, and exact gradients per layer.
 
     Only masked rows contribute; replicas or unlabeled nodes are simply left
@@ -159,6 +202,14 @@ def loss_and_backward(
     in the layout :func:`forward` was given, so a CSR input makes
     ``X^T @ G`` a sparse product, and a propagated input ``P = A_hat X``
     gives ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
+
+    Returns one :class:`Gradients`, or a tuple with one per segment when
+    ``cache`` comes from a :func:`forward` given ``bounds``.  The masked
+    softmax gradient and the products with ``adj`` run once over all rows;
+    each segment's loss is the sum over its own masked rows, and its weight
+    gradients ``H[a:b]^T @ G[a:b]`` and the dense ``G @ W^T`` are taken on
+    its own rows.  A segment with no masked row gets loss 0 and zero
+    gradients; a mask with no row at all raises :class:`GadError`.
     """
     mask = np.asarray(loss_mask, dtype=bool)
     if not mask.any():
@@ -167,28 +218,37 @@ def loss_and_backward(
     probs = cache.probs
     n_classes = probs.shape[1]
     sel = np.flatnonzero(mask)
-    if y[sel].min() < 0 or y[sel].max() >= n_classes:
+    ys = y[sel]
+    if ys.min() < 0 or ys.max() >= n_classes:
         raise GadError("label out of range under loss mask")
 
-    picked = np.clip(probs[sel, y[sel]], PROB_FLOOR, 1.0)
-    loss = float(-np.log(picked).sum())
+    segments = cache.bounds or (0, len(probs))
+    spans = list(zip(segments[:-1], segments[1:]))
+    # segment j's masked rows are sel[cut[j]:cut[j+1]]
+    cut = np.searchsorted(sel, segments).tolist()
+    nll = -np.log(np.clip(probs[sel, ys], PROB_FLOOR, 1.0))
+    losses = [float(nll[a:b].sum()) for a, b in zip(cut[:-1], cut[1:])]
 
     # gradient at the softmax input: (probs - onehot) on masked rows
     gz = np.zeros_like(probs)
     gz[sel] = probs[sel]
-    gz[sel, y[sel]] -= 1.0
+    gz[sel, ys] -= 1.0
 
-    grads: list[np.ndarray] = [None] * params.num_layers
+    grads = [[None] * params.num_layers for _ in spans]
     for l in range(params.num_layers - 1, -1, -1):
         # d(loss)/d(H_in @ W); A_hat is symmetric, and a propagated H_0 holds it
         gm = gz if l == 0 and cache.propagated else adj @ gz
-        grads[l] = cache.activations[l].T @ gm
+        h = cache.activations[l]
+        for seg, (a, b) in zip(grads, spans):
+            seg[l] = h[a:b].T @ gm[a:b]
         if l > 0:
             # relu'(z) from its output: relu(z) > 0 exactly where z > 0
-            gz = (gm @ params.weights[l].T) * (cache.activations[l] > 0.0)
-    if not np.isfinite(loss):
+            gz = _segment_matmul(gm, params.weights[l].T, segments)
+            gz *= h > 0.0
+    if not all(map(math.isfinite, losses)):
         raise NumericalError("non-finite loss")
-    return Gradients(grads=tuple(grads), loss=loss)
+    out = tuple(Gradients(grads=tuple(g), loss=loss) for g, loss in zip(grads, losses))
+    return out[0] if cache.bounds is None else out
 
 
 def sgd_update(params: GcnParams, grads: Gradients, eta: float) -> GcnParams:

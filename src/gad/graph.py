@@ -119,7 +119,7 @@ class Graph:
 
     @cached_property
     def sparse_adjacency(self) -> sp.csr_matrix:
-        """Boolean adjacency as scipy CSR (cached; used for BFS fan-outs)."""
+        """Boolean adjacency as scipy CSR (cached)."""
         n = self.num_nodes
         data = np.ones(len(self.targets), dtype=bool)
         return sp.csr_matrix((data, (self.rows, self.targets)), shape=(n, n))
@@ -224,6 +224,20 @@ class SubgraphView:
         return out[order]
 
 
+def gather_rows(g: Graph, node_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(offsets, targets)`` of ``g``'s rows ``node_ids``, in that order.
+
+    Only those rows are read: the cost is their entry count, not ``g``'s.
+    """
+    starts = g.offsets[node_ids]
+    counts = g.offsets[node_ids + 1] - starts
+    offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # entry e of row r sits at g.offsets[node_ids[r]] + (e - offsets[r])
+    at = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+    return offsets, g.targets[at]
+
+
 def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     """Subgraph of ``g`` induced by ``node_ids``; ``owned_ids`` flags ownership.
 
@@ -241,22 +255,19 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     local_of = np.full(g.num_nodes, -1, dtype=np.int64)
     local_of[node_ids] = np.arange(len(node_ids))
 
-    # the members' CSR rows, concatenated: entry e of member row r sits at
-    # g.offsets[node_ids[r]] + (e - start of row r in the concatenation)
-    starts = g.offsets[node_ids]
-    span = np.zeros(len(node_ids) + 1, dtype=np.int64)
-    np.cumsum(g.offsets[node_ids + 1] - starts, out=span[1:])
-    rows = csr_rows(span)
-    targets = g.targets[np.arange(span[-1]) + (starts - span[:-1])[rows]]
+    span, targets = gather_rows(g, node_ids)
     local = local_of[targets]
     keep = local >= 0
-    rows_l = rows[keep]
+    rows_l = csr_rows(span)[keep]
     cols_l = local[keep]
 
     counts = np.bincount(rows_l, minlength=len(node_ids))
     offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    order = np.lexsort((cols_l, rows_l))
+    # rows_l never falls, so the (row, col) keys are in order, as they are
+    # whenever g's rows are sorted, unless a column falls within a row
+    if ((np.diff(rows_l) == 0) & (np.diff(cols_l) < 0)).any():
+        cols_l = cols_l[np.lexsort((cols_l, rows_l))]
 
     owned = np.zeros(len(node_ids), dtype=bool)
     owned[local_of[owned_ids]] = True
@@ -265,7 +276,7 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
         local_ids=node_ids,
         owned=owned,
         offsets=offsets,
-        targets=cols_l[order],
+        targets=cols_l,
     )
 
 

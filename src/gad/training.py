@@ -5,7 +5,10 @@ trains on its next assigned subgraph (forward, masked loss over its owned
 training nodes, backward); the coordinator folds the gradients into one
 update with either zeta weighting or the plain mean, and all workers apply
 the same step.  The replicas are therefore identical between barriers, and
-the simulation keeps a single parameter set for all of them.
+the simulation keeps a single parameter set for all of them.  A round's
+subgraphs are stacked block-diagonally and run as one forward and one
+backward, which give each subgraph the gradient it gets alone, bit for bit
+(see :func:`gad.gcn.forward`).
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -186,48 +189,81 @@ def communication_size(
 
 
 @dataclass(eq=False)
-class _WorkerTask:
-    """One subgraph prepared for repeated training steps."""
+class _Batch:
+    """One update group's subgraphs, stacked for a single forward and backward.
 
-    part: int
+    Subgraph j holds rows ``bounds[j]:bounds[j+1]``, and ``adj`` is the
+    block diagonal of the subgraphs' A_hat, so no edge joins two of them.
+    """
+
     adj: sp.csr_matrix
     features: object        # layer input: CSR, or gcn.Propagated (A_hat @ X) when dense
     labels: np.ndarray
     loss_mask: np.ndarray
-    zeta: float
-    grad_scale: float
+    bounds: tuple[int, ...]
+    zetas: list[float]
+    grad_scales: list[float]
 
 
-def _prepare_tasks(g, augmented, config):
+def _stack(views, xs, zetas, grad_scales) -> _Batch:
+    """The batch of ``views``, whose layer inputs are ``xs``; CSR if any of them is."""
+    adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
+    x = sp.vstack(xs, format="csr") if any(map(sp.issparse, xs)) else np.concatenate(xs)
+    return _Batch(
+        adj=adj,
+        features=propagated_input(x, adj),
+        labels=np.concatenate([v.local_labels() for v in views]),
+        loss_mask=np.concatenate([v.local_train_mask() for v in views]),
+        bounds=tuple(np.cumsum([0] + [v.num_nodes for v in views]).tolist()),
+        zetas=zetas,
+        grad_scales=grad_scales,
+    )
+
+
+def _prepare_groups(g, augmented, worker_of, workers, config):
+    """Each subgraph's zeta and whether it trains, and the update groups' batches."""
     total_train = int(g.train_mask.sum())
-    tasks = []
+    xs, zetas, scales, trainable = [], [], [], []
     for aug in augmented:
         view = aug.view
         x = layer_input(g.features[view.local_ids])
-        mask = view.local_train_mask()
         zw = zeta(
             aug, x, beta=config.beta, pair_cap=config.pair_cap,
             seed=int(rngs.stream(config.seed, rngs.ZETA, aug.part).integers(2**31)),
         )
-        n_train = int(mask.sum())
+        n_train = int(view.local_train_mask().sum())
         # Each subgraph's summed loss is rescaled to the full training
         # population, so every worker's gradient estimates the same global
         # objective regardless of how many train nodes its subgraph holds
         # (exactly 1.0 for a single whole-graph partition).
-        scale = total_train / n_train if n_train > 0 else 1.0
-        adj = normalized_adjacency(view)
-        tasks.append(
-            _WorkerTask(
-                part=aug.part,
-                adj=adj,
-                features=propagated_input(x, adj),
-                labels=view.local_labels(),
-                loss_mask=mask,
-                zeta=zw.zeta,
-                grad_scale=scale,
-            )
-        )
-    return tasks
+        scales.append(total_train / n_train if n_train > 0 else 1.0)
+        xs.append(x)
+        zetas.append(zw.zeta)
+        trainable.append(n_train > 0)
+    queues = [np.flatnonzero(worker_of == v) for v in range(workers)]
+    groups = {}
+    for r, row in enumerate(zip_longest(*queues)):
+        group = [i for i in row if i is not None and trainable[i]]
+        if group:
+            groups[r] = _stack([augmented[i].view for i in group], [xs[i] for i in group],
+                               [zetas[i] for i in group], [scales[i] for i in group])
+    return zetas, trainable, groups
+
+
+def _group_gradient(params, batch: _Batch, weighted: bool):
+    """A group's consensus gradient, and the scaled loss of each subgraph.
+
+    One forward and one backward over the batch give every subgraph's
+    gradient, which is scaled by its ``grad_scale`` and combined with the
+    others by zeta weights, or by the plain mean.  The pass's arrays are
+    freed on return, so they do not stay alive through the next group's
+    pass or the evaluation.
+    """
+    cache = forward(params, batch.adj, batch.features, batch.bounds)
+    parts = loss_and_backward(cache, params, batch.adj, batch.labels, batch.loss_mask)
+    grads = [grad.scaled(s) for grad, s in zip(parts, batch.grad_scales)]
+    step = weighted_consensus(grads, batch.zetas) if weighted else plain_consensus(grads)
+    return step, [grad.loss for grad in grads]
 
 
 def train(
@@ -244,21 +280,17 @@ def train(
     groups are fixed before the first epoch: group r holds the r-th
     subgraph that :func:`assign_to_workers` gave each worker, in worker
     order, minus subgraphs with no owned training node (these are listed
-    in ``report.notes``).  Each epoch runs every group once, in order:
-    one scaled gradient per subgraph, one consensus, one SGD step.
-    ``on_barrier(epoch, r, params_list)`` is called after each step with
-    each worker's parameters, mainly so tests can check replica consistency.
+    in ``report.notes``).  Each group is stacked once into a block-diagonal
+    batch.  Each epoch runs every group once, in order: one forward and one
+    backward over its batch, giving one scaled gradient per subgraph, then
+    one consensus and one SGD step.  ``on_barrier(epoch, r, params_list)``
+    is called after each step with each worker's parameters, mainly so
+    tests can check replica consistency.
     """
     if not augmented:
         raise GadError("need at least one augmented subgraph")
     worker_of = assign_to_workers(augmented, workers)
-    tasks = _prepare_tasks(g, augmented, config)
-    queues = [[t for t, w in zip(tasks, worker_of) if w == v] for v in range(workers)]
-    groups = {}
-    for r, row in enumerate(zip_longest(*queues)):
-        group = [t for t in row if t is not None and t.loss_mask.any()]
-        if group:
-            groups[r] = group
+    zetas, trainable, groups = _prepare_groups(g, augmented, worker_of, workers, config)
 
     dims = (g.feature_dim,) + (config.hidden,) * (config.layers - 1) + (g.num_classes,)
     params = init_params(dims, seed=config.seed)
@@ -266,10 +298,10 @@ def train(
         config=config.to_json_dict(),
         seed=config.seed,
         worker_of=[int(w) for w in worker_of],
-        zetas=[t.zeta for t in tasks],
+        zetas=zetas,
         comm=communication_size(g, p, augmented, config.layers, worker_of=worker_of),
     )
-    skipped = sorted(t.part for t in tasks if not t.loss_mask.any())
+    skipped = sorted(aug.part for aug, t in zip(augmented, trainable) if not t)
     if skipped:
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
@@ -282,21 +314,13 @@ def train(
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         losses: list[float] = []
-        for r, group in groups.items():
-            grads = []
-            for task in group:
-                cache = forward(params, task.adj, task.features)
-                try:
-                    grad = loss_and_backward(cache, params, task.adj, task.labels, task.loss_mask)
-                except NumericalError as exc:
-                    exc.partial_report = report   # flushed by the CLI on exit code 2
-                    raise
-                grads.append(grad.scaled(task.grad_scale))
-            losses += [grad.loss for grad in grads]
-            if config.weighted:
-                step = weighted_consensus(grads, [t.zeta for t in group])
-            else:
-                step = plain_consensus(grads)
+        for r, batch in groups.items():
+            try:
+                step, group_losses = _group_gradient(params, batch, config.weighted)
+            except NumericalError as exc:
+                exc.partial_report = report   # flushed by the CLI on exit code 2
+                raise
+            losses += group_losses
             params = sgd_update(params, step, config.eta)
             if on_barrier is not None:
                 on_barrier(epoch, r, [params] * workers)

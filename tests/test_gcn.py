@@ -306,3 +306,73 @@ def test_glorot_limits():
     w = params.weights[0]
     assert np.abs(w).max() <= limit
     assert np.abs(w).max() > 0.8 * limit
+
+
+def _part(n, seed, masked=True, sparse=False):
+    """A random subgraph of n nodes: (adjacency, features, labels, loss mask)."""
+    rng = np.random.default_rng(seed)
+    g = Graph.from_edges(n, rng.integers(0, n, (3 * n, 2)))
+    if sparse:
+        feats = (rng.random((n, 300)) < 0.02).astype(np.float64)
+    else:
+        feats = rng.normal(0, 1, (n, 48))
+    mask = rng.random(n) < 0.6 if masked else np.zeros(n, dtype=bool)
+    mask[0] |= masked
+    return normalized_adjacency(full_view(g)), feats, rng.integers(0, 5, n), mask
+
+
+class TestSegments:
+    """One pass over parts stacked block-diagonally equals a pass per part."""
+
+    # 3 and 34 rows take OpenBLAS's small-matrix GEMM at hidden 64, 700 rows
+    # its blocked one; the 5-row part has no masked row
+    SIZES = ((34, True), (3, True), (5, False), (700, True))
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "propagated"])
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_matches_per_part_bit_for_bit(self, sparse, layers):
+        parts = [_part(n, seed, masked, sparse) for seed, (n, masked) in enumerate(self.SIZES)]
+        dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
+        params = init_params(dims, seed=layers)
+        adj = sp.block_diag([a for a, _, _, _ in parts], format="csr")
+        x = propagated_input(layer_input(np.concatenate([f for _, f, _, _ in parts])), adj)
+        assert isinstance(x, Propagated) != sparse
+        labels = np.concatenate([y for _, _, y, _ in parts])
+        mask = np.concatenate([m for _, _, _, m in parts])
+        bounds = np.cumsum([0] + [n for n, _ in self.SIZES])
+
+        cache = forward(params, adj, x, bounds)
+        grads = loss_and_backward(cache, params, adj, labels, mask)
+        assert len(grads) == len(parts)
+        for (a_i, f_i, y_i, m_i), a, b, gr in zip(parts, bounds[:-1], bounds[1:], grads):
+            alone = forward(params, a_i, propagated_input(layer_input(f_i), a_i))
+            for h, h_i in zip(cache.activations[1:], alone.activations[1:]):
+                assert h[a:b].tobytes() == h_i.tobytes()
+            assert cache.probs[a:b].tobytes() == alone.probs.tobytes()
+            if not m_i.any():
+                assert gr.loss == 0.0
+                assert not any(g.any() for g in gr.grads)
+                continue
+            want = loss_and_backward(alone, params, a_i, y_i, m_i)
+            assert np.float64(gr.loss).tobytes() == np.float64(want.loss).tobytes()
+            for g, g_i in zip(gr.grads, want.grads):
+                assert g.tobytes() == g_i.tobytes()
+
+    def test_one_segment_is_the_plain_call(self):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        params = init_params((4, 8, 3), seed=4)
+        plain = forward(params, adj, g.features)
+        (seg,) = loss_and_backward(forward(params, adj, g.features, [0, 6]), params, adj,
+                                   g.labels, g.train_mask)
+        want = loss_and_backward(plain, params, adj, g.labels, g.train_mask)
+        assert seg.loss == want.loss
+        for a, b in zip(seg.grads, want.grads):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bounds", [[0, 5], [1, 6], [0, 4, 3, 6], [[0, 6]]])
+    def test_bounds_validated(self, bounds):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        with pytest.raises(GadError):
+            forward(init_params((4, 3), seed=0), adj, g.features, bounds)

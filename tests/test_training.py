@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gad import training
 from gad.augment import assign_to_workers, augment_partitions, augment_subgraph
@@ -236,14 +237,26 @@ class TestTrain:
         assert len(seen) > 0
 
     def test_multi_round_schedule_matches_serial_loop(self):
+        self._schedule_matches_serial_loop(small_graph(seed=9), layers=2)
+
+    def test_multi_round_schedule_matches_serial_loop_sparse_three_layers(self):
+        # bag-of-words features (3% nonzero) take the CSR layer-0 path
+        g = small_graph(seed=9)
+        rng = np.random.default_rng(9)
+        feats = (rng.random((g.num_nodes, 200)) < 0.03).astype(np.float64)
+        g = dataclasses.replace(g, features=feats)
+        assert sp.issparse(layer_input(g.features))
+        self._schedule_matches_serial_loop(g, layers=3)
+
+    @staticmethod
+    def _schedule_matches_serial_loop(g, layers):
         # k = 5 parts on 2 workers take three rounds.  Part 4 owns no
         # training node, which leaves its round with nothing to train.
-        g = small_graph(seed=9)
         assignment = np.repeat(np.arange(5), [16, 14, 12, 10, 8])
         g = dataclasses.replace(g, train_mask=g.train_mask & (assignment != 4))
         p = Partitioning(assignment, 5, 1.0, 0, 0)
         augs = [r.subgraph for r in augment_partitions(g, p, 2, alpha=0.2, seed=9)]
-        cfg = quick_config(k=5, workers=2, epochs=4, weighted=True)
+        cfg = quick_config(k=5, workers=2, epochs=4, weighted=True, layers=layers)
         barriers = []
         rep = train(g, p, augs, 2, cfg, on_barrier=lambda e, r, _: barriers.append((e, r)))
         assert any("[4]" in n for n in rep.notes)
