@@ -102,8 +102,10 @@ def layer_input(features) -> np.ndarray | sp.csr_matrix:
 
     Sparse input is returned as float64 CSR (unchanged if it already is);
     a dense array becomes CSR when at most ``SPARSE_MAX_DENSITY`` of its
-    entries are nonzero and stays a float64 array otherwise.  Call it once
-    per feature matrix and pass the result to every :func:`forward`.
+    entries are nonzero and stays a float64 array otherwise.  Call it once,
+    on the whole graph's features: a subgraph's pass takes its rows of the
+    result, so every pass keeps the graph's layout, whatever its own rows'
+    density.
     """
     if sp.issparse(features):
         return features.tocsr().astype(np.float64, copy=False)

@@ -117,13 +117,6 @@ class Graph:
         """Source node of every entry of ``targets`` (cached)."""
         return csr_rows(self.offsets)
 
-    @cached_property
-    def sparse_adjacency(self) -> sp.csr_matrix:
-        """Boolean adjacency as scipy CSR (cached)."""
-        n = self.num_nodes
-        data = np.ones(len(self.targets), dtype=bool)
-        return sp.csr_matrix((data, (self.rows, self.targets)), shape=(n, n))
-
     def edge_list(self) -> np.ndarray:
         """Unique undirected edges as an (m, 2) array with u < v, sorted."""
         keep = self.rows < self.targets
@@ -418,7 +411,8 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
     layout (same rows, string labels, no header).  Node ids are arbitrary
     strings interned in file order.  Values are read by NumPy's parser, so
     ``1_0`` and non-ASCII digits are rejected; only the edge file may hold
-    ``#`` comments.
+    ``#`` comments.  A native label of ``UNLABELED`` (-1) keeps its node out
+    of all three split masks.
     """
     feature_path = Path(feature_path)
     with open(feature_path, "r", encoding="utf-8") as fh:
@@ -453,7 +447,8 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
         raise GadError(f"{feature_path}: duplicate node id")
     name_to_idx = {name: i for i, name in enumerate(names)}
     pairs = _read_edge_pairs(edge_path, name_to_idx)
-    train, val, test = _apply_split(len(names), split_spec, seed)
+    labeled = labels != UNLABELED
+    train, val, test = (m & labeled for m in _apply_split(len(names), split_spec, seed))
     return Graph.from_edges(
         num_nodes=len(names),
         pairs=pairs,

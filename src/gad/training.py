@@ -8,7 +8,9 @@ the same step.  The replicas are therefore identical between barriers, and
 the simulation keeps a single parameter set for all of them.  A round's
 subgraphs are stacked block-diagonally and run as one forward and one
 backward, which give each subgraph the gradient it gets alone, bit for bit
-(see :func:`gad.gcn.forward`).
+(see :func:`gad.gcn.forward`).  Layer 0's layout is chosen once per run,
+for the whole feature matrix, and every pass reads its rows of that input:
+each round's, and the centralized evaluation's over the whole graph.
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -129,32 +131,21 @@ class TrainReport:
         }
 
 
-def evaluate(
-    params: GcnParams,
-    g: Graph,
-    masks: np.ndarray,
-    features=None,
-    adj: sp.csr_matrix | None = None,
-):
-    """Centralized accuracy: one forward over the whole graph, argmax vs labels.
+def evaluate(params: GcnParams, batch: _Batch, masks: np.ndarray):
+    """Centralized accuracy: one forward over ``batch``, argmax vs its labels.
 
-    ``masks`` is one boolean node mask, giving one float, or a stack of
+    ``batch`` is the whole graph as one segment, ``_stack(x, [full_view(g)])``
+    with ``x = layer_input(g.features)``, which :func:`train` builds once per
+    run.  ``masks`` is one boolean node mask, giving one float, or a stack of
     them (one mask per row), giving a tuple with one accuracy per mask, all
-    read from the same forward.  ``adj`` is the full-graph normalized
-    adjacency, and ``features`` is the prepared layer input that goes with
-    it; pass both to reuse them across calls.  ``features`` defaults to
-    ``propagated_input(layer_input(g.features), adj)``, as :func:`train`
-    prepares it.  Argmax ties resolve to the lowest class id.
+    read from the same forward.  Argmax ties resolve to the lowest class id.
     """
     masks = np.asarray(masks, dtype=bool)
     rows = np.atleast_2d(masks)
     if not rows.any(axis=1).all():
         raise GadError("evaluation mask selects no nodes")
-    if adj is None:
-        adj = normalized_adjacency(full_view(g))
-    x = propagated_input(layer_input(g.features), adj) if features is None else features
-    pred = forward(params, adj, x).probs.argmax(axis=1)
-    accs = tuple(float((pred[m] == g.labels[m]).mean()) for m in rows)
+    pred = forward(params, batch.adj, batch.features, batch.bounds).probs.argmax(axis=1)
+    accs = tuple(float((pred[m] == batch.labels[m]).mean()) for m in rows)
     return accs[0] if masks.ndim == 1 else accs
 
 
@@ -190,7 +181,7 @@ def communication_size(
 
 @dataclass(eq=False)
 class _Batch:
-    """One update group's subgraphs, stacked for a single forward and backward.
+    """Subgraphs stacked for a single forward (and backward) pass.
 
     Subgraph j holds rows ``bounds[j]:bounds[j+1]``, and ``adj`` is the
     block diagonal of the subgraphs' A_hat, so no edge joins two of them.
@@ -201,34 +192,35 @@ class _Batch:
     labels: np.ndarray
     loss_mask: np.ndarray
     bounds: tuple[int, ...]
-    zetas: list[float]
-    grad_scales: list[float]
 
 
-def _stack(views, xs, zetas, grad_scales) -> _Batch:
-    """The batch of ``views``, whose layer inputs are ``xs``; CSR if any of them is."""
+def _stack(x, views) -> _Batch:
+    """The batch of ``views``, whose layer-0 input is their rows of ``x``.
+
+    ``x`` is the run's :func:`layer_input`, so every pass keeps its layout.
+    """
     adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
-    x = sp.vstack(xs, format="csr") if any(map(sp.issparse, xs)) else np.concatenate(xs)
     return _Batch(
         adj=adj,
-        features=propagated_input(x, adj),
+        features=propagated_input(x[np.concatenate([v.local_ids for v in views])], adj),
         labels=np.concatenate([v.local_labels() for v in views]),
         loss_mask=np.concatenate([v.local_train_mask() for v in views]),
         bounds=tuple(np.cumsum([0] + [v.num_nodes for v in views]).tolist()),
-        zetas=zetas,
-        grad_scales=grad_scales,
     )
 
 
-def _prepare_groups(g, augmented, worker_of, workers, config):
-    """Each subgraph's zeta and whether it trains, and the update groups' batches."""
+def _prepare_groups(g, x, augmented, worker_of, workers, config):
+    """Each subgraph's zeta and whether it trains, and the update groups.
+
+    A group is ``(round, batch, zetas, grad_scales)``; the zetas and the
+    batches read their rows of the layer input ``x``.
+    """
     total_train = int(g.train_mask.sum())
-    xs, zetas, scales, trainable = [], [], [], []
+    zetas, scales, trainable = [], [], []
     for aug in augmented:
         view = aug.view
-        x = layer_input(g.features[view.local_ids])
         zw = zeta(
-            aug, x, beta=config.beta, pair_cap=config.pair_cap,
+            aug, x[view.local_ids], beta=config.beta, pair_cap=config.pair_cap,
             seed=int(rngs.stream(config.seed, rngs.ZETA, aug.part).integers(2**31)),
         )
         n_train = int(view.local_train_mask().sum())
@@ -237,32 +229,33 @@ def _prepare_groups(g, augmented, worker_of, workers, config):
         # objective regardless of how many train nodes its subgraph holds
         # (exactly 1.0 for a single whole-graph partition).
         scales.append(total_train / n_train if n_train > 0 else 1.0)
-        xs.append(x)
         zetas.append(zw.zeta)
         trainable.append(n_train > 0)
     queues = [np.flatnonzero(worker_of == v) for v in range(workers)]
-    groups = {}
+    groups = []
     for r, row in enumerate(zip_longest(*queues)):
         group = [i for i in row if i is not None and trainable[i]]
         if group:
-            groups[r] = _stack([augmented[i].view for i in group], [xs[i] for i in group],
-                               [zetas[i] for i in group], [scales[i] for i in group])
+            groups.append((r, _stack(x, [augmented[i].view for i in group]),
+                           [zetas[i] for i in group], [scales[i] for i in group]))
+    if not groups:
+        raise GadError("no subgraph has an owned training node")
     return zetas, trainable, groups
 
 
-def _group_gradient(params, batch: _Batch, weighted: bool):
+def _group_gradient(params, batch: _Batch, zetas, scales, weighted: bool):
     """A group's consensus gradient, and the scaled loss of each subgraph.
 
     One forward and one backward over the batch give every subgraph's
-    gradient, which is scaled by its ``grad_scale`` and combined with the
-    others by zeta weights, or by the plain mean.  The pass's arrays are
+    gradient, which is scaled by its entry of ``scales`` and combined with
+    the others by ``zetas``, or by the plain mean.  The pass's arrays are
     freed on return, so they do not stay alive through the next group's
     pass or the evaluation.
     """
     cache = forward(params, batch.adj, batch.features, batch.bounds)
     parts = loss_and_backward(cache, params, batch.adj, batch.labels, batch.loss_mask)
-    grads = [grad.scaled(s) for grad, s in zip(parts, batch.grad_scales)]
-    step = weighted_consensus(grads, batch.zetas) if weighted else plain_consensus(grads)
+    grads = [grad.scaled(s) for grad, s in zip(parts, scales)]
+    step = weighted_consensus(grads, zetas) if weighted else plain_consensus(grads)
     return step, [grad.loss for grad in grads]
 
 
@@ -280,17 +273,20 @@ def train(
     groups are fixed before the first epoch: group r holds the r-th
     subgraph that :func:`assign_to_workers` gave each worker, in worker
     order, minus subgraphs with no owned training node (these are listed
-    in ``report.notes``).  Each group is stacked once into a block-diagonal
-    batch.  Each epoch runs every group once, in order: one forward and one
-    backward over its batch, giving one scaled gradient per subgraph, then
-    one consensus and one SGD step.  ``on_barrier(epoch, r, params_list)``
-    is called after each step with each worker's parameters, mainly so
-    tests can check replica consistency.
+    in ``report.notes``); with no group left, it raises :class:`GadError`.
+    ``x = layer_input(g.features)`` is made once, and the zetas, the groups'
+    block-diagonal batches and the evaluation's batch (the whole graph as
+    one segment) all read rows of it.  Each epoch runs every group once, in
+    order: one forward and one backward over its batch, giving one scaled
+    gradient per subgraph, then one consensus and one SGD step.
+    ``on_barrier(epoch, r, params_list)`` is called after each step with
+    each worker's parameters, mainly so tests can check replica consistency.
     """
     if not augmented:
         raise GadError("need at least one augmented subgraph")
     worker_of = assign_to_workers(augmented, workers)
-    zetas, trainable, groups = _prepare_groups(g, augmented, worker_of, workers, config)
+    x = layer_input(g.features)
+    zetas, trainable, groups = _prepare_groups(g, x, augmented, worker_of, workers, config)
 
     dims = (g.feature_dim,) + (config.hidden,) * (config.layers - 1) + (g.num_classes,)
     params = init_params(dims, seed=config.seed)
@@ -305,18 +301,16 @@ def train(
     if skipped:
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
-    eval_adj = normalized_adjacency(full_view(g))
-    eval_x = propagated_input(layer_input(g.features), eval_adj)
-    eval_args = (g, np.stack([g.val_mask, g.test_mask]), eval_x, eval_adj)
-    report.initial_val_acc, report.initial_test_acc = evaluate(params, *eval_args)
+    whole, eval_masks = _stack(x, [full_view(g)]), np.stack([g.val_mask, g.test_mask])
+    report.initial_val_acc, report.initial_test_acc = evaluate(params, whole, eval_masks)
     report.final_val_acc, report.final_test_acc = report.initial_val_acc, report.initial_test_acc
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         losses: list[float] = []
-        for r, batch in groups.items():
+        for r, *group in groups:
             try:
-                step, group_losses = _group_gradient(params, batch, config.weighted)
+                step, group_losses = _group_gradient(params, *group, config.weighted)
             except NumericalError as exc:
                 exc.partial_report = report   # flushed by the CLI on exit code 2
                 raise
@@ -325,10 +319,10 @@ def train(
             if on_barrier is not None:
                 on_barrier(epoch, r, [params] * workers)
 
-        report.train_loss.append(float(np.mean(losses)) if losses else float("nan"))
+        report.train_loss.append(float(np.mean(losses)))
         # the last epoch is always evaluated, and gives the final accuracies
         if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
-            report.final_val_acc, report.final_test_acc = evaluate(params, *eval_args)
+            report.final_val_acc, report.final_test_acc = evaluate(params, whole, eval_masks)
             report.val_acc.append(report.final_val_acc)
             report.test_acc.append(report.final_test_acc)
         else:

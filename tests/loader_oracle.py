@@ -83,7 +83,8 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
         raise GadError(f"{feature_path}: duplicate node id")
     name_to_idx = {name: i for i, name in enumerate(names)}
     pairs = read_edge_pairs(edge_path, name_to_idx)
-    train, val, test = _apply_split(len(names), split_spec, seed)
+    labeled = labels != UNLABELED
+    train, val, test = (m & labeled for m in _apply_split(len(names), split_spec, seed))
     return Graph.from_edges(
         num_nodes=len(names),
         pairs=pairs,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gad import augment, rngs
 from gad.augment import (
@@ -584,9 +585,11 @@ class TestAugmentPartitions:
         seed, layers, alpha = 5, 2, 0.3
         records = augment_partitions(g, p, layers=layers, alpha=alpha, seed=seed, enabled=enabled)
         assert len(records) == p.k
+        ones = np.ones(len(g.targets), dtype=bool)
+        adjacency = sp.csr_matrix((ones, (g.rows, g.targets)), shape=(g.num_nodes,) * 2)
         for i, rec in enumerate(records):
             owned = p.part_nodes(i)
-            internal_edges = g.sparse_adjacency[owned][:, owned].nnz // 2
+            internal_edges = adjacency[owned][:, owned].nnz // 2
             boundary = boundary_nodes(g, p, i)
             cands = (candidate_replication_nodes(g, p, i, layers) if enabled
                      else np.zeros(0, np.int64))

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from gad.cli import main
-from gad.synthetic import write_citation_benchmark
+from gad.synthetic import citation_graph_arrays, write_citation_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,38 @@ class TestTrainCmd:
                     "--hidden", "8", "--eta", "0.001", "--epochs", "2",
                     "--workers", "2", "--seed", "2", "--no-weighted", "--out", out]) == 0
         assert json.loads(out.read_text())["config"]["weighted"] is False
+
+    def test_no_training_node_exit_1(self, dataset, staged, tmp_path, capsys):
+        d, part, aug = staged
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["train", dataset, "--augmented", aug, "--split", "0", "0.5", "0.5",
+                    "--epochs", "3", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "gad: error: no subgraph has an owned training node\n"
+        assert not out.exists()
+
+    def test_unlabeled_nodes_train(self, tmp_path):
+        # every 10th node is labeled -1 (UNLABELED) in a native dataset
+        labels, pairs, feats = citation_graph_arrays(
+            seed=1, class_sizes=(20, 15, 15, 10), num_edges=120, feature_dim=24,
+            words_per_class=5, mean_words=6.0,
+        )
+        labels = np.where(np.arange(len(labels)) % 10 == 0, -1, labels)
+        d = tmp_path / "data"
+        d.mkdir()
+        with open(d / "features.txt", "w") as fh:
+            fh.write(json.dumps({"num_nodes": len(labels), "dim": 24, "classes": 4}) + "\n")
+            for i, (row, label) in enumerate(zip(feats, labels)):
+                fh.write(f"v{i} {' '.join(str(int(x)) for x in row)} {label}\n")
+        (d / "edges.txt").write_text("".join(f"v{u} v{v}\n" for u, v in pairs))
+        part, aug, out = tmp_path / "p.json", tmp_path / "a.json", tmp_path / "r.json"
+        assert run(["partition", d, "--k", "3", "--seed", "2", "--out", part]) == 0
+        assert run(["augment", d, "--partition", part, "--seed", "2", "--out", aug]) == 0
+        assert run(["train", d, "--augmented", aug, "--hidden", "8", "--epochs", "2",
+                    "--workers", "2", "--seed", "2", "--out", out]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["epochs_run"] == 2 and np.isfinite(rep["train_loss"]).all()
 
     def test_part_id_out_of_range_exit_1(self, dataset, staged, tmp_path, capsys):
         d, part, aug = staged

@@ -332,6 +332,19 @@ class TestLoaders:
         assert g.node_names == ("a", "b", "c")
         assert g.labels.tolist() == [0, 1, 0]
 
+    def test_unlabeled_nodes_left_out_of_split(self, tmp_path):
+        # every 5th node is UNLABELED; the split covers every node
+        rows = [(f"n{i}", [float(i % 3), 1.0], -1 if i % 5 == 0 else i % 2) for i in range(30)]
+        edge, feat = self._write_native(tmp_path, rows, [("n0", "n1"), ("n1", "n2")])
+        split = (0.5, 0.2, 0.3)
+        g = load_dataset(edge, feat, split, seed=3)
+        labeled = g.labels != -1
+        assert (~labeled).sum() == 6
+        for got, drawn in zip((g.train_mask, g.val_mask, g.test_mask),
+                              make_split_masks(30, split, 3)):
+            assert np.array_equal(got, drawn & labeled)
+        assert not (g.train_mask | g.val_mask | g.test_mask)[~labeled].any()
+
     def test_unknown_edge_id(self, tmp_path):
         rows = [("a", [1.0], 0), ("b", [0.0], 1)]
         edge, feat = self._write_native(tmp_path, rows, [("a", "zzz")])

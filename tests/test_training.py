@@ -10,6 +10,7 @@ from gad.config import Config
 from gad.consensus import weighted_consensus
 from gad.errors import GadError, NumericalError
 from gad.gcn import (
+    Propagated,
     forward,
     init_params,
     layer_input,
@@ -35,6 +36,11 @@ def single_partition(g):
     return Partitioning(np.zeros(g.num_nodes, dtype=np.int64), 1, 1.0, 0, 0)
 
 
+def whole(g):
+    """The evaluation batch that ``train`` builds: the whole graph as one segment."""
+    return training._stack(layer_input(g.features), [full_view(g)])
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         # edgeless graph, one-hot label features, strong identity weights
@@ -44,7 +50,7 @@ class TestEvaluate:
                              test_mask=np.ones(5, bool))
         params = init_params((3, 3), seed=0)
         params = type(params)(weights=(np.eye(3) * 50.0,))
-        assert evaluate(params, g, g.test_mask) == 1.0
+        assert evaluate(params, whole(g), g.test_mask) == 1.0
 
     def test_adversarial_permutation_zero(self):
         labels = np.array([0, 1, 2])
@@ -54,7 +60,7 @@ class TestEvaluate:
         perm = np.roll(np.eye(3), 1, axis=1) * 50.0   # predicts label+1
         params = init_params((3, 3), seed=0)
         params = type(params)(weights=(perm,))
-        assert evaluate(params, g, g.test_mask) == 0.0
+        assert evaluate(params, whole(g), g.test_mask) == 0.0
 
     def test_hand_counted_fixture(self):
         # uniform probabilities: argmax ties resolve to class 0, so accuracy
@@ -65,13 +71,26 @@ class TestEvaluate:
                              test_mask=np.ones(10, bool))
         params = init_params((4, 3), seed=0)
         params = type(params)(weights=(np.zeros((4, 3)),))
-        assert evaluate(params, g, g.test_mask) == pytest.approx(0.3)
+        assert evaluate(params, whole(g), g.test_mask) == pytest.approx(0.3)
 
     def test_empty_mask_rejected(self):
         g = small_graph()
         params = init_params((8, 2), seed=0)
         with pytest.raises(GadError):
-            evaluate(params, g, np.zeros(g.num_nodes, bool))
+            evaluate(params, whole(g), np.zeros(g.num_nodes, bool))
+
+    @pytest.mark.parametrize("density", [0.03, 0.5], ids=["csr", "dense"])
+    def test_batch_equals_plain_full_graph_forward(self, density):
+        g = small_graph(seed=3)
+        rng = np.random.default_rng(3)
+        g = dataclasses.replace(g, features=(rng.random((g.num_nodes, 40)) < density) * 1.0)
+        params = init_params((40, 8, 2), seed=3)
+        batch = whole(g)
+        adj = normalized_adjacency(full_view(g))
+        plain = forward(params, adj, propagated_input(layer_input(g.features), adj))
+        stacked = forward(params, batch.adj, batch.features, batch.bounds)
+        assert plain.probs.tobytes() == stacked.probs.tobytes()
+        assert sp.issparse(batch.features) == (density < 0.1)
 
 
 class TestCommunicationSize:
@@ -201,8 +220,8 @@ class TestTrain:
         assert (rep.final_val_acc, rep.final_test_acc) == (rep.val_acc[-1], rep.test_acc[-1])
         # one forward scores both masks exactly as separate calls would
         monkeypatch.undo()
-        assert rep.final_val_acc == evaluate(rep._final_params, g, g.val_mask)
-        assert rep.final_test_acc == evaluate(rep._final_params, g, g.test_mask)
+        assert rep.final_val_acc == evaluate(rep._final_params, whole(g), g.val_mask)
+        assert rep.final_test_acc == evaluate(rep._final_params, whole(g), g.test_mask)
 
     @pytest.mark.parametrize("empty", ["val_mask", "test_mask"])
     def test_empty_evaluation_mask_rejected(self, empty):
@@ -284,7 +303,7 @@ class TestTrain:
                 for i in group:
                     view = augs[i].view
                     adj = normalized_adjacency(view)
-                    x = propagated_input(layer_input(g.features[view.local_ids]), adj)
+                    x = propagated_input(layer_input(g.features)[view.local_ids], adj)
                     mask = view.local_train_mask()
                     cache = forward(params, adj, x)
                     gr = loss_and_backward(cache, params, adj, view.local_labels(), mask)
@@ -332,6 +351,43 @@ class TestTrain:
         assert rw.zetas == [1.0, 1.0, 1.0, 1.0]
         for a, b in zip(rw._final_params.weights, rp._final_params.weights):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_every_pass_gets_the_graphs_layout(self, monkeypatch, layout):
+        # five parts; part 0's rows are much sparser or denser than the
+        # graph's, but every pass must still take the whole graph's layout
+        assignment = np.repeat(np.arange(5), [16, 14, 12, 10, 8])
+        g = small_graph(seed=9)
+        rng = np.random.default_rng(9)
+        if layout == "dense":
+            feats = rng.random((g.num_nodes, 20)) + 0.5
+            feats[assignment == 0] = 0.0
+        else:
+            feats = (rng.random((g.num_nodes, 200)) < 0.03) * 1.0
+            feats[assignment == 0, :30] = 1.0   # 15% nonzero
+        g = dataclasses.replace(g, features=feats)
+        assert sp.issparse(layer_input(g.features)) == (layout == "csr")
+        p = Partitioning(assignment, 5, 1.0, 0, 0)
+        augs = bare_subgraphs(g, p)
+        seen = []
+        real_forward = training.forward
+
+        def recording_forward(params, adj, features, bounds=None):
+            seen.append(type(features))
+            return real_forward(params, adj, features, bounds)
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        train(g, p, augs, 1, quick_config(k=5, workers=1, epochs=2, eval_every=1))
+        # per epoch five single-part groups, then one evaluation; one before
+        assert len(seen) == 1 + 2 * (5 + 1)
+        assert set(seen) == {sp.csr_matrix if layout == "csr" else Propagated}
+
+    def test_no_owned_training_node_rejected(self):
+        g = small_graph(seed=7)
+        g = dataclasses.replace(g, train_mask=np.zeros(g.num_nodes, bool))
+        p = partition_graph(g, 2, seed=7)
+        with pytest.raises(GadError, match="no subgraph has an owned training node"):
+            train(g, p, bare_subgraphs(g, p), 2, quick_config())
 
     def test_worker_without_subgraphs_allowed(self):
         g = small_graph(seed=7)
