@@ -55,6 +55,14 @@ from .partition import (
     uncoarsen,
 )
 from .synthetic import sbm_graph, write_citation_benchmark
-from .training import CommMetrics, TrainReport, communication_size, evaluate, train
+from .training import (
+    Batch,
+    CommMetrics,
+    TrainReport,
+    communication_size,
+    evaluate,
+    make_batch,
+    train,
+)
 
 __version__ = "0.1.0"

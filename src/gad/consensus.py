@@ -67,16 +67,16 @@ def _pair_distances(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, chunk: int) -
     return out
 
 
-def _exact_zeta(features, p: np.ndarray, beta: float) -> float:
+def _exact_zeta(x, p: np.ndarray, beta: float) -> float:
     """Sum of p_i p_j / (d_ij + beta) over all pairs i<j.
 
     Squared distances come from the Gram matrix, sq_i + sq_j - 2 x_i.x_j,
-    with sparse features multiplied as CSR (see :func:`gcn.layer_input`).
-    The terms are summed in ``triu`` order, the order of ``pdist``'s
-    condensed output, so features with integer entries give pdist's
-    distances and sum bit for bit.
+    multiplied in the layout ``x`` arrives in: CSR as a sparse product, a
+    dense array as a BLAS GEMM, so a subgraph's rows of the training run's
+    layer input keep that layout here too.  The terms are summed in
+    ``triu`` order, the order of ``pdist``'s condensed output, so features
+    with integer entries give pdist's distances and sum bit for bit.
     """
-    x = layer_input(features)
     d2 = x @ x.T
     d2 = d2.toarray() if sp.issparse(d2) else d2
     sq = np.diagonal(d2).copy()
@@ -143,7 +143,8 @@ def zeta(
     """Subgraph weight: sum over node pairs i<j of p_i p_j / (d(i,j) + beta).
 
     d is the L2 distance between the two nodes' feature rows; ``features``
-    is a dense array or a scipy sparse matrix.
+    is a dense array, used as float64, or a scipy sparse matrix, used as
+    float64 CSR, and the exact path multiplies it in that layout.
 
     Exact for subgraphs up to ``pair_cap`` nodes; larger ones use a seeded
     sample of pairs drawn from p, sized so that its standard error is no
@@ -156,7 +157,9 @@ def zeta(
     n = sub.view.num_nodes
     if n < 2:
         return SubgraphWeight(zeta=1.0, pair_probability_sum=0.0)
-    if not sp.issparse(features):
+    if sp.issparse(features):
+        features = layer_input(features)
+    else:
         features = np.asarray(features, dtype=np.float64)
     if features.shape[0] != n:
         raise GadError("feature rows must match subgraph size")

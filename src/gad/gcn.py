@@ -1,7 +1,8 @@
 """Multi-layer GCN with an analytic backward pass, in float64.
 
-Layer l computes H = relu(A_hat @ H_prev @ W_l); the final layer swaps relu
-for a row softmax.  Layers after the first multiply as A_hat @ (H_prev @ W_l).
+Layer l computes H = relu(A_hat @ H_prev @ W_l); the final layer has no
+relu, and its output rows are logits whose row softmax gives the class
+probabilities.  Layers after the first multiply as A_hat @ (H_prev @ W_l).
 Layer 0 takes CSR features the same way (see :func:`layer_input`), but dense
 features as P = A_hat @ X, made once per adjacency, and then computes P @ W_0
 (see :func:`propagated_input`).  The loss is masked categorical cross-entropy
@@ -11,7 +12,11 @@ differences.
 
 One pass can carry several subgraphs stacked as row segments of a
 block-diagonal A_hat (see :func:`forward`); each segment then gets the loss
-and gradients a pass over it alone gives, bit for bit.
+and gradients a pass over it alone gives, bit for bit.  A pass computes its
+last layer only on the rows it reads (see :class:`OutputRows`: the loss rows
+in training, the scored rows in evaluation), as A_hat[rows] @ (H @ W); every
+row is the default, and the rows it computes equal those of an all-rows
+pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,9 +61,15 @@ class ForwardCache:
     """Intermediate activations of one forward pass."""
 
     activations: tuple[np.ndarray, ...]   # H_0 .. H_{L-1} (inputs to each layer)
-    probs: np.ndarray                     # softmax output, rows sum to 1
+    logits: np.ndarray                    # last layer's output, one row per out_rows.rows
     propagated: bool                      # H_0 is A_hat @ X, see Propagated
+    out_rows: OutputRows                  # the rows the last layer computed
     bounds: tuple[int, ...] | None = None  # segment row bounds given to forward
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Row softmax of ``logits``, computed on each access; rows sum to 1."""
+        return _softmax_rows(self.logits.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +141,30 @@ def propagated_input(x, adj: sp.csr_matrix):
     return Propagated(adj @ x)
 
 
+@dataclass(frozen=True, eq=False)
+class OutputRows:
+    """The rows a pass computes its last layer on; see :func:`output_rows`."""
+
+    rows: np.ndarray        # distinct row ids, increasing
+    adj: sp.csr_matrix      # A_hat[rows]
+    adj_t: sp.csc_matrix    # its transpose, a view of the same arrays, for the backward
+
+
+def output_rows(adj: sp.csr_matrix, rows=None) -> OutputRows:
+    """``rows`` with ``adj[rows]`` and its transpose; every row, and ``adj`` itself, by default.
+
+    ``rows`` must be distinct row ids in increasing order.  Make it once and
+    hand it to every :func:`forward` over the same rows, since the slice
+    copies its rows of ``adj``.
+    """
+    n = adj.shape[0]
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (np.diff(rows) <= 0).any() or not np.all((0 <= rows) & (rows < n)):
+        raise GadError("output rows must be distinct row ids in increasing order")
+    adj_rows = adj if len(rows) == n else adj[rows]
+    return OutputRows(rows=rows, adj=adj_rows, adj_t=adj_rows.T)
+
+
 def _segment_bounds(n: int, bounds) -> tuple[int, ...]:
     """Validated row bounds ``b``, from 0 up to ``n``; segment j is rows ``b[j]:b[j+1]``."""
     b = (0, n) if bounds is None else tuple(np.asarray(bounds).tolist())
@@ -151,8 +186,10 @@ def _segment_matmul(a: np.ndarray, b: np.ndarray, bounds: tuple[int, ...]) -> np
     return out
 
 
-def forward(params: GcnParams, adj: sp.csr_matrix, features, bounds=None) -> ForwardCache:
-    """Propagate features through every layer; softmax on the last.
+def forward(
+    params: GcnParams, adj: sp.csr_matrix, features, bounds=None, out_rows=None
+) -> ForwardCache:
+    """Propagate features through every layer; the last gives logits on ``out_rows``.
 
     ``adj`` is the normalized adjacency A_hat (see
     :func:`gad.graph.normalized_adjacency`).  ``features`` is a dense array,
@@ -160,14 +197,19 @@ def forward(params: GcnParams, adj: sp.csr_matrix, features, bounds=None) -> For
     keeps the given layout, so a CSR input makes ``X @ W_0`` a sparse
     product, and a propagated one needs no product with ``adj``.
 
+    The last layer is computed only on the rows of ``out_rows``, an
+    :func:`output_rows` of ``adj`` (every row by default), as
+    ``A_hat[rows] @ (H @ W)``.  Sliced CSR rows keep their entry order, so
+    each computed row equals the all-rows pass's, bit for bit.  The cache
+    holds the logits; its ``probs`` applies the row softmax.
+
     ``bounds`` stacks several subgraphs in one pass: segment j is rows
     ``bounds[j]:bounds[j+1]``, and ``adj`` must be block-diagonal on the
     segments, as ``sp.block_diag`` of their own A_hat makes it.  The sparse
-    products, relu and softmax run once over all rows, since they act row
-    by row; each dense ``H @ W`` runs per segment (see
-    :func:`_segment_matmul`).  Every segment's rows then equal those of a
-    pass over that subgraph alone, bit for bit.  Without ``bounds`` all
-    rows form one segment.
+    products and relu run once over all rows, since they act row by row;
+    each dense ``H @ W`` runs per segment (see :func:`_segment_matmul`).
+    Every segment's rows then equal those of a pass over that subgraph
+    alone, bit for bit.  Without ``bounds`` all rows form one segment.
     """
     propagated = isinstance(features, Propagated)
     if propagated:
@@ -175,18 +217,26 @@ def forward(params: GcnParams, adj: sp.csr_matrix, features, bounds=None) -> For
     if features.shape[0] != adj.shape[0]:
         raise GadError("feature rows must match adjacency dimension")
     segments = _segment_bounds(adj.shape[0], bounds)
+    if out_rows is None:
+        out_rows = output_rows(adj)
+    elif out_rows.adj.shape[1] != adj.shape[0]:
+        raise GadError("output rows must come from the same adjacency")
     h = layer_input(features) if sp.issparse(features) else np.asarray(features, dtype=np.float64)
+    last = params.num_layers - 1
     activations = []
     for l, w in enumerate(params.weights):
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
         activations.append(h)
         hw = h @ w if sp.issparse(h) else _segment_matmul(h, w, segments)
-        z = hw if l == 0 and propagated else adj @ hw
-        h = _softmax_rows(z) if l == params.num_layers - 1 else np.maximum(z, 0.0, out=z)
+        if l == 0 and propagated:
+            z = hw[out_rows.rows] if l == last else hw
+        else:
+            z = (out_rows.adj if l == last else adj) @ hw
+        h = z if l == last else np.maximum(z, 0.0, out=z)
     return ForwardCache(
-        activations=tuple(activations), probs=h, propagated=propagated,
-        bounds=None if bounds is None else segments,
+        activations=tuple(activations), logits=h, propagated=propagated,
+        out_rows=out_rows, bounds=None if bounds is None else segments,
     )
 
 
@@ -200,10 +250,15 @@ def loss_and_backward(
     """Masked categorical cross-entropy, summed, and exact gradients per layer.
 
     Only masked rows contribute; replicas or unlabeled nodes are simply left
-    out of the mask by the caller.  The layer-0 input is read from ``cache``
-    in the layout :func:`forward` was given, so a CSR input makes
-    ``X^T @ G`` a sparse product, and a propagated input ``P = A_hat X``
-    gives ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
+    out of the mask by the caller.  Every masked row must be one of the
+    rows ``cache`` computed (``cache.out_rows``), or :class:`GadError` is
+    raised.  The softmax gradient lives on those rows only, and the last
+    layer carries it back through ``A_hat[rows]^T``, which gives ``adj``'s
+    product with the gradient padded by zero rows, bit for bit, since A_hat
+    is exactly symmetric.  The layer-0 input is read from ``cache`` in the
+    layout :func:`forward` was given, so a CSR input makes ``X^T @ G`` a
+    sparse product, and a propagated input ``P = A_hat X`` gives
+    ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
 
     Returns one :class:`Gradients`, or a tuple with one per segment when
     ``cache`` comes from a :func:`forward` given ``bounds``.  The masked
@@ -223,23 +278,35 @@ def loss_and_backward(
     ys = y[sel]
     if ys.min() < 0 or ys.max() >= n_classes:
         raise GadError("label out of range under loss mask")
+    rows = cache.out_rows.rows
+    at = np.searchsorted(rows, sel)     # masked row sel[t] is computed row at[t]
+    if not ((at < len(rows)).all() and np.array_equal(rows[at], sel)):
+        raise GadError("loss mask selects a row the forward pass did not compute")
 
-    segments = cache.bounds or (0, len(probs))
+    n = cache.activations[0].shape[0]
+    segments = cache.bounds or (0, n)
     spans = list(zip(segments[:-1], segments[1:]))
     # segment j's masked rows are sel[cut[j]:cut[j+1]]
     cut = np.searchsorted(sel, segments).tolist()
-    nll = -np.log(np.clip(probs[sel, ys], PROB_FLOOR, 1.0))
+    nll = -np.log(np.clip(probs[at, ys], PROB_FLOOR, 1.0))
     losses = [float(nll[a:b].sum()) for a, b in zip(cut[:-1], cut[1:])]
 
     # gradient at the softmax input: (probs - onehot) on masked rows
     gz = np.zeros_like(probs)
-    gz[sel] = probs[sel]
-    gz[sel, ys] -= 1.0
+    gz[at] = probs[at]
+    gz[at, ys] -= 1.0
 
+    last = params.num_layers - 1
     grads = [[None] * params.num_layers for _ in spans]
-    for l in range(params.num_layers - 1, -1, -1):
+    for l in range(last, -1, -1):
         # d(loss)/d(H_in @ W); A_hat is symmetric, and a propagated H_0 holds it
-        gm = gz if l == 0 and cache.propagated else adj @ gz
+        if not (l == 0 and cache.propagated):
+            gm = (cache.out_rows.adj_t if l == last else adj) @ gz
+        elif l < last:
+            gm = gz
+        else:   # one layer on a propagated input: forward read (P @ W)[rows]
+            gm = np.zeros((n, n_classes))
+            gm[rows] = gz
         h = cache.activations[l]
         for seg, (a, b) in zip(grads, spans):
             seg[l] = h[a:b].T @ gm[a:b]

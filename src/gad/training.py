@@ -10,7 +10,9 @@ subgraphs are stacked block-diagonally and run as one forward and one
 backward, which give each subgraph the gradient it gets alone, bit for bit
 (see :func:`gad.gcn.forward`).  Layer 0's layout is chosen once per run,
 for the whole feature matrix, and every pass reads its rows of that input:
-each round's, and the centralized evaluation's over the whole graph.
+each round's, and the centralized evaluation's over the whole graph.  Each
+pass computes its output layer only on the rows it reads: a round's loss
+rows, and the evaluation's validation and test rows.
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -31,10 +33,12 @@ from .consensus import plain_consensus, weighted_consensus, zeta
 from .errors import GadError, NumericalError
 from .gcn import (
     GcnParams,
+    OutputRows,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
+    output_rows,
     propagated_input,
     sgd_update,
 )
@@ -131,21 +135,32 @@ class TrainReport:
         }
 
 
-def evaluate(params: GcnParams, batch: _Batch, masks: np.ndarray):
+def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray):
     """Centralized accuracy: one forward over ``batch``, argmax vs its labels.
 
-    ``batch`` is the whole graph as one segment, ``_stack(x, [full_view(g)])``
-    with ``x = layer_input(g.features)``, which :func:`train` builds once per
-    run.  ``masks`` is one boolean node mask, giving one float, or a stack of
-    them (one mask per row), giving a tuple with one accuracy per mask, all
-    read from the same forward.  Argmax ties resolve to the lowest class id.
+    ``batch`` is the whole graph as one segment, reading the masks' rows:
+    :func:`train` builds ``make_batch(x, [full_view(g)], rows)`` once per
+    run, with ``x = layer_input(g.features)`` and ``rows`` the validation
+    and test nodes.  ``masks`` is one boolean node mask, giving one float,
+    or a stack of them (one mask per row), giving a tuple with one accuracy
+    per mask, all read from the same forward.  The prediction is the argmax
+    of the logits, which the softmax would not change but for rounding; ties
+    resolve to the lowest class id.  A mask that selects no row, or a row
+    outside ``batch.out_rows``, raises :class:`GadError`.
     """
     masks = np.asarray(masks, dtype=bool)
-    rows = np.atleast_2d(masks)
-    if not rows.any(axis=1).all():
+    each = np.atleast_2d(masks)
+    if not each.any(axis=1).all():
         raise GadError("evaluation mask selects no nodes")
-    pred = forward(params, batch.adj, batch.features, batch.bounds).probs.argmax(axis=1)
-    accs = tuple(float((pred[m] == batch.labels[m]).mean()) for m in rows)
+    rows = batch.out_rows.rows
+    read = np.zeros(each.shape[1], dtype=bool)
+    read[rows] = True
+    if (each & ~read).any():
+        raise GadError("evaluation mask selects a row the batch does not read")
+    pred = np.empty(len(read), dtype=np.int64)
+    pred[rows] = forward(params, batch.adj, batch.features, batch.bounds,
+                         batch.out_rows).logits.argmax(axis=1)
+    accs = tuple(float((pred[m] == batch.labels[m]).mean()) for m in each)
     return accs[0] if masks.ndim == 1 else accs
 
 
@@ -180,11 +195,13 @@ def communication_size(
 
 
 @dataclass(eq=False)
-class _Batch:
+class Batch:
     """Subgraphs stacked for a single forward (and backward) pass.
 
     Subgraph j holds rows ``bounds[j]:bounds[j+1]``, and ``adj`` is the
     block diagonal of the subgraphs' A_hat, so no edge joins two of them.
+    A pass computes its output layer on the rows of ``out_rows`` only (see
+    :func:`gad.gcn.forward`).
     """
 
     adj: sp.csr_matrix
@@ -192,20 +209,25 @@ class _Batch:
     labels: np.ndarray
     loss_mask: np.ndarray
     bounds: tuple[int, ...]
+    out_rows: OutputRows
 
 
-def _stack(x, views) -> _Batch:
+def make_batch(x, views, rows=None) -> Batch:
     """The batch of ``views``, whose layer-0 input is their rows of ``x``.
 
     ``x`` is the run's :func:`layer_input`, so every pass keeps its layout.
+    ``rows`` are the stacked rows whose output the passes read, as distinct
+    increasing ids; every row by default.  ``adj[rows]`` is sliced here,
+    once for every pass over the batch.
     """
     adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
-    return _Batch(
+    return Batch(
         adj=adj,
         features=propagated_input(x[np.concatenate([v.local_ids for v in views])], adj),
         labels=np.concatenate([v.local_labels() for v in views]),
         loss_mask=np.concatenate([v.local_train_mask() for v in views]),
         bounds=tuple(np.cumsum([0] + [v.num_nodes for v in views]).tolist()),
+        out_rows=output_rows(adj, rows),
     )
 
 
@@ -236,14 +258,16 @@ def _prepare_groups(g, x, augmented, worker_of, workers, config):
     for r, row in enumerate(zip_longest(*queues)):
         group = [i for i in row if i is not None and trainable[i]]
         if group:
-            groups.append((r, _stack(x, [augmented[i].view for i in group]),
+            views = [augmented[i].view for i in group]
+            loss_rows = np.flatnonzero(np.concatenate([v.local_train_mask() for v in views]))
+            groups.append((r, make_batch(x, views, loss_rows),
                            [zetas[i] for i in group], [scales[i] for i in group]))
     if not groups:
         raise GadError("no subgraph has an owned training node")
     return zetas, trainable, groups
 
 
-def _group_gradient(params, batch: _Batch, zetas, scales, weighted: bool):
+def _group_gradient(params, batch: Batch, zetas, scales, weighted: bool):
     """A group's consensus gradient, and the scaled loss of each subgraph.
 
     One forward and one backward over the batch give every subgraph's
@@ -252,7 +276,7 @@ def _group_gradient(params, batch: _Batch, zetas, scales, weighted: bool):
     freed on return, so they do not stay alive through the next group's
     pass or the evaluation.
     """
-    cache = forward(params, batch.adj, batch.features, batch.bounds)
+    cache = forward(params, batch.adj, batch.features, batch.bounds, batch.out_rows)
     parts = loss_and_backward(cache, params, batch.adj, batch.labels, batch.loss_mask)
     grads = [grad.scaled(s) for grad, s in zip(parts, scales)]
     step = weighted_consensus(grads, zetas) if weighted else plain_consensus(grads)
@@ -276,9 +300,11 @@ def train(
     in ``report.notes``); with no group left, it raises :class:`GadError`.
     ``x = layer_input(g.features)`` is made once, and the zetas, the groups'
     block-diagonal batches and the evaluation's batch (the whole graph as
-    one segment) all read rows of it.  Each epoch runs every group once, in
-    order: one forward and one backward over its batch, giving one scaled
-    gradient per subgraph, then one consensus and one SGD step.
+    one segment) all read rows of it.  A group's passes compute the output
+    layer on its loss rows, and the evaluation's on the validation and test
+    rows.  Each epoch runs every group once, in order: one forward and one
+    backward over its batch, giving one scaled gradient per subgraph, then
+    one consensus and one SGD step.
     ``on_barrier(epoch, r, params_list)`` is called after each step with
     each worker's parameters, mainly so tests can check replica consistency.
     """
@@ -301,7 +327,8 @@ def train(
     if skipped:
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
-    whole, eval_masks = _stack(x, [full_view(g)]), np.stack([g.val_mask, g.test_mask])
+    eval_masks = np.stack([g.val_mask, g.test_mask])
+    whole = make_batch(x, [full_view(g)], np.flatnonzero(eval_masks.any(axis=0)))
     report.initial_val_acc, report.initial_test_acc = evaluate(params, whole, eval_masks)
     report.final_val_acc, report.final_test_acc = report.initial_val_acc, report.initial_test_acc
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,9 +14,14 @@ from gad.consensus import (
     weighted_consensus,
     zeta,
 )
+from gad.augment import augment_partitions
+from gad.config import Config
 from gad.errors import GadError
 from gad.gcn import Gradients
 from gad.graph import Graph
+from gad.partition import Partitioning
+from gad.synthetic import sbm_graph
+from gad.training import train
 
 
 def sub_from_pairs(pairs, n):
@@ -208,8 +214,8 @@ class TestZeta:
     @pytest.mark.parametrize("density", [0.02, 0.3])
     def test_exact_path_equals_pdist(self, density):
         # Gram-matrix distances: bit for bit on binary features, CSR input
-        # and dense (sparse ones take layer 0's CSR layout), and to 1e-12 on
-        # real-valued ones
+        # (a sparse product) and dense (a BLAS GEMM, whose integer sums are
+        # exact in any order), and to 1e-12 on real-valued ones
         rng = np.random.default_rng(41)
         n = 120
         sub = skewed_sub(n, rng)
@@ -220,6 +226,37 @@ class TestZeta:
         assert zeta(sub, dense, beta=0.5).zeta == pytest.approx(
             pdist_zeta(sub, dense, 0.5), rel=1e-12
         )
+
+    def test_dense_parts_multiply_dense(self, monkeypatch):
+        # a dense graph in five parts whose part 0 is all zero rows: each
+        # part's Gram product multiplies the float64 array that training
+        # handed zeta, never a CSR copy of a part that looks sparse
+        assignment = np.repeat(np.arange(5), [16, 14, 12, 10, 8])
+        g = sbm_graph([30, 30], 0.2, 0.03, seed=9, feature_dim=8, feature_noise=0.6)
+        feats = np.random.default_rng(9).random((g.num_nodes, 20)) + 0.5
+        feats[assignment == 0] = 0.0
+        g = dataclasses.replace(g, features=feats)
+        p = Partitioning(assignment, 5, 1.0, 0, 0)
+        augs = [r.subgraph for r in augment_partitions(g, p, 2, alpha=0.01, seed=0, enabled=False)]
+        received, products = [], []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                products.append(type(self))
+                return np.asarray(self) @ np.asarray(other)
+
+        real = consensus._exact_zeta
+
+        def recording(x, p, beta):
+            received.append(type(x))
+            return real(x.view(Recorded) if isinstance(x, np.ndarray) else x, p, beta)
+
+        monkeypatch.setattr(consensus, "_exact_zeta", recording)
+        cfg = Config(k=5, layers=2, hidden=8, eta=1e-3, epochs=1, workers=1, seed=1)
+        rep = train(g, p, augs, 1, cfg)
+        assert received == [np.ndarray] * 5
+        assert products == [Recorded] * 5
+        assert rep.zetas[0] > 0
 
     def test_regularity_maximizes_zeta_exhaustive(self):
         # among all 6-node graphs with a fixed edge count and identical

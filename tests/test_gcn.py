@@ -7,10 +7,13 @@ from gad.gcn import (
     SPARSE_MAX_DENSITY,
     GcnParams,
     Propagated,
+    _segment_matmul,
+    _softmax_rows,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
+    output_rows,
     propagated_input,
     sgd_update,
 )
@@ -376,3 +379,123 @@ class TestSegments:
         adj = normalized_adjacency(full_view(g))
         with pytest.raises(GadError):
             forward(init_params((4, 3), seed=0), adj, g.features, bounds)
+
+
+def all_rows_pass(params, adj, x, labels, mask, bounds):
+    """Logits, segment losses and gradients with every row carried to the output.
+
+    The reference for output rows, written out: the softmax on every row, a
+    gradient padded with zero rows, and ``adj @ G`` in every layer.
+    """
+    propagated = isinstance(x, Propagated)
+    h = x.values if propagated else x
+    segments = (0, adj.shape[0]) if bounds is None else tuple(bounds)
+    last = params.num_layers - 1
+    hs = []
+    for l, w in enumerate(params.weights):
+        hs.append(h)
+        hw = h @ w if sp.issparse(h) else _segment_matmul(h, w, segments)
+        z = hw if l == 0 and propagated else adj @ hw
+        h = z if l == last else np.maximum(z, 0.0)
+    probs = _softmax_rows(h.copy())
+    sel = np.flatnonzero(mask)
+    ys = labels[sel]
+    cut = np.searchsorted(sel, segments)
+    nll = -np.log(np.clip(probs[sel, ys], 1e-12, 1.0))
+    losses = [float(nll[a:b].sum()) for a, b in zip(cut[:-1], cut[1:])]
+    gz = np.zeros_like(probs)
+    gz[sel] = probs[sel]
+    gz[sel, ys] -= 1.0
+    grads = [[None] * (last + 1) for _ in losses]
+    for l in range(last, -1, -1):
+        gm = gz if l == 0 and propagated else adj @ gz
+        for seg, a, b in zip(grads, segments[:-1], segments[1:]):
+            seg[l] = hs[l][a:b].T @ gm[a:b]
+        if l > 0:
+            gz = _segment_matmul(gm, params.weights[l].T, segments) * (hs[l] > 0.0)
+    return h, losses, grads
+
+
+class TestOutputRows:
+    """A pass that computes its last layer on the loss rows only equals the all-rows pass."""
+
+    @staticmethod
+    def _batch(sizes, sparse):
+        parts = [_part(n, seed, masked, sparse) for seed, (n, masked) in enumerate(sizes)]
+        adj = sp.block_diag([a for a, _, _, _ in parts], format="csr")
+        x = propagated_input(layer_input(np.concatenate([f for _, f, _, _ in parts])), adj)
+        labels = np.concatenate([y for _, _, y, _ in parts])
+        mask = np.concatenate([m for _, _, _, m in parts])
+        # one part is the plain call, without bounds
+        bounds = None if len(parts) == 1 else np.cumsum([0] + [n for n, _ in sizes])
+        return adj, x, labels, mask, bounds
+
+    # the 5-row segment has no loss row; the last case is one segment
+    @pytest.mark.parametrize("sizes", [TestSegments.SIZES, ((90, True),)],
+                             ids=["segments", "one-segment"])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "propagated"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_loss_rows_pass_matches_all_rows_bit_for_bit(self, sizes, sparse, layers):
+        adj, x, labels, mask, bounds = self._batch(sizes, sparse)
+        assert isinstance(x, Propagated) != sparse
+        dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
+        params = init_params(dims, seed=layers)
+        out = output_rows(adj, np.flatnonzero(mask))
+        rows = out.rows
+        assert 0 < len(rows) < adj.shape[0]
+
+        logits, losses, grads = all_rows_pass(params, adj, x, labels, mask, bounds)
+        full = forward(params, adj, x, bounds)
+        part = forward(params, adj, x, bounds, out)
+        assert part.logits.shape == (len(rows), 5)
+        assert full.logits.tobytes() == logits.tobytes()
+        assert part.logits.tobytes() == logits[rows].tobytes()
+        assert part.probs.tobytes() == full.probs[rows].tobytes()
+        for cache in (full, part):
+            got = loss_and_backward(cache, params, adj, labels, mask)
+            got = (got,) if bounds is None else got
+            assert len(got) == len(sizes)
+            for (_, masked), gg, loss, gw in zip(sizes, got, losses, grads):
+                assert np.float64(gg.loss).tobytes() == np.float64(loss).tobytes()
+                for a, b in zip(gg.grads, gw):
+                    assert a.tobytes() == b.tobytes()
+                if not masked:
+                    assert gg.loss == 0.0 and not any(g.any() for g in gg.grads)
+
+    def test_every_row_is_the_default(self):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        out = output_rows(adj)
+        assert out.adj is adj and np.array_equal(out.rows, np.arange(6))
+        assert np.shares_memory(out.adj_t.data, adj.data)    # a view, not a copy
+        params = init_params((4, 8, 3), seed=4)
+        cache = forward(params, adj, g.features)
+        assert cache.out_rows.adj is adj and np.array_equal(cache.out_rows.rows, out.rows)
+        sliced = forward(params, adj, g.features, None, output_rows(adj, [1, 4]))
+        assert sliced.logits.tobytes() == cache.logits[[1, 4]].tobytes()
+
+    @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1, 2], [3, 6], [[0, 1]]])
+    def test_rows_validated(self, rows):
+        adj = normalized_adjacency(full_view(fixture_graph()))
+        with pytest.raises(GadError):
+            output_rows(adj, rows)
+
+    def test_output_rows_of_another_adjacency_rejected(self):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        other = sp.identity(5, format="csr")
+        with pytest.raises(GadError):
+            forward(init_params((4, 3), seed=0), adj, g.features, None, output_rows(other, [0, 1]))
+
+    def test_loss_row_outside_output_rows_rejected(self):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        params = init_params((4, 8, 3), seed=0)
+        # rows 0-4 are masked: row 2 is missing inside the computed range, row 4 past its end
+        for rows in ([0, 1, 3, 4, 5], [0, 1, 2, 3]):
+            cache = forward(params, adj, g.features, None, output_rows(adj, rows))
+            with pytest.raises(GadError, match="did not compute"):
+                loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+            computed = g.train_mask & np.isin(np.arange(6), rows)
+            gr = loss_and_backward(cache, params, adj, g.labels, computed)
+            assert gr.loss > 0.0

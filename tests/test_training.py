@@ -21,7 +21,7 @@ from gad.gcn import (
 from gad.graph import Graph, full_view, normalized_adjacency
 from gad.partition import Partitioning, partition_graph
 from gad.synthetic import sbm_graph
-from gad.training import communication_size, evaluate, train
+from gad.training import communication_size, evaluate, make_batch, train
 
 
 def small_graph(seed=0):
@@ -36,9 +36,9 @@ def single_partition(g):
     return Partitioning(np.zeros(g.num_nodes, dtype=np.int64), 1, 1.0, 0, 0)
 
 
-def whole(g):
-    """The evaluation batch that ``train`` builds: the whole graph as one segment."""
-    return training._stack(layer_input(g.features), [full_view(g)])
+def whole(g, rows=None):
+    """The whole graph as one segment, reading ``rows`` (every row by default)."""
+    return make_batch(layer_input(g.features), [full_view(g)], rows)
 
 
 class TestEvaluate:
@@ -91,6 +91,29 @@ class TestEvaluate:
         stacked = forward(params, batch.adj, batch.features, batch.bounds)
         assert plain.probs.tobytes() == stacked.probs.tobytes()
         assert sp.issparse(batch.features) == (density < 0.1)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_softmax_argmax_of_full_forward(self, seed):
+        # random parameters; the batch reads the validation and test rows only
+        g = small_graph(seed=seed)
+        params = init_params((8, 16, 2), seed=seed)
+        adj = normalized_adjacency(full_view(g))
+        pred = forward(params, adj, propagated_input(layer_input(g.features), adj)).probs.argmax(1)
+        masks = np.stack([g.val_mask, g.test_mask])
+        batch = whole(g, np.flatnonzero(masks.any(axis=0)))
+        assert len(batch.out_rows.rows) < g.num_nodes
+        want = tuple(float((pred[m] == g.labels[m]).mean()) for m in masks)
+        assert evaluate(params, batch, masks) == want
+        assert evaluate(params, batch, g.test_mask) == want[1]
+
+    def test_mask_outside_read_rows_rejected(self):
+        g = small_graph()
+        params = init_params((8, 2), seed=0)
+        batch = whole(g, np.flatnonzero(g.test_mask))
+        evaluate(params, batch, g.test_mask)
+        with pytest.raises(GadError, match="does not read"):
+            evaluate(params, batch, np.stack([g.test_mask, g.val_mask]))
 
 
 class TestCommunicationSize:
@@ -372,9 +395,9 @@ class TestTrain:
         seen = []
         real_forward = training.forward
 
-        def recording_forward(params, adj, features, bounds=None):
+        def recording_forward(params, adj, features, *args):
             seen.append(type(features))
-            return real_forward(params, adj, features, bounds)
+            return real_forward(params, adj, features, *args)
 
         monkeypatch.setattr(training, "forward", recording_forward)
         train(g, p, augs, 1, quick_config(k=5, workers=1, epochs=2, eval_every=1))
