@@ -27,10 +27,12 @@ from .gcn import (
     ForwardCache,
     GcnParams,
     Gradients,
+    LossPlan,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
+    loss_plan,
     propagated_input,
     sgd_update,
 )

@@ -191,29 +191,41 @@ def _check_shapes(grads: list[Gradients]) -> None:
                 raise GadError("gradient shapes differ")
 
 
-def weighted_consensus(grads: list[Gradients], zetas) -> Gradients:
-    """Weighted average sum(zeta_i * grad_i) / sum(zeta); loss averaged alike."""
+def weighted_consensus(grads: list[Gradients], zetas, scales=None) -> Gradients:
+    """Weighted average sum(zeta_i * s_i * grad_i) / sum(zeta); loss averaged alike.
+
+    ``scales`` (one ``s_i`` per gradient, all 1 by default) are applied here,
+    in one pass with the weights: each term is ``(s_i * g) * zeta_i``, which
+    is what scaling by :meth:`Gradients.scaled` first gives, bit for bit
+    (and ``1.0 * g`` is ``g``).  The gradients are left untouched.
+    """
     _check_shapes(grads)
     z = np.asarray(zetas, dtype=np.float64)
     if len(z) != len(grads):
         raise GadError("one zeta per gradient required")
     if (z <= 0).any() or not np.isfinite(z).all():
         raise GadError("zetas must be positive and finite")
+    s = [1.0] * len(grads) if scales is None else [float(c) for c in scales]
+    if len(s) != len(grads):
+        raise GadError("one scale per gradient required")
     denom = z.sum()
     out = []
     for l in range(len(grads[0].grads)):
         acc = np.zeros_like(grads[0].grads[l])
-        for zi, gr in zip(z, grads):
-            acc += zi * gr.grads[l]
+        term = np.empty_like(acc)
+        for zi, si, gr in zip(z, s, grads):
+            np.multiply(si, gr.grads[l], out=term)
+            term *= zi
+            acc += term
         out.append(acc / denom)
-    loss = float(sum(zi * gr.loss for zi, gr in zip(z, grads)) / denom)
+    loss = float(sum(zi * (si * gr.loss) for zi, si, gr in zip(z, s, grads)) / denom)
     return Gradients(grads=tuple(out), loss=loss)
 
 
-def plain_consensus(grads: list[Gradients]) -> Gradients:
-    """Arithmetic mean of the gradients (the unweighted baseline).
+def plain_consensus(grads: list[Gradients], scales=None) -> Gradients:
+    """Arithmetic mean of the gradients (the unweighted baseline), scaled as above.
 
     Unit weights reproduce the mean bit for bit: 1.0 * g == g, and the
     weight sum is n exactly.
     """
-    return weighted_consensus(grads, np.ones(len(grads)))
+    return weighted_consensus(grads, np.ones(len(grads)), scales)

@@ -16,7 +16,8 @@ and gradients a pass over it alone gives, bit for bit.  A pass computes its
 last layer only on the rows it reads (see :class:`OutputRows`: the loss rows
 in training, the scored rows in evaluation), as A_hat[rows] @ (H @ W); every
 row is the default, and the rows it computes equal those of an all-rows
-pass, bit for bit.
+pass, bit for bit.  What the backward needs of the loss rows, and the
+transposes of a CSR input, are fixed per batch (see :class:`LossPlan`).
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def _segment_matmul(a: np.ndarray, b: np.ndarray, bounds: tuple[int, ...]) -> np
 
 
 def forward(
-    params: GcnParams, adj: sp.csr_matrix, features, bounds=None, out_rows=None
+    params: GcnParams, adj: sp.csr_matrix, features, bounds=None, out_rows=None, xw=None
 ) -> ForwardCache:
     """Propagate features through every layer; the last gives logits on ``out_rows``.
 
@@ -210,6 +211,12 @@ def forward(
     each dense ``H @ W`` runs per segment (see :func:`_segment_matmul`).
     Every segment's rows then equal those of a pass over that subgraph
     alone, bit for bit.  Without ``bounds`` all rows form one segment.
+
+    ``xw`` is layer 0's ``features @ W_0`` for a CSR input, when the caller
+    already has it, and is then used instead of the product.  Rows taken
+    from a product over more rows of the same matrix qualify, since a CSR
+    product computes each row on its own; a dense GEMM does not, so dense
+    input takes no ``xw``.
     """
     propagated = isinstance(features, Propagated)
     if propagated:
@@ -228,7 +235,12 @@ def forward(
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
         activations.append(h)
-        hw = h @ w if sp.issparse(h) else _segment_matmul(h, w, segments)
+        if l == 0 and xw is not None:
+            if not sp.issparse(h) or xw.shape != (h.shape[0], w.shape[1]):
+                raise GadError("a layer-0 product needs CSR input of its row count and W_0")
+            hw = xw
+        else:
+            hw = h @ w if sp.issparse(h) else _segment_matmul(h, w, segments)
         if l == 0 and propagated:
             z = hw[out_rows.rows] if l == last else hw
         else:
@@ -240,25 +252,74 @@ def forward(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class LossPlan:
+    """A batch's loss rows, checked, and what its backward repeats; see :func:`loss_plan`."""
+
+    out_rows: OutputRows        # the rows the forward computes
+    at: np.ndarray              # masked row t is computed row at[t]; masked rows increase
+    labels: np.ndarray          # the label of each masked row
+    cut: tuple[int, ...]        # segment j's masked rows are t in cut[j]:cut[j+1]
+    bounds: tuple[int, ...]     # the segments' row bounds
+    input_t: tuple | None       # X[a:b].T per segment of a CSR layer-0 input X, else None
+
+
+def loss_plan(labels, loss_mask, out_rows: OutputRows, n_classes: int, bounds=None,
+              features=None) -> LossPlan:
+    """The loss rows of a pass over ``out_rows``, checked once for all its passes.
+
+    ``loss_mask`` marks the loss rows among the pass's rows and ``labels``
+    holds every row's label.  The mask must select a row, every selected
+    label must be a class id below ``n_classes``, and every selected row
+    must be one of ``out_rows``; otherwise :class:`GadError` is raised.
+    ``bounds`` are the segment bounds :func:`forward` is given.  For a CSR
+    ``features``, the layer-0 input of the passes, each segment's
+    ``X[a:b].T`` is kept for the backward's ``X^T @ G``.
+    """
+    mask = np.asarray(loss_mask, dtype=bool)
+    if not mask.any():
+        raise GadError("loss mask selects no nodes")
+    sel = np.flatnonzero(mask)
+    ys = np.asarray(labels, dtype=np.int64)[sel]
+    if ys.min() < 0 or ys.max() >= n_classes:
+        raise GadError("label out of range under loss mask")
+    rows = out_rows.rows
+    at = np.searchsorted(rows, sel)
+    if not ((at < len(rows)).all() and np.array_equal(rows[at], sel)):
+        raise GadError("loss mask selects a row the forward pass did not compute")
+    segments = _segment_bounds(len(mask), bounds)
+    spans = zip(segments[:-1], segments[1:])
+    x = layer_input(features) if sp.issparse(features) else None
+    return LossPlan(
+        out_rows=out_rows, at=at, labels=ys,
+        cut=tuple(np.searchsorted(sel, segments).tolist()), bounds=segments,
+        input_t=tuple(x[a:b].T for a, b in spans) if x is not None else None,
+    )
+
+
 def loss_and_backward(
     cache: ForwardCache,
     params: GcnParams,
     adj: sp.csr_matrix,
-    labels: np.ndarray,
-    loss_mask: np.ndarray,
+    labels=None,
+    loss_mask=None,
+    plan: LossPlan | None = None,
 ) -> Gradients | tuple[Gradients, ...]:
     """Masked categorical cross-entropy, summed, and exact gradients per layer.
 
     Only masked rows contribute; replicas or unlabeled nodes are simply left
-    out of the mask by the caller.  Every masked row must be one of the
-    rows ``cache`` computed (``cache.out_rows``), or :class:`GadError` is
-    raised.  The softmax gradient lives on those rows only, and the last
-    layer carries it back through ``A_hat[rows]^T``, which gives ``adj``'s
-    product with the gradient padded by zero rows, bit for bit, since A_hat
-    is exactly symmetric.  The layer-0 input is read from ``cache`` in the
-    layout :func:`forward` was given, so a CSR input makes ``X^T @ G`` a
-    sparse product, and a propagated input ``P = A_hat X`` gives
-    ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
+    out of the mask by the caller.  The loss rows come as ``plan``, a
+    :func:`loss_plan` made once for every pass over a batch, or as
+    ``labels`` and ``loss_mask``, from which the plan is made on the spot
+    and checked the same way: every masked row must be one of the rows
+    ``cache`` computed (``cache.out_rows``).  The softmax gradient lives on
+    those rows only, and the last layer carries it back through
+    ``A_hat[rows]^T``, which gives ``adj``'s product with the gradient
+    padded by zero rows, bit for bit, since A_hat is exactly symmetric.  The
+    layer-0 input is read from ``cache`` in the layout :func:`forward` was
+    given, so a CSR input makes ``X^T @ G`` a sparse product (with the
+    plan's transposes when it has them), and a propagated input
+    ``P = A_hat X`` gives ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
 
     Returns one :class:`Gradients`, or a tuple with one per segment when
     ``cache`` comes from a :func:`forward` given ``bounds``.  The masked
@@ -268,28 +329,17 @@ def loss_and_backward(
     its own rows.  A segment with no masked row gets loss 0 and zero
     gradients; a mask with no row at all raises :class:`GadError`.
     """
-    mask = np.asarray(loss_mask, dtype=bool)
-    if not mask.any():
-        raise GadError("loss mask selects no nodes")
-    y = np.asarray(labels, dtype=np.int64)
-    probs = cache.probs
-    n_classes = probs.shape[1]
-    sel = np.flatnonzero(mask)
-    ys = y[sel]
-    if ys.min() < 0 or ys.max() >= n_classes:
-        raise GadError("label out of range under loss mask")
-    rows = cache.out_rows.rows
-    at = np.searchsorted(rows, sel)     # masked row sel[t] is computed row at[t]
-    if not ((at < len(rows)).all() and np.array_equal(rows[at], sel)):
-        raise GadError("loss mask selects a row the forward pass did not compute")
-
     n = cache.activations[0].shape[0]
     segments = cache.bounds or (0, n)
+    if plan is None:
+        plan = loss_plan(labels, loss_mask, cache.out_rows, cache.logits.shape[1], segments)
+    elif plan.out_rows is not cache.out_rows or plan.bounds != segments:
+        raise GadError("loss plan was made for another batch")
+    probs = cache.probs
+    at, ys = plan.at, plan.labels
     spans = list(zip(segments[:-1], segments[1:]))
-    # segment j's masked rows are sel[cut[j]:cut[j+1]]
-    cut = np.searchsorted(sel, segments).tolist()
     nll = -np.log(np.clip(probs[at, ys], PROB_FLOOR, 1.0))
-    losses = [float(nll[a:b].sum()) for a, b in zip(cut[:-1], cut[1:])]
+    losses = [float(nll[a:b].sum()) for a, b in zip(plan.cut[:-1], plan.cut[1:])]
 
     # gradient at the softmax input: (probs - onehot) on masked rows
     gz = np.zeros_like(probs)
@@ -305,11 +355,12 @@ def loss_and_backward(
         elif l < last:
             gm = gz
         else:   # one layer on a propagated input: forward read (P @ W)[rows]
-            gm = np.zeros((n, n_classes))
-            gm[rows] = gz
+            gm = np.zeros((n, probs.shape[1]))
+            gm[cache.out_rows.rows] = gz
         h = cache.activations[l]
-        for seg, (a, b) in zip(grads, spans):
-            seg[l] = h[a:b].T @ gm[a:b]
+        for j, (seg, (a, b)) in enumerate(zip(grads, spans)):
+            h_t = plan.input_t[j] if l == 0 and plan.input_t is not None else h[a:b].T
+            seg[l] = h_t @ gm[a:b]
         if l > 0:
             # relu'(z) from its output: relu(z) > 0 exactly where z > 0
             gz = _segment_matmul(gm, params.weights[l].T, segments)

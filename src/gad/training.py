@@ -12,7 +12,10 @@ backward, which give each subgraph the gradient it gets alone, bit for bit
 for the whole feature matrix, and every pass reads its rows of that input:
 each round's, and the centralized evaluation's over the whole graph.  Each
 pass computes its output layer only on the rows it reads: a round's loss
-rows, and the evaluation's validation and test rows.
+rows, and the evaluation's validation and test rows.  What the passes over
+a batch share is made once, by :func:`make_batch`, and with CSR input the
+first round after an evaluation takes its rows of the evaluation's
+``X @ W_0`` instead of multiplying (see :func:`train`).
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -33,11 +36,13 @@ from .consensus import plain_consensus, weighted_consensus, zeta
 from .errors import GadError, NumericalError
 from .gcn import (
     GcnParams,
+    LossPlan,
     OutputRows,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
+    loss_plan,
     output_rows,
     propagated_input,
     sgd_update,
@@ -135,7 +140,7 @@ class TrainReport:
         }
 
 
-def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray):
+def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool = False):
     """Centralized accuracy: one forward over ``batch``, argmax vs its labels.
 
     ``batch`` is the whole graph as one segment, reading the masks' rows:
@@ -147,6 +152,11 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray):
     of the logits, which the softmax would not change but for rounding; ties
     resolve to the lowest class id.  A mask that selects no row, or a row
     outside ``batch.out_rows``, raises :class:`GadError`.
+
+    With ``return_xw`` the result is ``(accuracies, xw)``: ``xw`` is the
+    pass's layer-0 product ``X @ W_0`` on every row of a CSR input, whose
+    rows a pass under the same W_0 can take instead of multiplying (see
+    :func:`gad.gcn.forward`), and None for dense input.
     """
     masks = np.asarray(masks, dtype=bool)
     each = np.atleast_2d(masks)
@@ -157,11 +167,15 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray):
     read[rows] = True
     if (each & ~read).any():
         raise GadError("evaluation mask selects a row the batch does not read")
+    xw = None
+    if return_xw and sp.issparse(batch.features):
+        xw = batch.features @ params.weights[0]
     pred = np.empty(len(read), dtype=np.int64)
     pred[rows] = forward(params, batch.adj, batch.features, batch.bounds,
-                         batch.out_rows).logits.argmax(axis=1)
+                         batch.out_rows, xw).logits.argmax(axis=1)
     accs = tuple(float((pred[m] == batch.labels[m]).mean()) for m in each)
-    return accs[0] if masks.ndim == 1 else accs
+    accs = accs[0] if masks.ndim == 1 else accs
+    return (accs, xw) if return_xw else accs
 
 
 def communication_size(
@@ -201,34 +215,43 @@ class Batch:
     Subgraph j holds rows ``bounds[j]:bounds[j+1]``, and ``adj`` is the
     block diagonal of the subgraphs' A_hat, so no edge joins two of them.
     A pass computes its output layer on the rows of ``out_rows`` only (see
-    :func:`gad.gcn.forward`).
+    :func:`gad.gcn.forward`).  Everything here is fixed for the run, so it
+    is made once, by :func:`make_batch`, for every pass over the batch.
     """
 
     adj: sp.csr_matrix
     features: object        # layer input: CSR, or gcn.Propagated (A_hat @ X) when dense
+    ids: np.ndarray         # the row of the run's layer input behind each row
     labels: np.ndarray
-    loss_mask: np.ndarray
     bounds: tuple[int, ...]
     out_rows: OutputRows
+    loss: LossPlan | None   # the loss rows (owned training nodes); None for evaluation
 
 
-def make_batch(x, views, rows=None) -> Batch:
+def make_batch(x, views, rows=None, loss=True) -> Batch:
     """The batch of ``views``, whose layer-0 input is their rows of ``x``.
 
     ``x`` is the run's :func:`layer_input`, so every pass keeps its layout.
     ``rows`` are the stacked rows whose output the passes read, as distinct
     increasing ids; every row by default.  ``adj[rows]`` is sliced here,
-    once for every pass over the batch.
+    once for every pass over the batch, and so is the batch's
+    :func:`gad.gcn.loss_plan` over the views' owned training nodes, which
+    must then all be among ``rows``; :class:`GadError` is raised otherwise,
+    or for a label out of range there.  ``loss=False`` makes a batch that
+    is only evaluated: it has no loss plan, and its rows may be any.
     """
     adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
-    return Batch(
-        adj=adj,
-        features=propagated_input(x[np.concatenate([v.local_ids for v in views])], adj),
-        labels=np.concatenate([v.local_labels() for v in views]),
-        loss_mask=np.concatenate([v.local_train_mask() for v in views]),
-        bounds=tuple(np.cumsum([0] + [v.num_nodes for v in views]).tolist()),
-        out_rows=output_rows(adj, rows),
-    )
+    ids = np.concatenate([v.local_ids for v in views])
+    features = propagated_input(x[ids], adj)
+    labels = np.concatenate([v.local_labels() for v in views])
+    bounds = tuple(np.cumsum([0] + [v.num_nodes for v in views]).tolist())
+    out_rows = output_rows(adj, rows)
+    plan = None
+    if loss:
+        plan = loss_plan(labels, np.concatenate([v.local_train_mask() for v in views]),
+                         out_rows, views[0].graph.num_classes, bounds, features)
+    return Batch(adj=adj, features=features, ids=ids, labels=labels, bounds=bounds,
+                 out_rows=out_rows, loss=plan)
 
 
 def _prepare_groups(g, x, augmented, worker_of, workers, config):
@@ -267,20 +290,24 @@ def _prepare_groups(g, x, augmented, worker_of, workers, config):
     return zetas, trainable, groups
 
 
-def _group_gradient(params, batch: Batch, zetas, scales, weighted: bool):
+def _group_gradient(params, batch: Batch, zetas, scales, weighted: bool, xw=None):
     """A group's consensus gradient, and the scaled loss of each subgraph.
 
     One forward and one backward over the batch give every subgraph's
-    gradient, which is scaled by its entry of ``scales`` and combined with
-    the others by ``zetas``, or by the plain mean.  The pass's arrays are
-    freed on return, so they do not stay alive through the next group's
-    pass or the evaluation.
+    gradient, which the consensus scales by its entry of ``scales`` and
+    combines with the others by ``zetas``, or by the plain mean.  ``xw`` is
+    an evaluation's ``X @ W_0`` on every row of the run's CSR layer input,
+    made under the current W_0; the forward then takes the batch's rows of
+    it instead of multiplying (see :func:`gad.gcn.forward`).  Those rows are
+    freed when the forward returns, and the pass's other arrays on return,
+    so they do not stay alive through the next group's pass or the
+    evaluation.
     """
-    cache = forward(params, batch.adj, batch.features, batch.bounds, batch.out_rows)
-    parts = loss_and_backward(cache, params, batch.adj, batch.labels, batch.loss_mask)
-    grads = [grad.scaled(s) for grad, s in zip(parts, scales)]
-    step = weighted_consensus(grads, zetas) if weighted else plain_consensus(grads)
-    return step, [grad.loss for grad in grads]
+    cache = forward(params, batch.adj, batch.features, batch.bounds, batch.out_rows,
+                    None if xw is None else xw[batch.ids])
+    parts = loss_and_backward(cache, params, batch.adj, plan=batch.loss)
+    step = weighted_consensus(parts, zetas, scales) if weighted else plain_consensus(parts, scales)
+    return step, [s * grad.loss for grad, s in zip(parts, scales)]
 
 
 def train(
@@ -303,8 +330,10 @@ def train(
     one segment) all read rows of it.  A group's passes compute the output
     layer on its loss rows, and the evaluation's on the validation and test
     rows.  Each epoch runs every group once, in order: one forward and one
-    backward over its batch, giving one scaled gradient per subgraph, then
-    one consensus and one SGD step.
+    backward over its batch, giving one gradient per subgraph, then one
+    consensus, which scales and weights them, and one SGD step.  With CSR
+    input, an evaluation hands its ``X @ W_0`` to the next group, which runs
+    under the same W_0 and takes its rows of it instead of multiplying.
     ``on_barrier(epoch, r, params_list)`` is called after each step with
     each worker's parameters, mainly so tests can check replica consistency.
     """
@@ -328,8 +357,11 @@ def train(
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
     eval_masks = np.stack([g.val_mask, g.test_mask])
-    whole = make_batch(x, [full_view(g)], np.flatnonzero(eval_masks.any(axis=0)))
-    report.initial_val_acc, report.initial_test_acc = evaluate(params, whole, eval_masks)
+    whole = make_batch(x, [full_view(g)], np.flatnonzero(eval_masks.any(axis=0)), loss=False)
+    # xw: the last evaluation's X @ W_0 on every node (CSR input only), whose
+    # rows the next group takes, as it runs under the same W_0
+    (report.initial_val_acc, report.initial_test_acc), xw = evaluate(
+        params, whole, eval_masks, return_xw=True)
     report.final_val_acc, report.final_test_acc = report.initial_val_acc, report.initial_test_acc
 
     for epoch in range(config.epochs):
@@ -337,10 +369,11 @@ def train(
         losses: list[float] = []
         for r, *group in groups:
             try:
-                step, group_losses = _group_gradient(params, *group, config.weighted)
+                step, group_losses = _group_gradient(params, *group, config.weighted, xw)
             except NumericalError as exc:
                 exc.partial_report = report   # flushed by the CLI on exit code 2
                 raise
+            xw = None   # the next group runs under another W_0
             losses += group_losses
             params = sgd_update(params, step, config.eta)
             if on_barrier is not None:
@@ -349,7 +382,8 @@ def train(
         report.train_loss.append(float(np.mean(losses)))
         # the last epoch is always evaluated, and gives the final accuracies
         if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
-            report.final_val_acc, report.final_test_acc = evaluate(params, whole, eval_masks)
+            (report.final_val_acc, report.final_test_acc), xw = evaluate(
+                params, whole, eval_masks, return_xw=True)
             report.val_acc.append(report.final_val_acc)
             report.test_acc.append(report.final_test_acc)
         else:

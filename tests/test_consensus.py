@@ -336,6 +336,34 @@ class TestWeightedConsensus:
         with pytest.raises(GadError):
             weighted_consensus([a, b], [1.0, 1.0])
 
+    @pytest.mark.parametrize("combine", ["weighted", "plain"])
+    def test_scales_equal_scaling_first_bit_for_bit(self, combine):
+        # the scales applied inside the consensus give what Gradients.scaled
+        # gives first, by tobytes, and leave the inputs as they were
+        rng = np.random.default_rng(8)
+        shapes = ((7, 5), (5, 5), (5, 3))
+        grads = [
+            Gradients(grads=tuple(rng.normal(0, 1, s) for s in shapes), loss=float(loss))
+            for loss in (0.7, 2.9, 13.1)
+        ]
+        before = [[g.tobytes() for g in gr.grads] for gr in grads]
+        scales = [3.7, 1.0, 141.0 / 13.0]
+        if combine == "weighted":
+            zetas = [0.31, 1.7, 0.0123]
+            got = weighted_consensus(grads, zetas, scales)
+            want = weighted_consensus([gr.scaled(c) for gr, c in zip(grads, scales)], zetas)
+        else:
+            got = plain_consensus(grads, scales)
+            want = plain_consensus([gr.scaled(c) for gr, c in zip(grads, scales)])
+        for a, b in zip(got.grads, want.grads):
+            assert a.tobytes() == b.tobytes()
+        assert got.loss == want.loss
+        assert [[g.tobytes() for g in gr.grads] for gr in grads] == before
+
+    def test_one_scale_per_gradient_required(self):
+        with pytest.raises(GadError, match="one scale per gradient required"):
+            weighted_consensus([grad(1.0), grad(2.0)], [1.0, 1.0], [2.0])
+
 
 class TestPlainConsensus:
     def test_single_gradient_identity(self):

@@ -37,8 +37,8 @@ def single_partition(g):
 
 
 def whole(g, rows=None):
-    """The whole graph as one segment, reading ``rows`` (every row by default)."""
-    return make_batch(layer_input(g.features), [full_view(g)], rows)
+    """The whole graph as one segment for evaluation, reading ``rows`` (every row by default)."""
+    return make_batch(layer_input(g.features), [full_view(g)], rows, loss=False)
 
 
 class TestEvaluate:
@@ -114,6 +114,61 @@ class TestEvaluate:
         evaluate(params, batch, g.test_mask)
         with pytest.raises(GadError, match="does not read"):
             evaluate(params, batch, np.stack([g.test_mask, g.val_mask]))
+
+
+class TestMakeBatch:
+    def test_loss_row_outside_read_rows_rejected(self):
+        g = small_graph(seed=2)
+        x, views = layer_input(g.features), [full_view(g)]
+        rows = np.flatnonzero(g.train_mask)[:-1]
+        with pytest.raises(GadError, match="loss mask selects a row the forward pass did not compute"):
+            make_batch(x, views, rows)
+        assert make_batch(x, views, rows, loss=False).loss is None
+
+    def test_label_out_of_range_rejected(self):
+        g = small_graph(seed=2)
+        labels = g.labels.copy()
+        labels[np.flatnonzero(g.train_mask)[3]] = -1
+        g = dataclasses.replace(g, labels=labels)
+        with pytest.raises(GadError, match="label out of range under loss mask"):
+            make_batch(layer_input(g.features), [full_view(g)])
+
+    def test_no_loss_row_rejected(self):
+        g = small_graph(seed=2)
+        g = dataclasses.replace(g, train_mask=np.zeros(g.num_nodes, bool))
+        with pytest.raises(GadError, match="loss mask selects no nodes"):
+            make_batch(layer_input(g.features), [full_view(g)])
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_plan_equals_per_call_mask_bit_for_bit(self, layout):
+        # the batch's plan, with its layer-0 transposes for CSR input, gives
+        # the gradients of the mask form, which builds its plan per call
+        g = small_graph(seed=4)
+        if layout == "csr":
+            rng = np.random.default_rng(4)
+            g = dataclasses.replace(g, features=(rng.random((g.num_nodes, 90)) < 0.05) * 1.0)
+        p = partition_graph(g, 3, seed=4)
+        views = [r.subgraph.view for r in augment_partitions(g, p, 2, alpha=0.2, seed=4)]
+        mask = np.concatenate([v.local_train_mask() for v in views])
+        batch = make_batch(layer_input(g.features), views, np.flatnonzero(mask))
+        assert (batch.loss.input_t is not None) == (layout == "csr")
+        params = init_params((g.feature_dim, 8, 8, g.num_classes), seed=4)
+        cache = forward(params, batch.adj, batch.features, batch.bounds, batch.out_rows)
+        got = loss_and_backward(cache, params, batch.adj, plan=batch.loss)
+        want = loss_and_backward(cache, params, batch.adj, batch.labels, mask)
+        assert len(got) == len(views)
+        for a, b in zip(got, want):
+            assert a.loss == b.loss
+            assert [w.tobytes() for w in a.grads] == [w.tobytes() for w in b.grads]
+
+    def test_plan_of_another_batch_rejected(self):
+        g = small_graph(seed=4)
+        x, views = layer_input(g.features), [full_view(g)]
+        a, b = make_batch(x, views), make_batch(x, views)
+        params = init_params((g.feature_dim, 8, g.num_classes), seed=4)
+        cache = forward(params, a.adj, a.features, a.bounds, a.out_rows)
+        with pytest.raises(GadError, match="loss plan was made for another batch"):
+            loss_and_backward(cache, params, a.adj, plan=b.loss)
 
 
 class TestCommunicationSize:
@@ -290,15 +345,37 @@ class TestTrain:
         assert sp.issparse(layer_input(g.features))
         self._schedule_matches_serial_loop(g, layers=3)
 
+    def test_first_group_after_an_evaluation_takes_its_product(self, monkeypatch):
+        # CSR features, two update groups per epoch and an evaluation after
+        # epochs 0, 2 and 3 (and one before training): the first group after
+        # each evaluation takes its rows of that evaluation's X @ W_0, no
+        # other group does, and the run still equals the serial loop
+        g = small_graph(seed=9)
+        rng = np.random.default_rng(9)
+        feats = (rng.random((g.num_nodes, 200)) < 0.03).astype(np.float64)
+        g = dataclasses.replace(g, features=feats)
+        assert sp.issparse(layer_input(g.features))
+        real_group_gradient = training._group_gradient
+        taken = []
+
+        def recording_group_gradient(*args):
+            taken.append(args[-1] is not None)
+            return real_group_gradient(*args)
+
+        monkeypatch.setattr(training, "_group_gradient", recording_group_gradient)
+        self._schedule_matches_serial_loop(g, layers=3, eval_every=2)
+        assert taken == [True, False, True, False, False, False, True, False]
+
     @staticmethod
-    def _schedule_matches_serial_loop(g, layers):
+    def _schedule_matches_serial_loop(g, layers, eval_every=5):
         # k = 5 parts on 2 workers take three rounds.  Part 4 owns no
         # training node, which leaves its round with nothing to train.
         assignment = np.repeat(np.arange(5), [16, 14, 12, 10, 8])
         g = dataclasses.replace(g, train_mask=g.train_mask & (assignment != 4))
         p = Partitioning(assignment, 5, 1.0, 0, 0)
         augs = [r.subgraph for r in augment_partitions(g, p, 2, alpha=0.2, seed=9)]
-        cfg = quick_config(k=5, workers=2, epochs=4, weighted=True, layers=layers)
+        cfg = quick_config(k=5, workers=2, epochs=4, weighted=True, layers=layers,
+                           eval_every=eval_every)
         barriers = []
         rep = train(g, p, augs, 2, cfg, on_barrier=lambda e, r, _: barriers.append((e, r)))
         assert any("[4]" in n for n in rep.notes)
@@ -318,7 +395,7 @@ class TestTrain:
         total = int(g.train_mask.sum())
         dims = (g.feature_dim,) + (cfg.hidden,) * (cfg.layers - 1) + (g.num_classes,)
         params = init_params(dims, seed=cfg.seed)
-        losses, expected = [], []
+        losses, expected, accs = [], [], []
         for epoch in range(cfg.epochs):
             epoch_losses = []
             for r, group in groups:
@@ -336,11 +413,16 @@ class TestTrain:
                 params = sgd_update(params, step, cfg.eta)
                 expected.append((epoch, r))
             losses.append(float(np.mean(epoch_losses)))
+            if epoch % eval_every == 0 or epoch == cfg.epochs - 1:
+                accs.append(evaluate(params, whole(g), np.stack([g.val_mask, g.test_mask])))
+            else:
+                accs.append((None, None))
 
         assert rep.train_loss == losses
         for a, b in zip(rep._final_params.weights, params.weights):
             assert np.array_equal(a, b)
         assert barriers == expected
+        assert list(zip(rep.val_acc, rep.test_acc)) == accs
 
     def test_deterministic_reports(self):
         g = small_graph(seed=6)
