@@ -2,8 +2,10 @@
 
 Each augmented subgraph gets a positive weight zeta that is high when its
 degree distribution is even and its node features sit close together; the
-coordinator then averages worker gradients with those weights.  Uniform
-weights reduce exactly to the plain mean.
+coordinator's step averages worker gradients with those weights.  Since
+gradients are linear in the loss, that step is the gradient of one weighted
+loss, and the consensus functions return each part's weight in it.
+Uniform zetas give the plain mean's weights exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import scipy.sparse as sp
 from . import rngs
 from .errors import GadError
 from .augment import AugmentedSubgraph, sample_size
-from .gcn import Gradients, layer_input
+from .gcn import layer_input
 
 DEFAULT_BETA = 1.0
 DEFAULT_PAIR_CAP = 4096
@@ -179,53 +181,26 @@ def zeta(
     )
 
 
-def _check_shapes(grads: list[Gradients]) -> None:
-    if not grads:
-        raise GadError("no gradients to combine")
-    ref = grads[0]
-    for gr in grads[1:]:
-        if len(gr.grads) != len(ref.grads):
-            raise GadError("gradient layer counts differ")
-        for a, b in zip(gr.grads, ref.grads):
-            if a.shape != b.shape:
-                raise GadError("gradient shapes differ")
+def weighted_consensus(zetas, scales) -> np.ndarray:
+    """Each part's loss weight in the zeta-weighted step: ``zeta_i * s_i / sum(zeta)``.
 
-
-def weighted_consensus(grads: list[Gradients], zetas, scales=None) -> Gradients:
-    """Weighted average sum(zeta_i * s_i * grad_i) / sum(zeta); loss averaged alike.
-
-    ``scales`` (one ``s_i`` per gradient, all 1 by default) are applied here,
-    in one pass with the weights: each term is ``(s_i * g) * zeta_i``, which
-    is what scaling by :meth:`Gradients.scaled` first gives, bit for bit
-    (and ``1.0 * g`` is ``g``).  The gradients are left untouched.
+    The GAD-Optimizer steps by ``sum_i zeta_i * s_i * g_i / sum(zeta)``, for
+    part i's gradient ``g_i`` scaled by ``s_i``; that is the gradient of
+    ``sum_i c_i * L_i`` for these weights ``c`` (see :func:`gad.gcn.loss_plan`).
+    Zetas must be positive and finite, one per scale; otherwise
+    :class:`GadError` is raised.
     """
-    _check_shapes(grads)
     z = np.asarray(zetas, dtype=np.float64)
-    if len(z) != len(grads):
-        raise GadError("one zeta per gradient required")
+    s = np.asarray(scales, dtype=np.float64)
+    if z.ndim != 1 or z.shape != s.shape:
+        raise GadError("one zeta per scale required")
+    if len(z) == 0:
+        raise GadError("no parts to weigh")
     if (z <= 0).any() or not np.isfinite(z).all():
         raise GadError("zetas must be positive and finite")
-    s = [1.0] * len(grads) if scales is None else [float(c) for c in scales]
-    if len(s) != len(grads):
-        raise GadError("one scale per gradient required")
-    denom = z.sum()
-    out = []
-    for l in range(len(grads[0].grads)):
-        acc = np.zeros_like(grads[0].grads[l])
-        term = np.empty_like(acc)
-        for zi, si, gr in zip(z, s, grads):
-            np.multiply(si, gr.grads[l], out=term)
-            term *= zi
-            acc += term
-        out.append(acc / denom)
-    loss = float(sum(zi * (si * gr.loss) for zi, si, gr in zip(z, s, grads)) / denom)
-    return Gradients(grads=tuple(out), loss=loss)
+    return z * s / z.sum()
 
 
-def plain_consensus(grads: list[Gradients], scales=None) -> Gradients:
-    """Arithmetic mean of the gradients (the unweighted baseline), scaled as above.
-
-    Unit weights reproduce the mean bit for bit: 1.0 * g == g, and the
-    weight sum is n exactly.
-    """
-    return weighted_consensus(grads, np.ones(len(grads)), scales)
+def plain_consensus(scales) -> np.ndarray:
+    """The plain mean's weights ``s_i / m``: unit zetas' bit for bit, as ``1.0 * s`` is ``s``."""
+    return weighted_consensus(np.ones(len(scales)), scales)

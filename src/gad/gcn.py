@@ -5,19 +5,21 @@ relu, and its output rows are logits whose row softmax gives the class
 probabilities.  Layers after the first multiply as A_hat @ (H_prev @ W_l).
 Layer 0 takes CSR features the same way (see :func:`layer_input`), but dense
 features as P = A_hat @ X, made once per adjacency, and then computes P @ W_0
-(see :func:`propagated_input`).  The loss is masked categorical cross-entropy
-summed over the selected nodes, and gradients come from exact reverse-mode
-differentiation of that chain, so they can be checked against finite
-differences.
+(see :func:`propagated_input`).  The loss is masked categorical
+cross-entropy summed over the selected nodes, and gradients come from exact
+reverse-mode differentiation of that chain, so they can be checked against
+finite differences.
 
-One pass can carry several subgraphs stacked as row segments of a
-block-diagonal A_hat (see :func:`forward`); each segment then gets the loss
-and gradients a pass over it alone gives, bit for bit.  A pass computes its
+One pass can carry several parts as the blocks of a block-diagonal A_hat,
+each product run once over all rows, with the loss ``sum_i c_i * L_i`` of
+the parts' summed losses (see :func:`loss_plan`); no edge joins two parts,
+so its gradient is ``sum_i c_i * g_i`` up to rounding.  A pass computes its
 last layer only on the rows it reads (see :class:`OutputRows`: the loss rows
 in training, the scored rows in evaluation), as A_hat[rows] @ (H @ W); every
 row is the default, and the rows it computes equal those of an all-rows
-pass, bit for bit.  What the backward needs of the loss rows, and the
-transposes of a CSR input, are fixed per batch (see :class:`LossPlan`).
+pass, bit for bit.  What the backward needs of the loss rows is fixed per
+batch (see :class:`LossPlan`), and a run's steps write their products over
+all rows into one reused :class:`Workspace`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import rngs
 from .errors import GadError, NumericalError
@@ -65,7 +68,6 @@ class ForwardCache:
     logits: np.ndarray                    # last layer's output, one row per out_rows.rows
     propagated: bool                      # H_0 is A_hat @ X, see Propagated
     out_rows: OutputRows                  # the rows the last layer computed
-    bounds: tuple[int, ...] | None = None  # segment row bounds given to forward
 
     @property
     def probs(self) -> np.ndarray:
@@ -86,9 +88,7 @@ class Gradients:
 
     grads: tuple[np.ndarray, ...]
     loss: float
-
-    def scaled(self, c: float) -> "Gradients":
-        return Gradients(grads=tuple(c * g for g in self.grads), loss=c * self.loss)
+    part_losses: np.ndarray | None = None   # each L_i of a loss sum_i c_i * L_i
 
 
 def init_params(dims: tuple[int, ...], seed: int = 0) -> GcnParams:
@@ -166,29 +166,61 @@ def output_rows(adj: sp.csr_matrix, rows=None) -> OutputRows:
     return OutputRows(rows=rows, adj=adj_rows, adj_t=adj_rows.T)
 
 
-def _segment_bounds(n: int, bounds) -> tuple[int, ...]:
-    """Validated row bounds ``b``, from 0 up to ``n``; segment j is rows ``b[j]:b[j+1]``."""
-    b = (0, n) if bounds is None else tuple(np.asarray(bounds).tolist())
-    if len(b) < 2 or b[0] != 0 or b[-1] != n or any(x > y for x, y in zip(b, b[1:])):
-        raise GadError("segment bounds must rise from 0 to the row count")
-    return b
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """Buffers a run's steps write their large products into; see :func:`workspace`."""
+
+    hidden: tuple[np.ndarray, ...]      # H_1 .. H_{L-1}, read again by the backward
+    temp: tuple[np.ndarray, ...]        # two flat buffers for the products in between
+    grads: tuple[np.ndarray, ...]       # d(loss)/dW_l, per layer
+
+    def rows(self, i: int, n: int, d: int) -> np.ndarray:
+        """The first ``n * d`` entries of temporary buffer ``i`` as an (n, d) array."""
+        if n * d > self.temp[i].size:
+            raise GadError("the pass has more rows than the workspace")
+        return self.temp[i][:n * d].reshape(n, d)
 
 
-def _segment_matmul(a: np.ndarray, b: np.ndarray, bounds: tuple[int, ...]) -> np.ndarray:
-    """``a @ b`` with one GEMM per row segment, each written into its rows.
+def workspace(params: GcnParams, rows: int) -> Workspace:
+    """Buffers for passes over at most ``rows`` rows, under weights shaped as ``params``.
 
-    BLAS picks its kernel by the matrix shape, so one GEMM over all rows
-    may round a segment's rows differently from a GEMM over that segment
-    alone; per segment, they match bit for bit.
+    A training run hands one to every step (see :func:`forward` and
+    :func:`loss_and_backward`), which overwrites the previous step's arrays
+    there.  Fresh arrays at every step can make the allocator hand the top
+    of its heap back to the system and fault it in again, thousands of pages
+    per epoch, depending on where earlier allocations happened to land.
     """
-    out = np.empty((a.shape[0], b.shape[1]))
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        np.matmul(a[s:e], b, out=out[s:e])
+    ws = params.weights
+    width = max(w.shape[1] for w in ws)
+    return Workspace(
+        hidden=tuple(np.empty((rows, w.shape[1])) for w in ws[:-1]),
+        temp=(np.empty(rows * width), np.empty(rows * width)),
+        grads=tuple(np.empty_like(w) for w in ws),
+    )
+
+
+def _spmm(a, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` for CSR or CSC ``a``, into ``out`` if given.
+
+    The kernel ``a @ b`` calls, on a zeroed result: the same bits, without
+    scipy's dispatch, which costs tens of microseconds per call.
+    """
+    if out is None:
+        out = np.zeros((a.shape[0], b.shape[1]))
+    else:
+        out.fill(0.0)
+    # the kernel reads and writes through raw pointers: check the shapes first
+    shapes = (out.shape, b.shape[0], out.flags.c_contiguous)
+    if shapes != ((a.shape[0], b.shape[1]), a.shape[1], True):
+        raise GadError("a sparse product needs an output of its own shape")
+    getattr(_sparsetools, a.format + "_matvecs")(
+        *a.shape, b.shape[1], a.indptr, a.indices, a.data, b.ravel(), out.ravel())
     return out
 
 
 def forward(
-    params: GcnParams, adj: sp.csr_matrix, features, bounds=None, out_rows=None, xw=None
+    params: GcnParams, adj: sp.csr_matrix, features, out_rows=None, xw=None,
+    ws: Workspace | None = None,
 ) -> ForwardCache:
     """Propagate features through every layer; the last gives logits on ``out_rows``.
 
@@ -204,77 +236,73 @@ def forward(
     each computed row equals the all-rows pass's, bit for bit.  The cache
     holds the logits; its ``probs`` applies the row softmax.
 
-    ``bounds`` stacks several subgraphs in one pass: segment j is rows
-    ``bounds[j]:bounds[j+1]``, and ``adj`` must be block-diagonal on the
-    segments, as ``sp.block_diag`` of their own A_hat makes it.  The sparse
-    products and relu run once over all rows, since they act row by row;
-    each dense ``H @ W`` runs per segment (see :func:`_segment_matmul`).
-    Every segment's rows then equal those of a pass over that subgraph
-    alone, bit for bit.  Without ``bounds`` all rows form one segment.
-
     ``xw`` is layer 0's ``features @ W_0`` for a CSR input, when the caller
     already has it, and is then used instead of the product.  Rows taken
     from a product over more rows of the same matrix qualify, since a CSR
     product computes each row on its own; a dense GEMM does not, so dense
-    input takes no ``xw``.
+    input takes no ``xw``.  With ``ws``, a :func:`workspace`, the products
+    over all rows are written into its buffers instead of fresh arrays.
     """
     propagated = isinstance(features, Propagated)
     if propagated:
         features = features.values
     if features.shape[0] != adj.shape[0]:
         raise GadError("feature rows must match adjacency dimension")
-    segments = _segment_bounds(adj.shape[0], bounds)
     if out_rows is None:
         out_rows = output_rows(adj)
     elif out_rows.adj.shape[1] != adj.shape[0]:
         raise GadError("output rows must come from the same adjacency")
     h = layer_input(features) if sp.issparse(features) else np.asarray(features, dtype=np.float64)
-    last = params.num_layers - 1
+    n, last = adj.shape[0], params.num_layers - 1
     activations = []
     for l, w in enumerate(params.weights):
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
         activations.append(h)
+        # H_{l+1}, and then H_l @ W_l when H_{l+1} is not made from it in place
+        act = None if ws is None or l == last else ws.hidden[l][:n]
+        hw_out = act if l == 0 and propagated else ws and ws.rows(0, n, w.shape[1])
         if l == 0 and xw is not None:
             if not sp.issparse(h) or xw.shape != (h.shape[0], w.shape[1]):
                 raise GadError("a layer-0 product needs CSR input of its row count and W_0")
             hw = xw
         else:
-            hw = h @ w if sp.issparse(h) else _segment_matmul(h, w, segments)
+            hw = _spmm(h, w) if sp.issparse(h) else np.matmul(h, w, out=hw_out)
         if l == 0 and propagated:
             z = hw[out_rows.rows] if l == last else hw
         else:
-            z = (out_rows.adj if l == last else adj) @ hw
+            z = _spmm(out_rows.adj if l == last else adj, hw, act)
         h = z if l == last else np.maximum(z, 0.0, out=z)
     return ForwardCache(
-        activations=tuple(activations), logits=h, propagated=propagated,
-        out_rows=out_rows, bounds=None if bounds is None else segments,
+        activations=tuple(activations), logits=h, propagated=propagated, out_rows=out_rows,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class LossPlan:
-    """A batch's loss rows, checked, and what its backward repeats; see :func:`loss_plan`."""
+    """A batch's loss rows and their weights, checked; see :func:`loss_plan`."""
 
     out_rows: OutputRows        # the rows the forward computes
-    at: np.ndarray              # masked row t is computed row at[t]; masked rows increase
-    labels: np.ndarray          # the label of each masked row
-    cut: tuple[int, ...]        # segment j's masked rows are t in cut[j]:cut[j+1]
-    bounds: tuple[int, ...]     # the segments' row bounds
-    input_t: tuple | None       # X[a:b].T per segment of a CSR layer-0 input X, else None
+    at: np.ndarray              # loss row t is computed row at[t]; loss rows increase
+    labels: np.ndarray          # the label of each loss row
+    part: np.ndarray            # the part of each loss row
+    weights: np.ndarray         # each part's loss weight c_i
+    row_weights: np.ndarray     # per computed row: its part's weight on a loss row, else 0
 
 
-def loss_plan(labels, loss_mask, out_rows: OutputRows, n_classes: int, bounds=None,
-              features=None) -> LossPlan:
+def loss_plan(labels, loss_mask, out_rows: OutputRows, n_classes: int, part=None,
+              weights=None) -> LossPlan:
     """The loss rows of a pass over ``out_rows``, checked once for all its passes.
 
     ``loss_mask`` marks the loss rows among the pass's rows and ``labels``
     holds every row's label.  The mask must select a row, every selected
     label must be a class id below ``n_classes``, and every selected row
     must be one of ``out_rows``; otherwise :class:`GadError` is raised.
-    ``bounds`` are the segment bounds :func:`forward` is given.  For a CSR
-    ``features``, the layer-0 input of the passes, each segment's
-    ``X[a:b].T`` is kept for the backward's ``X^T @ G``.
+    ``part`` gives each of the pass's rows its part, an index into
+    ``weights``, which holds each part's weight ``c_i``: the loss is
+    ``sum_i c_i * L_i``, with ``L_i`` the cross-entropy summed over part
+    i's loss rows.  By default every row is in part 0, and every part has
+    weight 1.
     """
     mask = np.asarray(loss_mask, dtype=bool)
     if not mask.any():
@@ -287,14 +315,14 @@ def loss_plan(labels, loss_mask, out_rows: OutputRows, n_classes: int, bounds=No
     at = np.searchsorted(rows, sel)
     if not ((at < len(rows)).all() and np.array_equal(rows[at], sel)):
         raise GadError("loss mask selects a row the forward pass did not compute")
-    segments = _segment_bounds(len(mask), bounds)
-    spans = zip(segments[:-1], segments[1:])
-    x = layer_input(features) if sp.issparse(features) else None
-    return LossPlan(
-        out_rows=out_rows, at=at, labels=ys,
-        cut=tuple(np.searchsorted(sel, segments).tolist()), bounds=segments,
-        input_t=tuple(x[a:b].T for a, b in spans) if x is not None else None,
-    )
+    parts = np.asarray(np.zeros(len(mask)) if part is None else part, dtype=np.int64)[sel]
+    w = np.ones(parts.max() + 1) if weights is None else np.asarray(weights, dtype=np.float64)
+    if parts.min() < 0 or parts.max() >= len(w):
+        raise GadError("every loss row's part needs a weight")
+    row_weights = np.zeros(len(rows))
+    row_weights[at] = w[parts]
+    return LossPlan(out_rows=out_rows, at=at, labels=ys, part=parts, weights=w,
+                    row_weights=row_weights)
 
 
 def loss_and_backward(
@@ -304,71 +332,66 @@ def loss_and_backward(
     labels=None,
     loss_mask=None,
     plan: LossPlan | None = None,
-) -> Gradients | tuple[Gradients, ...]:
-    """Masked categorical cross-entropy, summed, and exact gradients per layer.
+    ws: Workspace | None = None,
+) -> Gradients:
+    """Masked categorical cross-entropy, summed with part weights, and its exact gradients.
 
     Only masked rows contribute; replicas or unlabeled nodes are simply left
     out of the mask by the caller.  The loss rows come as ``plan``, a
     :func:`loss_plan` made once for every pass over a batch, or as
-    ``labels`` and ``loss_mask``, from which the plan is made on the spot
-    and checked the same way: every masked row must be one of the rows
-    ``cache`` computed (``cache.out_rows``).  The softmax gradient lives on
+    ``labels`` and ``loss_mask``, from which a plan of one part of weight 1
+    is made on the spot and checked the same way: every masked row must be
+    one of the rows ``cache`` computed (``cache.out_rows``).  The softmax
+    gradient, ``c_i * (probs - onehot)`` on part i's loss rows, lives on
     those rows only, and the last layer carries it back through
     ``A_hat[rows]^T``, which gives ``adj``'s product with the gradient
     padded by zero rows, bit for bit, since A_hat is exactly symmetric.  The
     layer-0 input is read from ``cache`` in the layout :func:`forward` was
-    given, so a CSR input makes ``X^T @ G`` a sparse product (with the
-    plan's transposes when it has them), and a propagated input
-    ``P = A_hat X`` gives ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
+    given, so a CSR input makes ``X^T @ G`` a sparse product, and a
+    propagated input ``P = A_hat X`` gives ``P^T @ G``, which equals
+    ``X^T @ (A_hat G)``.
 
-    Returns one :class:`Gradients`, or a tuple with one per segment when
-    ``cache`` comes from a :func:`forward` given ``bounds``.  The masked
-    softmax gradient and the products with ``adj`` run once over all rows;
-    each segment's loss is the sum over its own masked rows, and its weight
-    gradients ``H[a:b]^T @ G[a:b]`` and the dense ``G @ W^T`` are taken on
-    its own rows.  A segment with no masked row gets loss 0 and zero
-    gradients; a mask with no row at all raises :class:`GadError`.
+    Per layer, one ``H^T @ G`` and one ``G @ W^T`` run over all rows.
+    Returns one :class:`Gradients`: ``loss`` is ``sum_i c_i * L_i``, and
+    ``part_losses`` holds each ``L_i`` (0 for a part without a loss row).
+    With ``ws``, a :func:`workspace`, the products and gradients go into its
+    buffers, which the next step given it overwrites.
     """
-    n = cache.activations[0].shape[0]
-    segments = cache.bounds or (0, n)
     if plan is None:
-        plan = loss_plan(labels, loss_mask, cache.out_rows, cache.logits.shape[1], segments)
-    elif plan.out_rows is not cache.out_rows or plan.bounds != segments:
+        plan = loss_plan(labels, loss_mask, cache.out_rows, cache.logits.shape[1])
+    elif plan.out_rows is not cache.out_rows:
         raise GadError("loss plan was made for another batch")
-    probs = cache.probs
     at, ys = plan.at, plan.labels
-    spans = list(zip(segments[:-1], segments[1:]))
-    nll = -np.log(np.clip(probs[at, ys], PROB_FLOOR, 1.0))
-    losses = [float(nll[a:b].sum()) for a, b in zip(plan.cut[:-1], plan.cut[1:])]
-
-    # gradient at the softmax input: (probs - onehot) on masked rows
-    gz = np.zeros_like(probs)
-    gz[at] = probs[at]
+    gz = cache.probs    # a fresh array: the softmax gradient is formed in it
+    nll = -np.log(np.clip(gz[at, ys], PROB_FLOOR, 1.0))
+    part_losses = np.bincount(plan.part, weights=nll, minlength=len(plan.weights))
+    loss = float(plan.weights @ part_losses)
+    if not math.isfinite(loss):
+        raise NumericalError("non-finite loss")
     gz[at, ys] -= 1.0
+    gz *= plan.row_weights[:, None]
 
-    last = params.num_layers - 1
-    grads = [[None] * params.num_layers for _ in spans]
+    n, last = cache.activations[0].shape[0], params.num_layers - 1
+    grads = [None] * (last + 1)
     for l in range(last, -1, -1):
         # d(loss)/d(H_in @ W); A_hat is symmetric, and a propagated H_0 holds it
         if not (l == 0 and cache.propagated):
-            gm = (cache.out_rows.adj_t if l == last else adj) @ gz
+            a = cache.out_rows.adj_t if l == last else adj
+            gm = _spmm(a, gz, ws and ws.rows(1, n, gz.shape[1]))
         elif l < last:
             gm = gz
         else:   # one layer on a propagated input: forward read (P @ W)[rows]
-            gm = np.zeros((n, probs.shape[1]))
+            gm = np.zeros((n, gz.shape[1]))
             gm[cache.out_rows.rows] = gz
         h = cache.activations[l]
-        for j, (seg, (a, b)) in enumerate(zip(grads, spans)):
-            h_t = plan.input_t[j] if l == 0 and plan.input_t is not None else h[a:b].T
-            seg[l] = h_t @ gm[a:b]
+        out = ws and ws.grads[l]
+        grads[l] = _spmm(h.T, gm, out) if sp.issparse(h) else np.matmul(h.T, gm, out=out)
         if l > 0:
             # relu'(z) from its output: relu(z) > 0 exactly where z > 0
-            gz = _segment_matmul(gm, params.weights[l].T, segments)
+            w_t = params.weights[l].T
+            gz = np.matmul(gm, w_t, out=ws and ws.rows(0, n, w_t.shape[1]))
             gz *= h > 0.0
-    if not all(map(math.isfinite, losses)):
-        raise NumericalError("non-finite loss")
-    out = tuple(Gradients(grads=tuple(g), loss=loss) for g, loss in zip(grads, losses))
-    return out[0] if cache.bounds is None else out
+    return Gradients(grads=tuple(grads), loss=loss, part_losses=part_losses)
 
 
 def sgd_update(params: GcnParams, grads: Gradients, eta: float) -> GcnParams:

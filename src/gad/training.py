@@ -2,20 +2,21 @@
 
 Workers run as deterministic in-process tasks.  Each round every worker
 trains on its next assigned subgraph (forward, masked loss over its owned
-training nodes, backward); the coordinator folds the gradients into one
+training nodes, backward); the coordinator combines the gradients into one
 update with either zeta weighting or the plain mean, and all workers apply
 the same step.  The replicas are therefore identical between barriers, and
 the simulation keeps a single parameter set for all of them.  A round's
 subgraphs are stacked block-diagonally and run as one forward and one
-backward, which give each subgraph the gradient it gets alone, bit for bit
-(see :func:`gad.gcn.forward`).  Layer 0's layout is chosen once per run,
-for the whole feature matrix, and every pass reads its rows of that input:
-each round's, and the centralized evaluation's over the whole graph.  Each
-pass computes its output layer only on the rows it reads: a round's loss
-rows, and the evaluation's validation and test rows.  What the passes over
-a batch share is made once, by :func:`make_batch`, and with CSR input the
-first round after an evaluation takes its rows of the evaluation's
-``X @ W_0`` instead of multiplying (see :func:`train`).
+backward of one loss, each subgraph's loss rows weighted by its consensus
+weight, so its gradient is that step up to rounding (see
+:func:`gad.consensus.weighted_consensus`).  Layer 0's layout is chosen once
+per run, for the whole feature matrix, and every pass reads its rows of
+that input: each round's, and the centralized evaluation's over the whole
+graph.  Each pass computes its output layer only on the rows it reads: a
+round's loss rows, and the evaluation's validation and test rows.  What the
+passes over a batch share is made once, by :func:`make_batch`, and with CSR
+input the first round after an evaluation takes its rows of the
+evaluation's ``X @ W_0`` instead of multiplying (see :func:`train`).
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -46,6 +47,7 @@ from .gcn import (
     output_rows,
     propagated_input,
     sgd_update,
+    workspace,
 )
 from .graph import Graph, full_view, normalized_adjacency
 from .partition import Partitioning
@@ -143,7 +145,7 @@ class TrainReport:
 def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool = False):
     """Centralized accuracy: one forward over ``batch``, argmax vs its labels.
 
-    ``batch`` is the whole graph as one segment, reading the masks' rows:
+    ``batch`` is the whole graph as one subgraph, reading the masks' rows:
     :func:`train` builds ``make_batch(x, [full_view(g)], rows)`` once per
     run, with ``x = layer_input(g.features)`` and ``rows`` the validation
     and test nodes.  ``masks`` is one boolean node mask, giving one float,
@@ -171,8 +173,8 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool
     if return_xw and sp.issparse(batch.features):
         xw = batch.features @ params.weights[0]
     pred = np.empty(len(read), dtype=np.int64)
-    pred[rows] = forward(params, batch.adj, batch.features, batch.bounds,
-                         batch.out_rows, xw).logits.argmax(axis=1)
+    pred[rows] = forward(params, batch.adj, batch.features, batch.out_rows,
+                         xw).logits.argmax(axis=1)
     accs = tuple(float((pred[m] == batch.labels[m]).mean()) for m in each)
     accs = accs[0] if masks.ndim == 1 else accs
     return (accs, xw) if return_xw else accs
@@ -212,8 +214,8 @@ def communication_size(
 class Batch:
     """Subgraphs stacked for a single forward (and backward) pass.
 
-    Subgraph j holds rows ``bounds[j]:bounds[j+1]``, and ``adj`` is the
-    block diagonal of the subgraphs' A_hat, so no edge joins two of them.
+    The subgraphs' rows follow one another, and ``adj`` is the block
+    diagonal of their A_hat, so no edge joins two of them.
     A pass computes its output layer on the rows of ``out_rows`` only (see
     :func:`gad.gcn.forward`).  Everything here is fixed for the run, so it
     is made once, by :func:`make_batch`, for every pass over the batch.
@@ -223,12 +225,11 @@ class Batch:
     features: object        # layer input: CSR, or gcn.Propagated (A_hat @ X) when dense
     ids: np.ndarray         # the row of the run's layer input behind each row
     labels: np.ndarray
-    bounds: tuple[int, ...]
     out_rows: OutputRows
     loss: LossPlan | None   # the loss rows (owned training nodes); None for evaluation
 
 
-def make_batch(x, views, rows=None, loss=True) -> Batch:
+def make_batch(x, views, rows=None, loss=True, weights=None) -> Batch:
     """The batch of ``views``, whose layer-0 input is their rows of ``x``.
 
     ``x`` is the run's :func:`layer_input`, so every pass keeps its layout.
@@ -237,28 +238,30 @@ def make_batch(x, views, rows=None, loss=True) -> Batch:
     once for every pass over the batch, and so is the batch's
     :func:`gad.gcn.loss_plan` over the views' owned training nodes, which
     must then all be among ``rows``; :class:`GadError` is raised otherwise,
-    or for a label out of range there.  ``loss=False`` makes a batch that
-    is only evaluated: it has no loss plan, and its rows may be any.
+    or for a label out of range there.  ``weights`` holds each view's loss
+    weight, 1 by default.  ``loss=False`` makes a batch that is only
+    evaluated: it has no loss plan, and its rows may be any.
     """
     adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
     ids = np.concatenate([v.local_ids for v in views])
     features = propagated_input(x[ids], adj)
     labels = np.concatenate([v.local_labels() for v in views])
-    bounds = tuple(np.cumsum([0] + [v.num_nodes for v in views]).tolist())
     out_rows = output_rows(adj, rows)
     plan = None
     if loss:
+        part = np.repeat(np.arange(len(views)), [v.num_nodes for v in views])
         plan = loss_plan(labels, np.concatenate([v.local_train_mask() for v in views]),
-                         out_rows, views[0].graph.num_classes, bounds, features)
-    return Batch(adj=adj, features=features, ids=ids, labels=labels, bounds=bounds,
-                 out_rows=out_rows, loss=plan)
+                         out_rows, views[0].graph.num_classes, part, weights)
+    return Batch(adj=adj, features=features, ids=ids, labels=labels, out_rows=out_rows,
+                 loss=plan)
 
 
 def _prepare_groups(g, x, augmented, worker_of, workers, config):
     """Each subgraph's zeta and whether it trains, and the update groups.
 
-    A group is ``(round, batch, zetas, grad_scales)``; the zetas and the
-    batches read their rows of the layer input ``x``.
+    A group is ``(round, batch, grad_scales)``, its loss rows weighted by
+    the consensus of its subgraphs; the zetas and the batches read their
+    rows of the layer input ``x``.
     """
     total_train = int(g.train_mask.sum())
     zetas, scales, trainable = [], [], []
@@ -283,31 +286,26 @@ def _prepare_groups(g, x, augmented, worker_of, workers, config):
         if group:
             views = [augmented[i].view for i in group]
             loss_rows = np.flatnonzero(np.concatenate([v.local_train_mask() for v in views]))
-            groups.append((r, make_batch(x, views, loss_rows),
-                           [zetas[i] for i in group], [scales[i] for i in group]))
+            s = np.array([scales[i] for i in group])
+            c = (weighted_consensus([zetas[i] for i in group], s) if config.weighted
+                 else plain_consensus(s))
+            groups.append((r, make_batch(x, views, loss_rows, weights=c), s))
     if not groups:
         raise GadError("no subgraph has an owned training node")
     return zetas, trainable, groups
 
 
-def _group_gradient(params, batch: Batch, zetas, scales, weighted: bool, xw=None):
-    """A group's consensus gradient, and the scaled loss of each subgraph.
+def _group_gradient(params, batch: Batch, ws, xw=None):
+    """A group's consensus step: one pass over its batch, using the workspace ``ws``.
 
-    One forward and one backward over the batch give every subgraph's
-    gradient, which the consensus scales by its entry of ``scales`` and
-    combines with the others by ``zetas``, or by the plain mean.  ``xw`` is
-    an evaluation's ``X @ W_0`` on every row of the run's CSR layer input,
-    made under the current W_0; the forward then takes the batch's rows of
-    it instead of multiplying (see :func:`gad.gcn.forward`).  Those rows are
-    freed when the forward returns, and the pass's other arrays on return,
-    so they do not stay alive through the next group's pass or the
-    evaluation.
+    ``xw`` is an evaluation's ``X @ W_0`` on every row of the run's CSR
+    layer input, made under the current W_0; the forward then takes the
+    batch's rows of it instead of multiplying (see :func:`gad.gcn.forward`).
+    Those rows are freed when the forward returns.
     """
-    cache = forward(params, batch.adj, batch.features, batch.bounds, batch.out_rows,
-                    None if xw is None else xw[batch.ids])
-    parts = loss_and_backward(cache, params, batch.adj, plan=batch.loss)
-    step = weighted_consensus(parts, zetas, scales) if weighted else plain_consensus(parts, scales)
-    return step, [s * grad.loss for grad, s in zip(parts, scales)]
+    cache = forward(params, batch.adj, batch.features, batch.out_rows,
+                    None if xw is None else xw[batch.ids], ws)
+    return loss_and_backward(cache, params, batch.adj, plan=batch.loss, ws=ws)
 
 
 def train(
@@ -327,13 +325,14 @@ def train(
     in ``report.notes``); with no group left, it raises :class:`GadError`.
     ``x = layer_input(g.features)`` is made once, and the zetas, the groups'
     block-diagonal batches and the evaluation's batch (the whole graph as
-    one segment) all read rows of it.  A group's passes compute the output
-    layer on its loss rows, and the evaluation's on the validation and test
-    rows.  Each epoch runs every group once, in order: one forward and one
-    backward over its batch, giving one gradient per subgraph, then one
-    consensus, which scales and weights them, and one SGD step.  With CSR
-    input, an evaluation hands its ``X @ W_0`` to the next group, which runs
-    under the same W_0 and takes its rows of it instead of multiplying.
+    one subgraph) all read rows of it.  A group's passes compute the output
+    layer on its loss rows, each weighted by its subgraph's consensus
+    weight, and the evaluation's on the validation and test rows.  Each
+    epoch runs every group once, in order: one forward and one backward of
+    its weighted loss, writing into one workspace sized by the largest
+    batch, and one SGD step.  With CSR input, an evaluation hands its
+    ``X @ W_0`` to the next group, which runs under the same W_0 and takes
+    its rows of it instead of multiplying.
     ``on_barrier(epoch, r, params_list)`` is called after each step with
     each worker's parameters, mainly so tests can check replica consistency.
     """
@@ -345,6 +344,7 @@ def train(
 
     dims = (g.feature_dim,) + (config.hidden,) * (config.layers - 1) + (g.num_classes,)
     params = init_params(dims, seed=config.seed)
+    ws = workspace(params, max(batch.adj.shape[0] for _, batch, _ in groups))
     report = TrainReport(
         config=config.to_json_dict(),
         seed=config.seed,
@@ -367,14 +367,14 @@ def train(
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         losses: list[float] = []
-        for r, *group in groups:
+        for r, batch, scales in groups:
             try:
-                step, group_losses = _group_gradient(params, *group, config.weighted, xw)
+                step = _group_gradient(params, batch, ws, xw)
             except NumericalError as exc:
                 exc.partial_report = report   # flushed by the CLI on exit code 2
                 raise
             xw = None   # the next group runs under another W_0
-            losses += group_losses
+            losses += (scales * step.part_losses).tolist()
             params = sgd_update(params, step, config.eta)
             if on_barrier is not None:
                 on_barrier(epoch, r, [params] * workers)

@@ -17,7 +17,6 @@ from gad.consensus import (
 from gad.augment import augment_partitions
 from gad.config import Config
 from gad.errors import GadError
-from gad.gcn import Gradients
 from gad.graph import Graph
 from gad.partition import Partitioning
 from gad.synthetic import sbm_graph
@@ -41,11 +40,6 @@ def pdist_zeta(sub, x, beta):
     p = degree_probability(sub)
     ii, jj = np.triu_indices(len(p), k=1)
     return float((p[ii] * p[jj] / (pdist(x) + beta)).sum())
-
-
-def grad(*values):
-    arrs = tuple(np.array([[float(v)]]) for v in values)
-    return Gradients(grads=arrs, loss=float(values[0]))
 
 
 class TestDegreeProbability:
@@ -285,102 +279,64 @@ class TestZeta:
 
 class TestWeightedConsensus:
     def test_uniform_equals_plain_mean(self):
-        # unit weights give the sequential mean bit for bit, on every layer
-        # and on the loss
-        rng = np.random.default_rng(3)
-        shapes = ((5, 4), (4, 4), (4, 3))
-        grads = [
-            Gradients(grads=tuple(rng.normal(0, 1, s) for s in shapes), loss=float(loss))
-            for loss in (0.7, 2.9, 13.1, 0.05)
-        ]
-        n = len(grads)
-        for out in (plain_consensus(grads), weighted_consensus(grads, np.ones(n))):
-            for l in range(len(shapes)):
-                assert np.array_equal(out.grads[l], sum(g.grads[l] for g in grads) / n)
-            assert out.loss == sum(g.loss for g in grads) / n
+        # unit zetas give the plain mean's weights bit for bit, and those
+        # are s_i / m
+        scales = [3.7, 1.0, 141.0 / 13.0, 0.25]
+        plain = plain_consensus(scales)
+        assert weighted_consensus(np.ones(4), scales).tobytes() == plain.tobytes()
+        assert plain.tolist() == [s / 4 for s in scales]
 
     def test_hand_arithmetic(self):
-        # zetas (1, 3) on scalar grads (2, 6): (1*2 + 3*6) / 4 = 5
-        w = weighted_consensus([grad(2.0), grad(6.0)], [1.0, 3.0])
-        assert w.grads[0][0, 0] == pytest.approx(5.0)
+        # zetas (1, 3) and scales (2, 5): (1*2, 3*5) / 4
+        assert weighted_consensus([1.0, 3.0], [2.0, 5.0]).tolist() == [0.5, 3.75]
 
     def test_scale_invariance(self):
-        rng = np.random.default_rng(4)
-        grads = [
-            Gradients(grads=(rng.normal(0, 1, (3, 2)),), loss=1.0) for _ in range(4)
-        ]
-        z = [0.5, 1.5, 2.0, 0.1]
-        a = weighted_consensus(grads, z)
+        z = np.array([0.5, 1.5, 2.0, 0.1])
+        s = [1.0, 2.5, 0.3, 7.0]
+        a = weighted_consensus(z, s)
         for c in (0.01, 3.0, 1e6):
-            b = weighted_consensus(grads, [c * x for x in z])
-            np.testing.assert_allclose(a.grads[0], b.grads[0], rtol=1e-15, atol=1e-18)
+            np.testing.assert_allclose(weighted_consensus(c * z, s), a, rtol=1e-15, atol=0)
 
     def test_convex_hull(self):
+        # with unit scales the weights are positive and sum to 1, so the
+        # step they give lies in the hull of the parts' gradients
         rng = np.random.default_rng(5)
-        grads = [Gradients(grads=(rng.normal(0, 1, (2, 2)),), loss=0.0) for _ in range(3)]
-        z = [0.2, 1.0, 2.5]
-        w = weighted_consensus(grads, z)
-        stack = np.stack([g.grads[0] for g in grads])
-        assert (w.grads[0] <= stack.max(axis=0) + 1e-12).all()
-        assert (w.grads[0] >= stack.min(axis=0) - 1e-12).all()
+        grads = rng.normal(0, 1, (3, 2, 2))
+        c = weighted_consensus([0.2, 1.0, 2.5], np.ones(3))
+        assert (c > 0).all() and c.sum() == pytest.approx(1.0, rel=1e-15)
+        step = np.tensordot(c, grads, axes=1)
+        assert (step <= grads.max(axis=0) + 1e-12).all()
+        assert (step >= grads.min(axis=0) - 1e-12).all()
 
     def test_rejects_bad_zetas(self):
-        with pytest.raises(GadError):
-            weighted_consensus([grad(1.0)], [0.0])
-        with pytest.raises(GadError):
-            weighted_consensus([grad(1.0), grad(2.0)], [1.0])
+        for bad in ([0.0], [-1.0], [np.nan], [np.inf]):
+            with pytest.raises(GadError, match="positive and finite"):
+                weighted_consensus(bad, [1.0])
+        with pytest.raises(GadError, match="no parts"):
+            weighted_consensus([], [])
 
     def test_rejects_shape_mismatch(self):
-        a = Gradients(grads=(np.zeros((2, 2)),), loss=0.0)
-        b = Gradients(grads=(np.zeros((3, 2)),), loss=0.0)
-        with pytest.raises(GadError):
-            weighted_consensus([a, b], [1.0, 1.0])
-
-    @pytest.mark.parametrize("combine", ["weighted", "plain"])
-    def test_scales_equal_scaling_first_bit_for_bit(self, combine):
-        # the scales applied inside the consensus give what Gradients.scaled
-        # gives first, by tobytes, and leave the inputs as they were
-        rng = np.random.default_rng(8)
-        shapes = ((7, 5), (5, 5), (5, 3))
-        grads = [
-            Gradients(grads=tuple(rng.normal(0, 1, s) for s in shapes), loss=float(loss))
-            for loss in (0.7, 2.9, 13.1)
-        ]
-        before = [[g.tobytes() for g in gr.grads] for gr in grads]
-        scales = [3.7, 1.0, 141.0 / 13.0]
-        if combine == "weighted":
-            zetas = [0.31, 1.7, 0.0123]
-            got = weighted_consensus(grads, zetas, scales)
-            want = weighted_consensus([gr.scaled(c) for gr, c in zip(grads, scales)], zetas)
-        else:
-            got = plain_consensus(grads, scales)
-            want = plain_consensus([gr.scaled(c) for gr, c in zip(grads, scales)])
-        for a, b in zip(got.grads, want.grads):
-            assert a.tobytes() == b.tobytes()
-        assert got.loss == want.loss
-        assert [[g.tobytes() for g in gr.grads] for gr in grads] == before
+        # a column of scales would broadcast against the zetas
+        with pytest.raises(GadError, match="one zeta per scale required"):
+            weighted_consensus([1.0, 2.0], [[1.0], [2.0]])
 
     def test_one_scale_per_gradient_required(self):
-        with pytest.raises(GadError, match="one scale per gradient required"):
-            weighted_consensus([grad(1.0), grad(2.0)], [1.0, 1.0], [2.0])
+        with pytest.raises(GadError, match="one zeta per scale required"):
+            weighted_consensus([1.0, 2.0], [2.0])
 
 
 class TestPlainConsensus:
     def test_single_gradient_identity(self):
-        g0 = grad(3.0)
-        out = plain_consensus([g0])
-        assert np.array_equal(out.grads[0], g0.grads[0])
+        assert plain_consensus([3.0]).tolist() == [3.0]
 
     def test_mean(self):
-        out = plain_consensus([grad(1.0), grad(3.0)])
-        assert out.grads[0][0, 0] == pytest.approx(2.0)
+        assert plain_consensus([2.0, 6.0]).tolist() == [1.0, 3.0]
 
     def test_equals_weighted_with_uniform(self):
-        rng = np.random.default_rng(6)
-        grads = [Gradients(grads=(rng.normal(0, 1, (4, 3)),), loss=0.5) for _ in range(5)]
-        p = plain_consensus(grads)
-        w = weighted_consensus(grads, [2.0] * 5)
-        np.testing.assert_allclose(p.grads[0], w.grads[0], rtol=1e-15, atol=1e-18)
+        scales = np.random.default_rng(6).uniform(0.5, 4.0, 5)
+        p = plain_consensus(scales)
+        w = weighted_consensus([2.0] * 5, scales)
+        np.testing.assert_allclose(p, w, rtol=1e-15, atol=0)
 
     def test_empty_rejected(self):
         with pytest.raises(GadError):

@@ -7,15 +7,16 @@ from gad.gcn import (
     SPARSE_MAX_DENSITY,
     GcnParams,
     Propagated,
-    _segment_matmul,
     _softmax_rows,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
+    loss_plan,
     output_rows,
     propagated_input,
     sgd_update,
+    workspace,
 )
 from gad.graph import Graph, full_view, normalized_adjacency
 
@@ -324,119 +325,126 @@ def _part(n, seed, masked=True, sparse=False):
     return normalized_adjacency(full_view(g)), feats, rng.integers(0, 5, n), mask
 
 
-class TestSegments:
-    """One pass over parts stacked block-diagonally equals a pass per part."""
+def _stacked(sizes, sparse):
+    """Random parts stacked as one batch: (parts, adj, layer input, labels, mask, part ids)."""
+    parts = [_part(n, seed, masked, sparse) for seed, (n, masked) in enumerate(sizes)]
+    adj = sp.block_diag([a for a, _, _, _ in parts], format="csr")
+    x = propagated_input(layer_input(np.concatenate([f for _, f, _, _ in parts])), adj)
+    labels = np.concatenate([y for _, _, y, _ in parts])
+    mask = np.concatenate([m for _, _, _, m in parts])
+    part = np.repeat(np.arange(len(sizes)), [n for n, _ in sizes])
+    return parts, adj, x, labels, mask, part
 
-    # 3 and 34 rows take OpenBLAS's small-matrix GEMM at hidden 64, 700 rows
-    # its blocked one; the 5-row part has no masked row
+
+def rel_gap(a, b) -> float:
+    """Largest entry of |a - b| over the largest entry of |b|."""
+    return float(np.abs(np.asarray(a) - b).max() / np.abs(b).max())
+
+
+class TestSegments:
+    """One weighted pass over parts stacked block-diagonally against a pass per part."""
+
+    # alone, 3 and 34 rows take OpenBLAS's small-matrix GEMM at hidden 64 and
+    # 700 rows its blocked one, so the stacked pass rounds differently; the
+    # 5-row part has no masked row
     SIZES = ((34, True), (3, True), (5, False), (700, True))
+    WEIGHTS = (0.7, 3.1, 1.9, 0.04)
 
     @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "propagated"])
     @pytest.mark.parametrize("layers", [2, 3])
-    def test_matches_per_part_bit_for_bit(self, sparse, layers):
-        parts = [_part(n, seed, masked, sparse) for seed, (n, masked) in enumerate(self.SIZES)]
+    def test_matches_weighted_sum_of_parts(self, sparse, layers):
+        parts, adj, x, labels, mask, part = _stacked(self.SIZES, sparse)
+        assert isinstance(x, Propagated) != sparse
         dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
         params = init_params(dims, seed=layers)
-        adj = sp.block_diag([a for a, _, _, _ in parts], format="csr")
-        x = propagated_input(layer_input(np.concatenate([f for _, f, _, _ in parts])), adj)
-        assert isinstance(x, Propagated) != sparse
-        labels = np.concatenate([y for _, _, y, _ in parts])
-        mask = np.concatenate([m for _, _, _, m in parts])
-        bounds = np.cumsum([0] + [n for n, _ in self.SIZES])
+        out = output_rows(adj, np.flatnonzero(mask))
+        plan = loss_plan(labels, mask, out, 5, part, self.WEIGHTS)
+        got = loss_and_backward(forward(params, adj, x, out), params, adj, plan=plan)
 
-        cache = forward(params, adj, x, bounds)
-        grads = loss_and_backward(cache, params, adj, labels, mask)
-        assert len(grads) == len(parts)
-        for (a_i, f_i, y_i, m_i), a, b, gr in zip(parts, bounds[:-1], bounds[1:], grads):
-            alone = forward(params, a_i, propagated_input(layer_input(f_i), a_i))
-            for h, h_i in zip(cache.activations[1:], alone.activations[1:]):
-                assert h[a:b].tobytes() == h_i.tobytes()
-            assert cache.probs[a:b].tobytes() == alone.probs.tobytes()
+        want_loss, want_grads, part_losses = 0.0, [np.zeros_like(w) for w in params.weights], []
+        for (a_i, f_i, y_i, m_i), c in zip(parts, self.WEIGHTS):
             if not m_i.any():
-                assert gr.loss == 0.0
-                assert not any(g.any() for g in gr.grads)
+                part_losses.append(0.0)
                 continue
-            want = loss_and_backward(alone, params, a_i, y_i, m_i)
-            assert np.float64(gr.loss).tobytes() == np.float64(want.loss).tobytes()
-            for g, g_i in zip(gr.grads, want.grads):
-                assert g.tobytes() == g_i.tobytes()
+            alone = forward(params, a_i, propagated_input(layer_input(f_i), a_i))
+            gr = loss_and_backward(alone, params, a_i, y_i, m_i)
+            part_losses.append(gr.loss)
+            want_loss += c * gr.loss
+            for acc, g in zip(want_grads, gr.grads):
+                acc += c * g
+        assert got.part_losses[2] == 0.0
+        assert rel_gap(got.part_losses, np.array(part_losses)) <= 1e-12
+        assert got.loss == pytest.approx(want_loss, rel=1e-12)
+        for g, want in zip(got.grads, want_grads):
+            assert rel_gap(g, want) <= 1e-12
 
     def test_one_segment_is_the_plain_call(self):
+        # one part of unit weight is the per-call form, bit for bit
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
         params = init_params((4, 8, 3), seed=4)
-        plain = forward(params, adj, g.features)
-        (seg,) = loss_and_backward(forward(params, adj, g.features, [0, 6]), params, adj,
-                                   g.labels, g.train_mask)
-        want = loss_and_backward(plain, params, adj, g.labels, g.train_mask)
-        assert seg.loss == want.loss
-        for a, b in zip(seg.grads, want.grads):
+        cache = forward(params, adj, g.features)
+        plan = loss_plan(g.labels, g.train_mask, cache.out_rows, 3, np.zeros(6), [1.0])
+        got = loss_and_backward(cache, params, adj, plan=plan)
+        want = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        assert got.loss == want.loss and got.part_losses.tolist() == [want.loss]
+        for a, b in zip(got.grads, want.grads):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("bounds", [[0, 5], [1, 6], [0, 4, 3, 6], [[0, 6]]])
-    def test_bounds_validated(self, bounds):
+    def test_part_without_weight_rejected(self):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
-        with pytest.raises(GadError):
-            forward(init_params((4, 3), seed=0), adj, g.features, bounds)
+        out = output_rows(adj)
+        loss_plan(g.labels, g.train_mask, out, 3, [0, 0, 0, 1, 1, 1], [1.0, 2.0])
+        for part in ([0, 0, 0, 1, 2, 1], [0, 0, -1, 1, 1, 1]):  # row 5 is no loss row
+            with pytest.raises(GadError, match="part needs a weight"):
+                loss_plan(g.labels, g.train_mask, out, 3, part, [1.0, 2.0])
 
 
-def all_rows_pass(params, adj, x, labels, mask, bounds):
-    """Logits, segment losses and gradients with every row carried to the output.
+def all_rows_pass(params, adj, x, labels, mask, part, weights):
+    """Logits, part losses and gradients with every row carried to the output.
 
     The reference for output rows, written out: the softmax on every row, a
-    gradient padded with zero rows, and ``adj @ G`` in every layer.
+    weighted gradient padded with zero rows, and ``adj @ G`` in every layer.
     """
     propagated = isinstance(x, Propagated)
     h = x.values if propagated else x
-    segments = (0, adj.shape[0]) if bounds is None else tuple(bounds)
     last = params.num_layers - 1
     hs = []
     for l, w in enumerate(params.weights):
         hs.append(h)
-        hw = h @ w if sp.issparse(h) else _segment_matmul(h, w, segments)
+        hw = h @ w
         z = hw if l == 0 and propagated else adj @ hw
         h = z if l == last else np.maximum(z, 0.0)
     probs = _softmax_rows(h.copy())
     sel = np.flatnonzero(mask)
     ys = labels[sel]
-    cut = np.searchsorted(sel, segments)
     nll = -np.log(np.clip(probs[sel, ys], 1e-12, 1.0))
-    losses = [float(nll[a:b].sum()) for a, b in zip(cut[:-1], cut[1:])]
+    losses = np.bincount(part[sel], weights=nll, minlength=len(weights))
     gz = np.zeros_like(probs)
     gz[sel] = probs[sel]
     gz[sel, ys] -= 1.0
-    grads = [[None] * (last + 1) for _ in losses]
+    gz[sel] *= np.asarray(weights)[part[sel], None]
+    grads = [None] * (last + 1)
     for l in range(last, -1, -1):
         gm = gz if l == 0 and propagated else adj @ gz
-        for seg, a, b in zip(grads, segments[:-1], segments[1:]):
-            seg[l] = hs[l][a:b].T @ gm[a:b]
+        grads[l] = hs[l].T @ gm
         if l > 0:
-            gz = _segment_matmul(gm, params.weights[l].T, segments) * (hs[l] > 0.0)
+            gz = (gm @ params.weights[l].T) * (hs[l] > 0.0)
     return h, losses, grads
 
 
 class TestOutputRows:
     """A pass that computes its last layer on the loss rows only equals the all-rows pass."""
 
-    @staticmethod
-    def _batch(sizes, sparse):
-        parts = [_part(n, seed, masked, sparse) for seed, (n, masked) in enumerate(sizes)]
-        adj = sp.block_diag([a for a, _, _, _ in parts], format="csr")
-        x = propagated_input(layer_input(np.concatenate([f for _, f, _, _ in parts])), adj)
-        labels = np.concatenate([y for _, _, y, _ in parts])
-        mask = np.concatenate([m for _, _, _, m in parts])
-        # one part is the plain call, without bounds
-        bounds = None if len(parts) == 1 else np.cumsum([0] + [n for n, _ in sizes])
-        return adj, x, labels, mask, bounds
-
-    # the 5-row segment has no loss row; the last case is one segment
+    # the 5-row part has no loss row; the last case is one part
     @pytest.mark.parametrize("sizes", [TestSegments.SIZES, ((90, True),)],
                              ids=["segments", "one-segment"])
     @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "propagated"])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_loss_rows_pass_matches_all_rows_bit_for_bit(self, sizes, sparse, layers):
-        adj, x, labels, mask, bounds = self._batch(sizes, sparse)
+        _, adj, x, labels, mask, part = _stacked(sizes, sparse)
+        weights = TestSegments.WEIGHTS[:len(sizes)]
         assert isinstance(x, Propagated) != sparse
         dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
         params = init_params(dims, seed=layers)
@@ -444,23 +452,20 @@ class TestOutputRows:
         rows = out.rows
         assert 0 < len(rows) < adj.shape[0]
 
-        logits, losses, grads = all_rows_pass(params, adj, x, labels, mask, bounds)
-        full = forward(params, adj, x, bounds)
-        part = forward(params, adj, x, bounds, out)
-        assert part.logits.shape == (len(rows), 5)
+        logits, losses, grads = all_rows_pass(params, adj, x, labels, mask, part, weights)
+        full = forward(params, adj, x)
+        loss_rows = forward(params, adj, x, out)
+        assert loss_rows.logits.shape == (len(rows), 5)
         assert full.logits.tobytes() == logits.tobytes()
-        assert part.logits.tobytes() == logits[rows].tobytes()
-        assert part.probs.tobytes() == full.probs[rows].tobytes()
-        for cache in (full, part):
-            got = loss_and_backward(cache, params, adj, labels, mask)
-            got = (got,) if bounds is None else got
-            assert len(got) == len(sizes)
-            for (_, masked), gg, loss, gw in zip(sizes, got, losses, grads):
-                assert np.float64(gg.loss).tobytes() == np.float64(loss).tobytes()
-                for a, b in zip(gg.grads, gw):
-                    assert a.tobytes() == b.tobytes()
-                if not masked:
-                    assert gg.loss == 0.0 and not any(g.any() for g in gg.grads)
+        assert loss_rows.logits.tobytes() == logits[rows].tobytes()
+        assert loss_rows.probs.tobytes() == full.probs[rows].tobytes()
+        for cache in (full, loss_rows):
+            plan = loss_plan(labels, mask, cache.out_rows, 5, part, weights)
+            got = loss_and_backward(cache, params, adj, plan=plan)
+            assert got.part_losses.tobytes() == losses.tobytes()
+            assert got.loss == float(np.asarray(weights) @ losses)
+            for a, b in zip(got.grads, grads):
+                assert a.tobytes() == b.tobytes()
 
     def test_every_row_is_the_default(self):
         g = fixture_graph()
@@ -471,7 +476,7 @@ class TestOutputRows:
         params = init_params((4, 8, 3), seed=4)
         cache = forward(params, adj, g.features)
         assert cache.out_rows.adj is adj and np.array_equal(cache.out_rows.rows, out.rows)
-        sliced = forward(params, adj, g.features, None, output_rows(adj, [1, 4]))
+        sliced = forward(params, adj, g.features, output_rows(adj, [1, 4]))
         assert sliced.logits.tobytes() == cache.logits[[1, 4]].tobytes()
 
     @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1, 2], [3, 6], [[0, 1]]])
@@ -485,7 +490,7 @@ class TestOutputRows:
         adj = normalized_adjacency(full_view(g))
         other = sp.identity(5, format="csr")
         with pytest.raises(GadError):
-            forward(init_params((4, 3), seed=0), adj, g.features, None, output_rows(other, [0, 1]))
+            forward(init_params((4, 3), seed=0), adj, g.features, output_rows(other, [0, 1]))
 
     def test_loss_row_outside_output_rows_rejected(self):
         g = fixture_graph()
@@ -493,9 +498,56 @@ class TestOutputRows:
         params = init_params((4, 8, 3), seed=0)
         # rows 0-4 are masked: row 2 is missing inside the computed range, row 4 past its end
         for rows in ([0, 1, 3, 4, 5], [0, 1, 2, 3]):
-            cache = forward(params, adj, g.features, None, output_rows(adj, rows))
+            cache = forward(params, adj, g.features, output_rows(adj, rows))
             with pytest.raises(GadError, match="did not compute"):
                 loss_and_backward(cache, params, adj, g.labels, g.train_mask)
             computed = g.train_mask & np.isin(np.arange(6), rows)
             gr = loss_and_backward(cache, params, adj, g.labels, computed)
             assert gr.loss > 0.0
+
+
+class TestWorkspace:
+    """Steps that write their dense products into one workspace equal steps with fresh arrays."""
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "propagated"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_shared_workspace_equals_fresh_arrays(self, sparse, layers):
+        _, adj, x, labels, mask, part = _stacked(TestSegments.SIZES, sparse)
+        dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
+        out = output_rows(adj, np.flatnonzero(mask))
+        plan = loss_plan(labels, mask, out, 5, part, TestSegments.WEIGHTS)
+        # more rows than the batch: a step writes the leading rows only
+        ws = workspace(init_params(dims, seed=8), adj.shape[0] + 7)
+        runs = []
+        for buffers in (None, ws):
+            params, steps = init_params(dims, seed=8), []
+            for _ in range(2):
+                cache = forward(params, adj, x, out, ws=buffers)
+                gr = loss_and_backward(cache, params, adj, plan=plan, ws=buffers)
+                steps.append([cache.logits.tobytes(), np.float64(gr.loss).tobytes()]
+                             + [g.tobytes() for g in gr.grads])
+                params = sgd_update(params, gr, 1e-3)
+            runs.append((steps, [w.tobytes() for w in params.weights]))
+            if buffers is not None:   # the gradients live in the workspace
+                assert all(np.shares_memory(g, w) for g, w in zip(gr.grads, ws.grads))
+        assert runs[0] == runs[1]
+
+    def test_held_gradients_unchanged_by_a_second_call(self):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        params = init_params((4, 8, 8, 3), seed=6)
+        cache = forward(params, adj, g.features)
+        first = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        held = [a.tobytes() for a in first.grads]
+        second = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        assert [a.tobytes() for a in second.grads] == held
+        other = init_params((4, 8, 8, 3), seed=7)
+        loss_and_backward(forward(other, adj, g.features), other, adj, g.labels, g.train_mask)
+        assert [a.tobytes() for a in first.grads] == held
+
+    def test_batch_larger_than_workspace_rejected(self):
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        params = init_params((4, 8, 3), seed=6)
+        with pytest.raises(GadError):
+            forward(params, adj, g.features, ws=workspace(params, 5))
