@@ -24,16 +24,15 @@ from .consensus import (
 )
 from .errors import BalanceError, GadError, NumericalError
 from .gcn import (
+    Batch,
     ForwardCache,
     GcnParams,
     Gradients,
-    LossPlan,
+    build_batch,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
-    loss_plan,
-    propagated_input,
     sgd_update,
 )
 from .graph import (
@@ -58,7 +57,6 @@ from .partition import (
 )
 from .synthetic import sbm_graph, write_citation_benchmark
 from .training import (
-    Batch,
     CommMetrics,
     TrainReport,
     communication_size,

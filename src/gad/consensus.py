@@ -186,7 +186,7 @@ def weighted_consensus(zetas, scales) -> np.ndarray:
 
     The GAD-Optimizer steps by ``sum_i zeta_i * s_i * g_i / sum(zeta)``, for
     part i's gradient ``g_i`` scaled by ``s_i``; that is the gradient of
-    ``sum_i c_i * L_i`` for these weights ``c`` (see :func:`gad.gcn.loss_plan`).
+    ``sum_i c_i * L_i`` for these weights ``c`` (see :func:`gad.gcn.build_batch`).
     Zetas must be positive and finite, one per scale; otherwise
     :class:`GadError` is raised.
     """

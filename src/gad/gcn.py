@@ -4,22 +4,21 @@ Layer l computes H = relu(A_hat @ H_prev @ W_l); the final layer has no
 relu, and its output rows are logits whose row softmax gives the class
 probabilities.  Layers after the first multiply as A_hat @ (H_prev @ W_l).
 Layer 0 takes CSR features the same way (see :func:`layer_input`), but dense
-features as P = A_hat @ X, made once per adjacency, and then computes P @ W_0
-(see :func:`propagated_input`).  The loss is masked categorical
-cross-entropy summed over the selected nodes, and gradients come from exact
-reverse-mode differentiation of that chain, so they can be checked against
-finite differences.
+features as P = A_hat @ X, made once per batch, and then computes P @ W_0.
+The loss is masked categorical cross-entropy summed over the selected
+nodes, and gradients come from exact reverse-mode differentiation of that
+chain, so they can be checked against finite differences.
 
-One pass can carry several parts as the blocks of a block-diagonal A_hat,
-each product run once over all rows, with the loss ``sum_i c_i * L_i`` of
-the parts' summed losses (see :func:`loss_plan`); no edge joins two parts,
+A pass reads one :class:`Batch`, built and checked once by
+:func:`build_batch`.  It can carry several parts as the blocks of a
+block-diagonal A_hat, each product run once over all rows, with the loss
+``sum_i c_i * L_i`` of the parts' summed losses; no edge joins two parts,
 so its gradient is ``sum_i c_i * g_i`` up to rounding.  A pass computes its
-last layer only on the rows it reads (see :class:`OutputRows`: the loss rows
-in training, the scored rows in evaluation), as A_hat[rows] @ (H @ W); every
-row is the default, and the rows it computes equal those of an all-rows
-pass, bit for bit.  What the backward needs of the loss rows is fixed per
-batch (see :class:`LossPlan`), and a run's steps write their products over
-all rows into one reused :class:`Workspace`.
+last layer only on the batch's rows (the loss rows in training, the scored
+rows in evaluation), as A_hat[rows] @ (H @ W); every row is the default,
+and the rows it computes equal those of an all-rows pass, bit for bit.  A
+run's steps write their products over all rows into one reused
+:class:`Workspace`.
 """
 
 from __future__ import annotations
@@ -55,31 +54,6 @@ class GcnParams:
         for a, b in zip(self.weights, self.weights[1:]):
             if a.shape[1] != b.shape[0]:
                 raise GadError("adjacent layer dimensions do not chain")
-        for w in self.weights:
-            if not np.isfinite(w).all():
-                raise GadError("non-finite parameter values")
-
-
-@dataclass(frozen=True, eq=False)
-class ForwardCache:
-    """Intermediate activations of one forward pass."""
-
-    activations: tuple[np.ndarray, ...]   # H_0 .. H_{L-1} (inputs to each layer)
-    logits: np.ndarray                    # last layer's output, one row per out_rows.rows
-    propagated: bool                      # H_0 is A_hat @ X, see Propagated
-    out_rows: OutputRows                  # the rows the last layer computed
-
-    @property
-    def probs(self) -> np.ndarray:
-        """Row softmax of ``logits``, computed on each access; rows sum to 1."""
-        return _softmax_rows(self.logits.copy())
-
-
-@dataclass(frozen=True, eq=False)
-class Propagated:
-    """Dense layer-0 input with its A_hat applied; see :func:`propagated_input`."""
-
-    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,43 +101,97 @@ def layer_input(features) -> np.ndarray | sp.csr_matrix:
     return x
 
 
-def propagated_input(x, adj: sp.csr_matrix):
-    """Layer 0's input with ``adj`` applied once, where that saves work.
-
-    ``x`` is a :func:`layer_input` result.  A dense ``x`` becomes
-    ``Propagated(adj @ x)``: each later pass then costs n*d*h multiply-adds
-    in layer 0 instead of n*d*h + nnz(A_hat)*h, and the result equals the
-    plain path's because ``A_hat`` is symmetric.  A CSR ``x`` is returned
-    as is, since ``A_hat @ X`` holds several times the nonzeros of a sparse
-    ``X``.  Pass the result to :func:`forward` with this same ``adj`` only.
-    """
-    if sp.issparse(x):
-        return x
-    return Propagated(adj @ x)
-
-
 @dataclass(frozen=True, eq=False)
-class OutputRows:
-    """The rows a pass computes its last layer on; see :func:`output_rows`."""
+class Batch:
+    """Everything a pass reads, fixed and checked once; see :func:`build_batch`."""
 
-    rows: np.ndarray        # distinct row ids, increasing
-    adj: sp.csr_matrix      # A_hat[rows]
-    adj_t: sp.csc_matrix    # its transpose, a view of the same arrays, for the backward
+    adj: sp.csr_matrix              # A_hat
+    x: np.ndarray | sp.csr_matrix   # layer 0's input: CSR X, or dense P = A_hat @ X
+    propagated: bool                # x is P, so layer 0 takes no product with A_hat
+    rows: np.ndarray                # the rows the last layer is computed on, increasing
+    adj_rows: sp.csr_matrix         # A_hat[rows]
+    adj_rows_t: sp.csc_matrix       # its transpose, a view of the same arrays, for the backward
+    labels: np.ndarray              # the label of each of ``rows``
+    # the loss rows; all None for a batch that is only evaluated
+    at: np.ndarray | None           # loss row t is computed row at[t]; loss rows increase
+    part: np.ndarray | None         # the part of each loss row
+    weights: np.ndarray | None      # each part's loss weight c_i
+    row_weights: np.ndarray | None  # per computed row: its part's weight on a loss row, else 0
+    ids: np.ndarray | None = None   # the caller's own id of each row, carried as given
 
 
-def output_rows(adj: sp.csr_matrix, rows=None) -> OutputRows:
-    """``rows`` with ``adj[rows]`` and its transpose; every row, and ``adj`` itself, by default.
+def build_batch(adj: sp.csr_matrix, x, labels, n_classes: int, rows=None, loss_mask=None,
+                part=None, weights=None, ids=None) -> Batch:
+    """The batch of a pass over ``adj``, checked once for every pass over it.
 
-    ``rows`` must be distinct row ids in increasing order.  Make it once and
-    hand it to every :func:`forward` over the same rows, since the slice
-    copies its rows of ``adj``.
+    ``adj`` is the normalized adjacency A_hat (see
+    :func:`gad.graph.normalized_adjacency`), or the block diagonal of
+    several parts' A_hat, and ``x`` and ``labels`` hold its rows' features
+    and labels.  Take ``x`` from one :func:`layer_input` of the whole
+    graph's features, so that every pass keeps the graph's layout.  A CSR
+    ``x`` is kept as is, since ``A_hat @ X`` holds several times the
+    nonzeros of a sparse ``X``.  A dense one becomes ``P = A_hat @ X``:
+    each pass then costs n*d*h multiply-adds in layer 0 instead of
+    n*d*h + nnz(A_hat)*h, and computes the same function, because A_hat is
+    symmetric.
+
+    The last layer is computed on ``rows`` only, distinct row ids in
+    increasing order (every row by default).  ``loss_mask`` marks the loss
+    rows, and without it the batch is only evaluated.  The mask must
+    select a row, every selected row must be one of ``rows``, and its
+    label must be a class id below ``n_classes``.  ``part`` gives each row
+    its part, an index into ``weights``, which holds each part's weight
+    ``c_i``: the loss is ``sum_i c_i * L_i``, with ``L_i`` the
+    cross-entropy summed over part i's loss rows.  By default every row is
+    in part 0, and every part has weight 1.  Any other input raises
+    :class:`GadError`.
     """
     n = adj.shape[0]
+    labels = np.asarray(labels, dtype=np.int64)
+    if x.shape[0] != n or labels.shape != (n,):
+        raise GadError("features and labels need one row per adjacency row")
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or (np.diff(rows) <= 0).any() or not np.all((0 <= rows) & (rows < n)):
         raise GadError("output rows must be distinct row ids in increasing order")
+    at = row_weights = None
+    if loss_mask is None:
+        part = weights = None
+    else:
+        sel = np.flatnonzero(np.asarray(loss_mask, dtype=bool))
+        if not sel.size:
+            raise GadError("loss mask selects no nodes")
+        at = np.searchsorted(rows, sel)
+        if not ((at < len(rows)).all() and np.array_equal(rows[at], sel)):
+            raise GadError("loss mask selects a row the forward pass did not compute")
+        if labels[sel].min() < 0 or labels[sel].max() >= n_classes:
+            raise GadError("label out of range under loss mask")
+        part = np.asarray(np.zeros(n) if part is None else part, dtype=np.int64)[sel]
+        weights = np.asarray(np.ones(part.max() + 1) if weights is None else weights,
+                             dtype=np.float64)
+        if part.min() < 0 or part.max() >= len(weights):
+            raise GadError("every loss row's part needs a weight")
+        row_weights = np.zeros(len(rows))
+        row_weights[at] = weights[part]
+    propagated = not sp.issparse(x)
+    x = adj @ np.asarray(x, dtype=np.float64) if propagated else layer_input(x)
     adj_rows = adj if len(rows) == n else adj[rows]
-    return OutputRows(rows=rows, adj=adj_rows, adj_t=adj_rows.T)
+    return Batch(adj=adj, x=x, propagated=propagated, rows=rows, adj_rows=adj_rows,
+                 adj_rows_t=adj_rows.T, labels=labels[rows], at=at, part=part,
+                 weights=weights, row_weights=row_weights, ids=ids)
+
+
+@dataclass(frozen=True, eq=False)
+class ForwardCache:
+    """Intermediate activations of one forward pass over ``batch``."""
+
+    batch: Batch
+    activations: tuple[np.ndarray, ...]   # H_0 .. H_{L-1} (inputs to each layer)
+    logits: np.ndarray                    # last layer's output, one row per batch.rows
+
+    @property
+    def probs(self) -> np.ndarray:
+        """Row softmax of ``logits``, computed on each access; rows sum to 1."""
+        return _softmax_rows(self.logits.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,43 +246,25 @@ def _spmm(a, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def forward(
-    params: GcnParams, adj: sp.csr_matrix, features, out_rows=None, xw=None,
-    ws: Workspace | None = None,
-) -> ForwardCache:
-    """Propagate features through every layer; the last gives logits on ``out_rows``.
+def forward(params: GcnParams, batch: Batch, xw=None, ws: Workspace | None = None) -> ForwardCache:
+    """Propagate ``batch``'s input through every layer; the last gives logits on its rows.
 
-    ``adj`` is the normalized adjacency A_hat (see
-    :func:`gad.graph.normalized_adjacency`).  ``features`` is a dense array,
-    a scipy sparse matrix or a :class:`Propagated` made with ``adj``; layer 0
-    keeps the given layout, so a CSR input makes ``X @ W_0`` a sparse
-    product, and a propagated one needs no product with ``adj``.
-
-    The last layer is computed only on the rows of ``out_rows``, an
-    :func:`output_rows` of ``adj`` (every row by default), as
+    Layer 0 keeps the batch's layout, so a CSR input makes ``X @ W_0`` a
+    sparse product, and a propagated one takes no product with A_hat.  The
+    last layer is computed only on ``batch.rows``, as
     ``A_hat[rows] @ (H @ W)``.  Sliced CSR rows keep their entry order, so
     each computed row equals the all-rows pass's, bit for bit.  The cache
     holds the logits; its ``probs`` applies the row softmax.
 
-    ``xw`` is layer 0's ``features @ W_0`` for a CSR input, when the caller
+    ``xw`` is layer 0's ``X @ W_0`` for a CSR input, when the caller
     already has it, and is then used instead of the product.  Rows taken
     from a product over more rows of the same matrix qualify, since a CSR
     product computes each row on its own; a dense GEMM does not, so dense
     input takes no ``xw``.  With ``ws``, a :func:`workspace`, the products
     over all rows are written into its buffers instead of fresh arrays.
     """
-    propagated = isinstance(features, Propagated)
-    if propagated:
-        features = features.values
-    if features.shape[0] != adj.shape[0]:
-        raise GadError("feature rows must match adjacency dimension")
-    if out_rows is None:
-        out_rows = output_rows(adj)
-    elif out_rows.adj.shape[1] != adj.shape[0]:
-        raise GadError("output rows must come from the same adjacency")
-    h = layer_input(features) if sp.issparse(features) else np.asarray(features, dtype=np.float64)
-    n, last = adj.shape[0], params.num_layers - 1
-    activations = []
+    propagated, n, last = batch.propagated, batch.adj.shape[0], params.num_layers - 1
+    h, activations = batch.x, []
     for l, w in enumerate(params.weights):
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
@@ -263,91 +273,32 @@ def forward(
         act = None if ws is None or l == last else ws.hidden[l][:n]
         hw_out = act if l == 0 and propagated else ws and ws.rows(0, n, w.shape[1])
         if l == 0 and xw is not None:
-            if not sp.issparse(h) or xw.shape != (h.shape[0], w.shape[1]):
+            if propagated or xw.shape != (n, w.shape[1]):
                 raise GadError("a layer-0 product needs CSR input of its row count and W_0")
             hw = xw
         else:
             hw = _spmm(h, w) if sp.issparse(h) else np.matmul(h, w, out=hw_out)
         if l == 0 and propagated:
-            z = hw[out_rows.rows] if l == last else hw
+            z = hw[batch.rows] if l == last else hw
         else:
-            z = _spmm(out_rows.adj if l == last else adj, hw, act)
+            z = _spmm(batch.adj_rows if l == last else batch.adj, hw, act)
         h = z if l == last else np.maximum(z, 0.0, out=z)
-    return ForwardCache(
-        activations=tuple(activations), logits=h, propagated=propagated, out_rows=out_rows,
-    )
+    return ForwardCache(batch=batch, activations=tuple(activations), logits=h)
 
 
-@dataclass(frozen=True, eq=False)
-class LossPlan:
-    """A batch's loss rows and their weights, checked; see :func:`loss_plan`."""
-
-    out_rows: OutputRows        # the rows the forward computes
-    at: np.ndarray              # loss row t is computed row at[t]; loss rows increase
-    labels: np.ndarray          # the label of each loss row
-    part: np.ndarray            # the part of each loss row
-    weights: np.ndarray         # each part's loss weight c_i
-    row_weights: np.ndarray     # per computed row: its part's weight on a loss row, else 0
-
-
-def loss_plan(labels, loss_mask, out_rows: OutputRows, n_classes: int, part=None,
-              weights=None) -> LossPlan:
-    """The loss rows of a pass over ``out_rows``, checked once for all its passes.
-
-    ``loss_mask`` marks the loss rows among the pass's rows and ``labels``
-    holds every row's label.  The mask must select a row, every selected
-    label must be a class id below ``n_classes``, and every selected row
-    must be one of ``out_rows``; otherwise :class:`GadError` is raised.
-    ``part`` gives each of the pass's rows its part, an index into
-    ``weights``, which holds each part's weight ``c_i``: the loss is
-    ``sum_i c_i * L_i``, with ``L_i`` the cross-entropy summed over part
-    i's loss rows.  By default every row is in part 0, and every part has
-    weight 1.
-    """
-    mask = np.asarray(loss_mask, dtype=bool)
-    if not mask.any():
-        raise GadError("loss mask selects no nodes")
-    sel = np.flatnonzero(mask)
-    ys = np.asarray(labels, dtype=np.int64)[sel]
-    if ys.min() < 0 or ys.max() >= n_classes:
-        raise GadError("label out of range under loss mask")
-    rows = out_rows.rows
-    at = np.searchsorted(rows, sel)
-    if not ((at < len(rows)).all() and np.array_equal(rows[at], sel)):
-        raise GadError("loss mask selects a row the forward pass did not compute")
-    parts = np.asarray(np.zeros(len(mask)) if part is None else part, dtype=np.int64)[sel]
-    w = np.ones(parts.max() + 1) if weights is None else np.asarray(weights, dtype=np.float64)
-    if parts.min() < 0 or parts.max() >= len(w):
-        raise GadError("every loss row's part needs a weight")
-    row_weights = np.zeros(len(rows))
-    row_weights[at] = w[parts]
-    return LossPlan(out_rows=out_rows, at=at, labels=ys, part=parts, weights=w,
-                    row_weights=row_weights)
-
-
-def loss_and_backward(
-    cache: ForwardCache,
-    params: GcnParams,
-    adj: sp.csr_matrix,
-    labels=None,
-    loss_mask=None,
-    plan: LossPlan | None = None,
-    ws: Workspace | None = None,
-) -> Gradients:
+def loss_and_backward(cache: ForwardCache, params: GcnParams,
+                      ws: Workspace | None = None) -> Gradients:
     """Masked categorical cross-entropy, summed with part weights, and its exact gradients.
 
-    Only masked rows contribute; replicas or unlabeled nodes are simply left
-    out of the mask by the caller.  The loss rows come as ``plan``, a
-    :func:`loss_plan` made once for every pass over a batch, or as
-    ``labels`` and ``loss_mask``, from which a plan of one part of weight 1
-    is made on the spot and checked the same way: every masked row must be
-    one of the rows ``cache`` computed (``cache.out_rows``).  The softmax
-    gradient, ``c_i * (probs - onehot)`` on part i's loss rows, lives on
-    those rows only, and the last layer carries it back through
-    ``A_hat[rows]^T``, which gives ``adj``'s product with the gradient
-    padded by zero rows, bit for bit, since A_hat is exactly symmetric.  The
-    layer-0 input is read from ``cache`` in the layout :func:`forward` was
-    given, so a CSR input makes ``X^T @ G`` a sparse product, and a
+    The loss rows, their parts and the parts' weights are those of
+    ``cache.batch``; a batch that is only evaluated has none and raises
+    :class:`GadError`.  Replicas or unlabeled nodes are simply left out of
+    the loss mask.  The softmax gradient, ``c_i * (probs - onehot)`` on
+    part i's loss rows, lives on the computed rows only, and the last
+    layer carries it back through ``A_hat[rows]^T``, which gives A_hat's
+    product with the gradient padded by zero rows, bit for bit, since
+    A_hat is exactly symmetric.  The layer-0 input is read in the batch's
+    layout, so a CSR input makes ``X^T @ G`` a sparse product, and a
     propagated input ``P = A_hat X`` gives ``P^T @ G``, which equals
     ``X^T @ (A_hat G)``.
 
@@ -357,32 +308,31 @@ def loss_and_backward(
     With ``ws``, a :func:`workspace`, the products and gradients go into its
     buffers, which the next step given it overwrites.
     """
-    if plan is None:
-        plan = loss_plan(labels, loss_mask, cache.out_rows, cache.logits.shape[1])
-    elif plan.out_rows is not cache.out_rows:
-        raise GadError("loss plan was made for another batch")
-    at, ys = plan.at, plan.labels
+    batch = cache.batch
+    if batch.at is None:
+        raise GadError("the batch has no loss rows")
+    at, ys = batch.at, batch.labels[batch.at]
     gz = cache.probs    # a fresh array: the softmax gradient is formed in it
     nll = -np.log(np.clip(gz[at, ys], PROB_FLOOR, 1.0))
-    part_losses = np.bincount(plan.part, weights=nll, minlength=len(plan.weights))
-    loss = float(plan.weights @ part_losses)
+    part_losses = np.bincount(batch.part, weights=nll, minlength=len(batch.weights))
+    loss = float(batch.weights @ part_losses)
     if not math.isfinite(loss):
         raise NumericalError("non-finite loss")
     gz[at, ys] -= 1.0
-    gz *= plan.row_weights[:, None]
+    gz *= batch.row_weights[:, None]
 
-    n, last = cache.activations[0].shape[0], params.num_layers - 1
+    n, last = batch.adj.shape[0], params.num_layers - 1
     grads = [None] * (last + 1)
     for l in range(last, -1, -1):
         # d(loss)/d(H_in @ W); A_hat is symmetric, and a propagated H_0 holds it
-        if not (l == 0 and cache.propagated):
-            a = cache.out_rows.adj_t if l == last else adj
+        if not (l == 0 and batch.propagated):
+            a = batch.adj_rows_t if l == last else batch.adj
             gm = _spmm(a, gz, ws and ws.rows(1, n, gz.shape[1]))
         elif l < last:
             gm = gz
         else:   # one layer on a propagated input: forward read (P @ W)[rows]
             gm = np.zeros((n, gz.shape[1]))
-            gm[cache.out_rows.rows] = gz
+            gm[batch.rows] = gz
         h = cache.activations[l]
         out = ws and ws.grads[l]
         grads[l] = _spmm(h.T, gm, out) if sp.issparse(h) else np.matmul(h.T, gm, out=out)
@@ -395,8 +345,13 @@ def loss_and_backward(
 
 
 def sgd_update(params: GcnParams, grads: Gradients, eta: float) -> GcnParams:
-    """Plain gradient step W <- W - eta * dW; inputs are left untouched."""
+    """Plain gradient step W <- W - eta * dW; inputs are left untouched.
+
+    A step that leaves a weight non-finite raises :class:`NumericalError`.
+    """
     if eta <= 0:
         raise GadError("learning rate must be positive")
     new_w = tuple(w - eta * g for w, g in zip(params.weights, grads.grads))
+    if not all(np.isfinite(w).all() for w in new_w):
+        raise NumericalError("non-finite parameter values after an update")
     return GcnParams(weights=new_w)

@@ -44,10 +44,14 @@ def _csr_from_pairs(num_nodes: int, pairs: np.ndarray) -> tuple[np.ndarray, np.n
     key = _unique(np.concatenate([pairs[:, 0] * num_nodes + pairs[:, 1],
                                   pairs[:, 1] * num_nodes + pairs[:, 0]]))
     u, v = np.divmod(key, num_nodes)
-    counts = np.bincount(u, minlength=num_nodes)
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    return csr_offsets(np.bincount(u, minlength=num_nodes)), v.astype(np.int64, copy=False)
+
+
+def csr_offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of rows holding ``counts`` entries: 0, then their running sum."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return offsets, v.astype(np.int64, copy=False)
+    return offsets
 
 
 def csr_rows(offsets: np.ndarray) -> np.ndarray:
@@ -224,8 +228,7 @@ def gather_rows(g: Graph, node_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     starts = g.offsets[node_ids]
     counts = g.offsets[node_ids + 1] - starts
-    offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = csr_offsets(counts)
     # entry e of row r sits at g.offsets[node_ids[r]] + (e - offsets[r])
     at = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
     return offsets, g.targets[at]
@@ -254,9 +257,7 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     rows_l = csr_rows(span)[keep]
     cols_l = local[keep]
 
-    counts = np.bincount(rows_l, minlength=len(node_ids))
-    offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = csr_offsets(np.bincount(rows_l, minlength=len(node_ids)))
     # rows_l never falls, so the (row, col) keys are in order, as they are
     # whenever g's rows are sorted, unless a column falls within a row
     if ((np.diff(rows_l) == 0) & (np.diff(cols_l) < 0)).any():

@@ -13,8 +13,8 @@ weight, so its gradient is that step up to rounding (see
 per run, for the whole feature matrix, and every pass reads its rows of
 that input: each round's, and the centralized evaluation's over the whole
 graph.  Each pass computes its output layer only on the rows it reads: a
-round's loss rows, and the evaluation's validation and test rows.  What the
-passes over a batch share is made once, by :func:`make_batch`, and with CSR
+round's loss rows, and the evaluation's validation and test rows.  Each
+batch is made once, by :func:`make_batch`, for all its passes, and with CSR
 input the first round after an evaluation takes its rows of the
 evaluation's ``X @ W_0`` instead of multiplying (see :func:`train`).
 Communication is accounted analytically: a worker must fetch the features
@@ -36,16 +36,13 @@ from .augment import AugmentedSubgraph, assign_to_workers, candidate_replication
 from .consensus import plain_consensus, weighted_consensus, zeta
 from .errors import GadError, NumericalError
 from .gcn import (
+    Batch,
     GcnParams,
-    LossPlan,
-    OutputRows,
+    build_batch,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
-    loss_plan,
-    output_rows,
-    propagated_input,
     sgd_update,
     workspace,
 )
@@ -146,14 +143,14 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool
     """Centralized accuracy: one forward over ``batch``, argmax vs its labels.
 
     ``batch`` is the whole graph as one subgraph, reading the masks' rows:
-    :func:`train` builds ``make_batch(x, [full_view(g)], rows)`` once per
-    run, with ``x = layer_input(g.features)`` and ``rows`` the validation
-    and test nodes.  ``masks`` is one boolean node mask, giving one float,
-    or a stack of them (one mask per row), giving a tuple with one accuracy
-    per mask, all read from the same forward.  The prediction is the argmax
-    of the logits, which the softmax would not change but for rounding; ties
-    resolve to the lowest class id.  A mask that selects no row, or a row
-    outside ``batch.out_rows``, raises :class:`GadError`.
+    :func:`train` builds ``make_batch(x, [full_view(g)], rows, loss=False)``
+    once per run, with ``x = layer_input(g.features)`` and ``rows`` the
+    validation and test nodes.  ``masks`` is one boolean node mask, giving
+    one float, or a stack of them (one mask per row), giving a tuple with
+    one accuracy per mask, all read from the same forward.  The prediction
+    is the argmax of the logits, which the softmax would not change but for
+    rounding; ties resolve to the lowest class id.  A mask that selects no
+    row, or a row outside ``batch.rows``, raises :class:`GadError`.
 
     With ``return_xw`` the result is ``(accuracies, xw)``: ``xw`` is the
     pass's layer-0 product ``X @ W_0`` on every row of a CSR input, whose
@@ -164,18 +161,14 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool
     each = np.atleast_2d(masks)
     if not each.any(axis=1).all():
         raise GadError("evaluation mask selects no nodes")
-    rows = batch.out_rows.rows
     read = np.zeros(each.shape[1], dtype=bool)
-    read[rows] = True
+    read[batch.rows] = True
     if (each & ~read).any():
         raise GadError("evaluation mask selects a row the batch does not read")
-    xw = None
-    if return_xw and sp.issparse(batch.features):
-        xw = batch.features @ params.weights[0]
-    pred = np.empty(len(read), dtype=np.int64)
-    pred[rows] = forward(params, batch.adj, batch.features, batch.out_rows,
-                         xw).logits.argmax(axis=1)
-    accs = tuple(float((pred[m] == batch.labels[m]).mean()) for m in each)
+    xw = batch.x @ params.weights[0] if return_xw and not batch.propagated else None
+    hit = np.zeros(len(read), dtype=bool)
+    hit[batch.rows] = forward(params, batch, xw).logits.argmax(axis=1) == batch.labels
+    accs = tuple(float(hit[m].mean()) for m in each)
     accs = accs[0] if masks.ndim == 1 else accs
     return (accs, xw) if return_xw else accs
 
@@ -210,50 +203,24 @@ def communication_size(
     )
 
 
-@dataclass(eq=False)
-class Batch:
-    """Subgraphs stacked for a single forward (and backward) pass.
-
-    The subgraphs' rows follow one another, and ``adj`` is the block
-    diagonal of their A_hat, so no edge joins two of them.
-    A pass computes its output layer on the rows of ``out_rows`` only (see
-    :func:`gad.gcn.forward`).  Everything here is fixed for the run, so it
-    is made once, by :func:`make_batch`, for every pass over the batch.
-    """
-
-    adj: sp.csr_matrix
-    features: object        # layer input: CSR, or gcn.Propagated (A_hat @ X) when dense
-    ids: np.ndarray         # the row of the run's layer input behind each row
-    labels: np.ndarray
-    out_rows: OutputRows
-    loss: LossPlan | None   # the loss rows (owned training nodes); None for evaluation
-
-
 def make_batch(x, views, rows=None, loss=True, weights=None) -> Batch:
-    """The batch of ``views``, whose layer-0 input is their rows of ``x``.
+    """The :class:`gad.gcn.Batch` of ``views``, whose layer-0 input is their rows of ``x``.
 
     ``x`` is the run's :func:`layer_input`, so every pass keeps its layout.
-    ``rows`` are the stacked rows whose output the passes read, as distinct
-    increasing ids; every row by default.  ``adj[rows]`` is sliced here,
-    once for every pass over the batch, and so is the batch's
-    :func:`gad.gcn.loss_plan` over the views' owned training nodes, which
-    must then all be among ``rows``; :class:`GadError` is raised otherwise,
-    or for a label out of range there.  ``weights`` holds each view's loss
-    weight, 1 by default.  ``loss=False`` makes a batch that is only
-    evaluated: it has no loss plan, and its rows may be any.
+    The views' rows follow one another, and the batch's A_hat is the block
+    diagonal of theirs, so no edge joins two of them.  ``rows`` are the
+    stacked rows whose output the passes read; every row by default.  The
+    loss rows are the views' owned training nodes, each view's weighted by
+    ``weights`` (1 by default), and ``loss=False`` makes a batch that is
+    only evaluated.  The batch's ``ids`` are the rows of ``x`` behind its
+    rows.  See :func:`gad.gcn.build_batch` for the checks.
     """
     adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
     ids = np.concatenate([v.local_ids for v in views])
-    features = propagated_input(x[ids], adj)
-    labels = np.concatenate([v.local_labels() for v in views])
-    out_rows = output_rows(adj, rows)
-    plan = None
-    if loss:
-        part = np.repeat(np.arange(len(views)), [v.num_nodes for v in views])
-        plan = loss_plan(labels, np.concatenate([v.local_train_mask() for v in views]),
-                         out_rows, views[0].graph.num_classes, part, weights)
-    return Batch(adj=adj, features=features, ids=ids, labels=labels, out_rows=out_rows,
-                 loss=plan)
+    mask = np.concatenate([v.local_train_mask() for v in views]) if loss else None
+    part = np.repeat(np.arange(len(views)), [v.num_nodes for v in views])
+    return build_batch(adj, x[ids], np.concatenate([v.local_labels() for v in views]),
+                       views[0].graph.num_classes, rows, mask, part, weights, ids)
 
 
 def _prepare_groups(g, x, augmented, worker_of, workers, config):
@@ -303,9 +270,8 @@ def _group_gradient(params, batch: Batch, ws, xw=None):
     batch's rows of it instead of multiplying (see :func:`gad.gcn.forward`).
     Those rows are freed when the forward returns.
     """
-    cache = forward(params, batch.adj, batch.features, batch.out_rows,
-                    None if xw is None else xw[batch.ids], ws)
-    return loss_and_backward(cache, params, batch.adj, plan=batch.loss, ws=ws)
+    cache = forward(params, batch, None if xw is None else xw[batch.ids], ws)
+    return loss_and_backward(cache, params, ws)
 
 
 def train(
@@ -370,12 +336,12 @@ def train(
         for r, batch, scales in groups:
             try:
                 step = _group_gradient(params, batch, ws, xw)
+                params = sgd_update(params, step, config.eta)
             except NumericalError as exc:
                 exc.partial_report = report   # flushed by the CLI on exit code 2
                 raise
             xw = None   # the next group runs under another W_0
             losses += (scales * step.part_losses).tolist()
-            params = sgd_update(params, step, config.eta)
             if on_barrier is not None:
                 on_barrier(epoch, r, [params] * workers)
 

@@ -11,15 +11,15 @@ subgraph.
 
 import numpy as np
 
-from gad.gcn import Gradients, forward, loss_and_backward, propagated_input
+from gad.gcn import Gradients, build_batch, forward, loss_and_backward
 from gad.graph import normalized_adjacency
 
 
 def subgraph_gradient(params, view, x):
     """Loss and gradient of one subgraph alone; ``x`` is the run's layer-0 input."""
-    adj = normalized_adjacency(view)
-    cache = forward(params, adj, propagated_input(x[view.local_ids], adj))
-    return loss_and_backward(cache, params, adj, view.local_labels(), view.local_train_mask())
+    batch = build_batch(normalized_adjacency(view), x[view.local_ids], view.local_labels(),
+                        view.graph.num_classes, loss_mask=view.local_train_mask())
+    return loss_and_backward(forward(params, batch), params)
 
 
 def fold(grads, zetas, scales) -> Gradients:

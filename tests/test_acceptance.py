@@ -27,7 +27,7 @@ import gad
 from gad.augment import boundary_nodes, candidate_replication_nodes, node_importance
 from gad.config import Config
 from gad.consensus import zeta
-from gad.gcn import forward, init_params, loss_and_backward, sgd_update
+from gad.gcn import build_batch, forward, init_params, loss_and_backward, sgd_update
 from gad.graph import full_view, load_dataset, normalized_adjacency
 from gad.partition import (
     Partitioning,
@@ -288,14 +288,14 @@ class TestCriterion8GradientCorrectness:
         from test_gcn import fixture_graph, numeric_gradient, rel_err
 
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
+        batch = build_batch(normalized_adjacency(full_view(g)), g.features, g.labels, 3,
+                            loss_mask=g.train_mask)
         worst = 0.0
         for layers, hidden in itertools.product((2, 3, 4), (8, 16)):
             dims = (4,) + (hidden,) * (layers - 1) + (3,)
             params = init_params(dims, seed=21)
-            cache = forward(params, adj, g.features)
-            gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
-            num = numeric_gradient(params, adj, g.features, g.labels, g.train_mask)
+            gr = loss_and_backward(forward(params, batch), params)
+            num = numeric_gradient(params, batch, g.labels, g.train_mask)
             for analytic, numeric in zip(gr.grads, num):
                 err = rel_err(analytic, numeric)
                 big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
@@ -320,11 +320,10 @@ class TestCriterion9SerialEquivalence:
 
             dims = (g.feature_dim,) + (8,) * (layers - 1) + (g.num_classes,)
             params = init_params(dims, seed=1)
-            adj = normalized_adjacency(full_view(g))
-            x = g.features
+            batch = build_batch(normalized_adjacency(full_view(g)), g.features, g.labels,
+                                g.num_classes, loss_mask=g.train_mask)
             for epoch in range(20):
-                cache = forward(params, adj, x)
-                gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+                gr = loss_and_backward(forward(params, batch), params)
                 worst = max(worst, abs(gr.loss - rep.train_loss[epoch]))
                 params = sgd_update(params, gr, cfg.eta)
         criterion(9, worst <= 1e-12,

@@ -211,6 +211,21 @@ class TestTrainCmd:
         assert err == "gad: error: no subgraph has an owned training node\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_update_exit_2_with_partial_report(self, dataset, staged, tmp_path,
+                                                           capsys):
+        d, part, aug = staged
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["train", dataset, "--augmented", aug, "--layers", "2", "--hidden", "8",
+                    "--eta", "1e308", "--epochs", "3", "--workers", "2", "--seed", "2",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "gad train: numerical failure: non-finite parameter values after an update\n"
+        rep = json.loads(out.read_text())
+        assert rep["epochs_run"] == 0 and rep["train_loss"] == []
+        assert rep["notes"][-1] == "aborted: non-finite parameter values after an update"
+
     def test_unlabeled_nodes_train(self, tmp_path):
         # every 10th node is labeled -1 (UNLABELED) in a native dataset
         labels, pairs, feats = citation_graph_arrays(

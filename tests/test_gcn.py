@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gad.errors import GadError
+from gad.errors import GadError, NumericalError
 from gad.gcn import (
     SPARSE_MAX_DENSITY,
     GcnParams,
-    Propagated,
+    Gradients,
     _softmax_rows,
+    _spmm,
+    build_batch,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
-    loss_plan,
-    output_rows,
-    propagated_input,
     sgd_update,
     workspace,
 )
@@ -31,14 +30,23 @@ def fixture_graph():
     return Graph.from_edges(6, pairs, features=feats, labels=labels, train_mask=mask)
 
 
-def numeric_gradient(params, adj, x, labels, mask, h=1e-4):
-    """Central finite differences of the summed loss wrt every weight entry."""
+def whole_batch(g, loss_mask=None, rows=None, x=None):
+    """``g`` as one batch over its own A_hat: its features (or ``x``) and labels."""
+    adj = normalized_adjacency(full_view(g))
+    x = g.features if x is None else x
+    return build_batch(adj, x, g.labels, g.num_classes, rows, loss_mask)
+
+
+def numeric_gradient(params, batch, labels, mask, h=1e-4):
+    """Central finite differences of the loss summed over ``mask`` wrt every weight entry.
+
+    ``batch`` computes every row; ``labels`` and ``mask`` are per row.
+    """
 
     def loss_at(ws):
-        p = GcnParams(weights=tuple(ws))
-        cache = forward(p, adj, x)
+        probs = forward(GcnParams(weights=tuple(ws)), batch).probs
         sel = np.flatnonzero(mask)
-        picked = np.clip(cache.probs[sel, labels[sel]], 1e-12, 1.0)
+        picked = np.clip(probs[sel, labels[sel]], 1e-12, 1.0)
         return -np.log(picked).sum()
 
     grads = []
@@ -62,23 +70,20 @@ def rel_err(a, b):
 class TestForward:
     def test_zero_weights_uniform_probs(self):
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
         params = GcnParams(weights=(np.zeros((4, 3)),))
-        cache = forward(params, adj, g.features)
+        cache = forward(params, whole_batch(g))
         np.testing.assert_allclose(cache.probs, np.full((6, 3), 1.0 / 3.0))
 
     def test_single_node_identity(self):
         g = Graph.from_edges(1, np.zeros((0, 2)), features=np.array([[1.0]]))
-        adj = normalized_adjacency(full_view(g))
         params = GcnParams(weights=(np.array([[1.0, 1.0]]),))
-        cache = forward(params, adj, g.features)
+        cache = forward(params, whole_batch(g))
         np.testing.assert_allclose(cache.probs, [[0.5, 0.5]])
 
     def test_rows_sum_to_one(self):
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
         params = init_params((4, 8, 8, 3), seed=1)
-        cache = forward(params, adj, g.features)
+        cache = forward(params, whole_batch(g))
         np.testing.assert_allclose(cache.probs.sum(axis=1), np.ones(6), atol=1e-9)
 
     def test_matches_straight_line_oracle(self):
@@ -95,62 +100,67 @@ class TestForward:
         e = np.exp(z2 - z2.max(axis=1, keepdims=True))
         expected = e / e.sum(axis=1, keepdims=True)
 
-        cache = forward(params, normalized_adjacency(full_view(g)), g.features)
-        np.testing.assert_allclose(cache.probs, expected, atol=1e-12, rtol=0)
+        # the propagated input, then the CSR one
+        for x in (g.features, sp.csr_matrix(g.features)):
+            cache = forward(params, whole_batch(g, x=x))
+            np.testing.assert_allclose(cache.probs, expected, atol=1e-12, rtol=0)
 
     def test_pure_function(self):
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
+        batch = whole_batch(g)
         params = init_params((4, 8, 3), seed=3)
-        a = forward(params, adj, g.features).probs
-        b = forward(params, adj, g.features).probs
+        a = forward(params, batch).probs
+        b = forward(params, batch).probs
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
-        g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
         params = init_params((5, 3), seed=0)
         with pytest.raises(GadError):
-            forward(params, adj, g.features)
+            forward(params, whole_batch(fixture_graph()))
 
 
 class TestLoss:
     def test_uniform_probs_loss_ln_c(self):
         # each of the 5 masked nodes contributes ln 3
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
         params = GcnParams(weights=(np.zeros((4, 3)),))
-        cache = forward(params, adj, g.features)
-        gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        cache = forward(params, whole_batch(g, g.train_mask))
+        gr = loss_and_backward(cache, params)
         assert gr.loss == pytest.approx(5 * np.log(3.0))
 
     def test_one_hot_prediction_near_zero_loss(self):
         # single node, huge correct logit
         g = Graph.from_edges(1, np.zeros((0, 2)), features=np.array([[1.0]]),
                              labels=np.array([0]), train_mask=np.array([True]))
-        adj = normalized_adjacency(full_view(g))
         params = GcnParams(weights=(np.array([[50.0, 0.0]]),))
-        cache = forward(params, adj, g.features)
-        gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        cache = forward(params, whole_batch(g, g.train_mask))
+        gr = loss_and_backward(cache, params)
         assert gr.loss == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_mask_rejected(self):
-        g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
-        params = init_params((4, 3), seed=0)
-        cache = forward(params, adj, g.features)
-        with pytest.raises(GadError):
-            loss_and_backward(cache, params, adj, g.labels, np.zeros(6, bool))
+        with pytest.raises(GadError, match="loss mask selects no nodes"):
+            whole_batch(fixture_graph(), np.zeros(6, bool))
 
     def test_label_out_of_range(self):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
-        params = init_params((4, 3), seed=0)
-        cache = forward(params, adj, g.features)
+        for bad_label in (7, -1):
+            bad = g.labels.copy()
+            bad[0] = bad_label
+            with pytest.raises(GadError, match="label out of range under loss mask"):
+                build_batch(adj, g.features, bad, 3, loss_mask=g.train_mask)
+        # row 5 is no loss row, so its label is not checked
         bad = g.labels.copy()
-        bad[0] = 7
-        with pytest.raises(GadError):
-            loss_and_backward(cache, params, adj, bad, g.train_mask)
+        bad[5] = 7
+        build_batch(adj, g.features, bad, 3, loss_mask=g.train_mask)
+
+    def test_evaluation_only_batch_has_no_loss(self):
+        g = fixture_graph()
+        params = init_params((4, 3), seed=0)
+        batch = whole_batch(g)
+        assert batch.at is None and batch.part is None and batch.weights is None
+        with pytest.raises(GadError, match="no loss rows"):
+            loss_and_backward(forward(params, batch), params)
 
 
 class TestGradients:
@@ -162,19 +172,18 @@ class TestGradients:
         adj = normalized_adjacency(full_view(g))
         dims = (4,) + (hidden,) * (layers - 1) + (3,)
         params = init_params(dims, seed=21)
-        # keep pre-activations away from the relu kink so central differences
-        # with h=1e-4 stay on one side
-        cache = forward(params, adj, g.features)
-        margin = min(
-            np.abs(adj @ (h @ w)).min() for h, w in zip(cache.activations, params.weights)
-        )
-        assert margin > 1e-3, "fixture params sit too close to a relu kink"
-
-        # the plain input, then the propagated one
-        for x in (g.features, propagated_input(g.features, adj)):
-            cache = forward(params, adj, x)
-            gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
-            num = numeric_gradient(params, adj, x, g.labels, g.train_mask)
+        # the CSR input, then the propagated one
+        for x in (sp.csr_matrix(g.features), g.features):
+            batch = whole_batch(g, g.train_mask, x=x)
+            cache = forward(params, batch)
+            if not batch.propagated:
+                # keep pre-activations away from the relu kink so central
+                # differences with h=1e-4 stay on one side
+                margin = min(np.abs(adj @ (h @ w)).min()
+                             for h, w in zip(cache.activations, params.weights))
+                assert margin > 1e-3, "fixture params sit too close to a relu kink"
+            gr = loss_and_backward(cache, params)
+            num = numeric_gradient(params, batch, g.labels, g.train_mask)
             for analytic, numeric in zip(gr.grads, num):
                 err = rel_err(analytic, numeric)
                 big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
@@ -184,12 +193,11 @@ class TestGradients:
         # loss is non-increasing over 50 full-batch steps with a small step
         # (0.01 on the loss summed over 5 nodes: 0.05 per node's mean)
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
+        batch = whole_batch(g, g.train_mask)
         params = init_params((4, 8, 3), seed=11)
         losses = []
         for _ in range(50):
-            cache = forward(params, adj, g.features)
-            gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+            gr = loss_and_backward(forward(params, batch), params)
             losses.append(gr.loss)
             params = sgd_update(params, gr, 0.01)
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
@@ -225,15 +233,15 @@ class TestSparseLayerInput:
     def test_csr_matches_dense(self, layers):
         g = bag_of_words_graph(seed=layers)
         assert np.count_nonzero(g.features) < 0.03 * g.features.size
-        adj = normalized_adjacency(full_view(g))
         csr = layer_input(g.features)
         assert sp.isspmatrix_csr(csr)
         params = init_params((300,) + (16,) * (layers - 1) + (4,), seed=3)
         results = []
         for x in (g.features, csr):
-            cache = forward(params, adj, x)
-            results.append((cache, loss_and_backward(cache, params, adj, g.labels, g.train_mask)))
+            cache = forward(params, whole_batch(g, g.train_mask, x=x))
+            results.append((cache, loss_and_backward(cache, params)))
         (dense_cache, dense_gr), (csr_cache, csr_gr) = results
+        assert dense_cache.batch.propagated and not csr_cache.batch.propagated
         np.testing.assert_allclose(csr_cache.probs, dense_cache.probs, rtol=1e-12)
         assert csr_gr.loss == pytest.approx(dense_gr.loss, rel=1e-12)
         for a, b in zip(csr_gr.grads, dense_gr.grads):
@@ -241,21 +249,23 @@ class TestSparseLayerInput:
 
 
 class TestPropagatedInput:
+    """The builder propagates a dense input once, as ``P = A_hat @ X``, and keeps a CSR one."""
+
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_matches_plain_path(self, layers):
+        # P = A_hat @ X gives the plain path's pass, which CSR input takes
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
         x = layer_input(g.features)
-        p = propagated_input(x, adj)
-        assert isinstance(p, Propagated)
-        np.testing.assert_array_equal(p.values, adj @ x)
+        batch = whole_batch(g, g.train_mask)
+        assert batch.propagated
+        np.testing.assert_array_equal(batch.x, adj @ x)
         params = init_params((4,) + (8,) * (layers - 1) + (3,), seed=5)
         results = []
-        for inp in (x, p):
-            cache = forward(params, adj, inp)
-            results.append((cache, loss_and_backward(cache, params, adj, g.labels, g.train_mask)))
+        for b in (whole_batch(g, g.train_mask, x=sp.csr_matrix(x)), batch):
+            cache = forward(params, b)
+            results.append((cache, loss_and_backward(cache, params)))
         (plain_cache, plain_gr), (prop_cache, prop_gr) = results
-        assert not plain_cache.propagated and prop_cache.propagated
         np.testing.assert_allclose(prop_cache.probs, plain_cache.probs, rtol=1e-12)
         assert prop_gr.loss == pytest.approx(plain_gr.loss, rel=1e-12)
         for a, b in zip(prop_gr.grads, plain_gr.grads):
@@ -263,45 +273,78 @@ class TestPropagatedInput:
 
     def test_csr_passes_through(self):
         g = bag_of_words_graph(seed=1)
-        adj = normalized_adjacency(full_view(g))
         csr = layer_input(g.features)
-        assert propagated_input(csr, adj) is csr
-        params = init_params((300, 16, 4), seed=3)
-        cache = forward(params, adj, csr)
-        assert not cache.propagated and cache.activations[0] is csr
+        batch = whole_batch(g, x=csr)
+        assert not batch.propagated and batch.x is csr
+        cache = forward(init_params((300, 16, 4), seed=3), batch)
+        assert cache.activations[0] is csr
 
     def test_row_mismatch_rejected(self):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
-        p = Propagated(np.ones((5, 4)))
+        for x, labels in ((g.features[:5], g.labels), (g.features, g.labels[:5])):
+            with pytest.raises(GadError, match="one row per adjacency row"):
+                build_batch(adj, x, labels, 3)
+
+
+class TestSpmm:
+    """``_spmm`` calls scipy's kernel directly: the same bits as ``a @ b``, and checked shapes."""
+
+    @staticmethod
+    def operands():
+        """A 9 x 7 sparse matrix whose rows 2, 5 and 8 are empty, and dense blocks for each side."""
+        rng = np.random.default_rng(12)
+        dense = rng.normal(0, 1, (9, 7)) * (rng.random((9, 7)) < 0.3)
+        dense[[2, 5, 8]] = 0.0
+        return sp.csr_matrix(dense), rng.normal(0, 1, (7, 4)), rng.normal(0, 1, (9, 4))
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    @pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+    def test_equals_scipy_product_bit_for_bit(self, fmt, with_out):
+        a, b, c = self.operands()
+        a = a.asformat(fmt)
+        assert a.nnz and a.getnnz(axis=1)[[2, 5, 8]].tolist() == [0, 0, 0]
+        for lhs, rhs in ((a, b), (a.T, c)):     # a.T is in the other format
+            out = np.full((lhs.shape[0], rhs.shape[1]), np.nan) if with_out else None
+            got = _spmm(lhs, rhs, out)
+            assert got.tobytes() == (lhs @ rhs).tobytes()
+            assert out is None or got is out
+
+    def test_wrong_output_rejected(self):
+        a, b, _ = self.operands()
+        for out in (np.empty((9, 5)), np.empty((8, 4)), np.empty((4, 9)).T,
+                    np.empty((9, 8))[:, ::2]):
+            with pytest.raises(GadError, match="output of its own shape"):
+                _spmm(a, b, out)
         with pytest.raises(GadError):
-            forward(init_params((4, 3), seed=0), adj, p)
+            _spmm(a, b[:6])
 
 
 class TestSgdUpdate:
     def test_zero_gradient_no_change(self):
         params = init_params((4, 3), seed=0)
-        from gad.gcn import Gradients
-
         zero = Gradients(grads=(np.zeros((4, 3)),), loss=0.0)
         new = sgd_update(params, zero, 0.1)
         assert np.array_equal(new.weights[0], params.weights[0])
 
     def test_scalar_arithmetic(self):
-        from gad.gcn import Gradients
-
         params = GcnParams(weights=(np.array([[1.0]]),))
         gr = Gradients(grads=(np.array([[2.0]]),), loss=0.0)
         new = sgd_update(params, gr, 0.1)
         assert new.weights[0][0, 0] == pytest.approx(0.8)
 
     def test_input_untouched(self):
-        from gad.gcn import Gradients
-
         params = GcnParams(weights=(np.array([[1.0]]),))
         gr = Gradients(grads=(np.array([[2.0]]),), loss=0.0)
         sgd_update(params, gr, 0.1)
         assert params.weights[0][0, 0] == 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_step_is_a_numerical_error(self):
+        params = GcnParams(weights=(np.array([[1.0, -2.0]]),))
+        gr = Gradients(grads=(np.array([[4.0, 0.0]]),), loss=0.0)
+        with pytest.raises(NumericalError, match="non-finite parameter values"):
+            sgd_update(params, gr, 1e308)
 
 
 def test_glorot_limits():
@@ -329,10 +372,11 @@ def _stacked(sizes, sparse):
     """Random parts stacked as one batch: (parts, adj, layer input, labels, mask, part ids)."""
     parts = [_part(n, seed, masked, sparse) for seed, (n, masked) in enumerate(sizes)]
     adj = sp.block_diag([a for a, _, _, _ in parts], format="csr")
-    x = propagated_input(layer_input(np.concatenate([f for _, f, _, _ in parts])), adj)
+    x = layer_input(np.concatenate([f for _, f, _, _ in parts]))
     labels = np.concatenate([y for _, _, y, _ in parts])
     mask = np.concatenate([m for _, _, _, m in parts])
     part = np.repeat(np.arange(len(sizes)), [n for n, _ in sizes])
+    assert sp.issparse(x) == sparse
     return parts, adj, x, labels, mask, part
 
 
@@ -354,20 +398,19 @@ class TestSegments:
     @pytest.mark.parametrize("layers", [2, 3])
     def test_matches_weighted_sum_of_parts(self, sparse, layers):
         parts, adj, x, labels, mask, part = _stacked(self.SIZES, sparse)
-        assert isinstance(x, Propagated) != sparse
         dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
         params = init_params(dims, seed=layers)
-        out = output_rows(adj, np.flatnonzero(mask))
-        plan = loss_plan(labels, mask, out, 5, part, self.WEIGHTS)
-        got = loss_and_backward(forward(params, adj, x, out), params, adj, plan=plan)
+        batch = build_batch(adj, x, labels, 5, np.flatnonzero(mask), mask, part, self.WEIGHTS)
+        assert batch.propagated != sparse
+        got = loss_and_backward(forward(params, batch), params)
 
         want_loss, want_grads, part_losses = 0.0, [np.zeros_like(w) for w in params.weights], []
         for (a_i, f_i, y_i, m_i), c in zip(parts, self.WEIGHTS):
             if not m_i.any():
                 part_losses.append(0.0)
                 continue
-            alone = forward(params, a_i, propagated_input(layer_input(f_i), a_i))
-            gr = loss_and_backward(alone, params, a_i, y_i, m_i)
+            alone = build_batch(a_i, layer_input(f_i), y_i, 5, loss_mask=m_i)
+            gr = loss_and_backward(forward(params, alone), params)
             part_losses.append(gr.loss)
             want_loss += c * gr.loss
             for acc, g in zip(want_grads, gr.grads):
@@ -379,14 +422,14 @@ class TestSegments:
             assert rel_gap(g, want) <= 1e-12
 
     def test_one_segment_is_the_plain_call(self):
-        # one part of unit weight is the per-call form, bit for bit
+        # by default every loss row is in part 0, of weight 1, bit for bit
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
         params = init_params((4, 8, 3), seed=4)
-        cache = forward(params, adj, g.features)
-        plan = loss_plan(g.labels, g.train_mask, cache.out_rows, 3, np.zeros(6), [1.0])
-        got = loss_and_backward(cache, params, adj, plan=plan)
-        want = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        explicit = build_batch(adj, g.features, g.labels, 3, None, g.train_mask, np.zeros(6),
+                               [1.0])
+        got = loss_and_backward(forward(params, explicit), params)
+        want = loss_and_backward(forward(params, whole_batch(g, g.train_mask)), params)
         assert got.loss == want.loss and got.part_losses.tolist() == [want.loss]
         for a, b in zip(got.grads, want.grads):
             assert a.tobytes() == b.tobytes()
@@ -394,21 +437,22 @@ class TestSegments:
     def test_part_without_weight_rejected(self):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
-        out = output_rows(adj)
-        loss_plan(g.labels, g.train_mask, out, 3, [0, 0, 0, 1, 1, 1], [1.0, 2.0])
+        build_batch(adj, g.features, g.labels, 3, None, g.train_mask, [0, 0, 0, 1, 1, 1],
+                    [1.0, 2.0])
         for part in ([0, 0, 0, 1, 2, 1], [0, 0, -1, 1, 1, 1]):  # row 5 is no loss row
             with pytest.raises(GadError, match="part needs a weight"):
-                loss_plan(g.labels, g.train_mask, out, 3, part, [1.0, 2.0])
+                build_batch(adj, g.features, g.labels, 3, None, g.train_mask, part, [1.0, 2.0])
 
 
 def all_rows_pass(params, adj, x, labels, mask, part, weights):
     """Logits, part losses and gradients with every row carried to the output.
 
-    The reference for output rows, written out: the softmax on every row, a
-    weighted gradient padded with zero rows, and ``adj @ G`` in every layer.
+    The reference for output rows, written out: a dense ``x`` propagated as
+    ``adj @ x``, the softmax on every row, a weighted gradient padded with
+    zero rows, and ``adj @ G`` in every layer.
     """
-    propagated = isinstance(x, Propagated)
-    h = x.values if propagated else x
+    propagated = not sp.issparse(x)
+    h = adj @ x if propagated else x
     last = params.num_layers - 1
     hs = []
     for l, w in enumerate(params.weights):
@@ -445,64 +489,54 @@ class TestOutputRows:
     def test_loss_rows_pass_matches_all_rows_bit_for_bit(self, sizes, sparse, layers):
         _, adj, x, labels, mask, part = _stacked(sizes, sparse)
         weights = TestSegments.WEIGHTS[:len(sizes)]
-        assert isinstance(x, Propagated) != sparse
         dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
         params = init_params(dims, seed=layers)
-        out = output_rows(adj, np.flatnonzero(mask))
-        rows = out.rows
+        rows = np.flatnonzero(mask)
         assert 0 < len(rows) < adj.shape[0]
 
         logits, losses, grads = all_rows_pass(params, adj, x, labels, mask, part, weights)
-        full = forward(params, adj, x)
-        loss_rows = forward(params, adj, x, out)
+        full_batch = build_batch(adj, x, labels, 5, None, mask, part, weights)
+        rows_batch = build_batch(adj, x, labels, 5, rows, mask, part, weights)
+        full, loss_rows = forward(params, full_batch), forward(params, rows_batch)
         assert loss_rows.logits.shape == (len(rows), 5)
         assert full.logits.tobytes() == logits.tobytes()
         assert loss_rows.logits.tobytes() == logits[rows].tobytes()
         assert loss_rows.probs.tobytes() == full.probs[rows].tobytes()
         for cache in (full, loss_rows):
-            plan = loss_plan(labels, mask, cache.out_rows, 5, part, weights)
-            got = loss_and_backward(cache, params, adj, plan=plan)
+            got = loss_and_backward(cache, params)
             assert got.part_losses.tobytes() == losses.tobytes()
             assert got.loss == float(np.asarray(weights) @ losses)
             for a, b in zip(got.grads, grads):
                 assert a.tobytes() == b.tobytes()
 
+
     def test_every_row_is_the_default(self):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
-        out = output_rows(adj)
-        assert out.adj is adj and np.array_equal(out.rows, np.arange(6))
-        assert np.shares_memory(out.adj_t.data, adj.data)    # a view, not a copy
+        batch = build_batch(adj, g.features, g.labels, 3)
+        assert batch.adj_rows is adj and np.array_equal(batch.rows, np.arange(6))
+        assert np.shares_memory(batch.adj_rows_t.data, adj.data)    # a view, not a copy
+        assert np.array_equal(batch.labels, g.labels)
         params = init_params((4, 8, 3), seed=4)
-        cache = forward(params, adj, g.features)
-        assert cache.out_rows.adj is adj and np.array_equal(cache.out_rows.rows, out.rows)
-        sliced = forward(params, adj, g.features, output_rows(adj, [1, 4]))
-        assert sliced.logits.tobytes() == cache.logits[[1, 4]].tobytes()
+        cache = forward(params, batch)
+        sliced = build_batch(adj, g.features, g.labels, 3, [1, 4])
+        assert np.array_equal(sliced.labels, g.labels[[1, 4]])
+        assert forward(params, sliced).logits.tobytes() == cache.logits[[1, 4]].tobytes()
 
     @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1, 2], [3, 6], [[0, 1]]])
     def test_rows_validated(self, rows):
-        adj = normalized_adjacency(full_view(fixture_graph()))
-        with pytest.raises(GadError):
-            output_rows(adj, rows)
-
-    def test_output_rows_of_another_adjacency_rejected(self):
-        g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
-        other = sp.identity(5, format="csr")
-        with pytest.raises(GadError):
-            forward(init_params((4, 3), seed=0), adj, g.features, output_rows(other, [0, 1]))
+        with pytest.raises(GadError, match="distinct row ids in increasing order"):
+            whole_batch(fixture_graph(), rows=rows)
 
     def test_loss_row_outside_output_rows_rejected(self):
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
         params = init_params((4, 8, 3), seed=0)
         # rows 0-4 are masked: row 2 is missing inside the computed range, row 4 past its end
         for rows in ([0, 1, 3, 4, 5], [0, 1, 2, 3]):
-            cache = forward(params, adj, g.features, output_rows(adj, rows))
             with pytest.raises(GadError, match="did not compute"):
-                loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+                whole_batch(g, g.train_mask, rows)
             computed = g.train_mask & np.isin(np.arange(6), rows)
-            gr = loss_and_backward(cache, params, adj, g.labels, computed)
+            gr = loss_and_backward(forward(params, whole_batch(g, computed, rows)), params)
             assert gr.loss > 0.0
 
 
@@ -514,16 +548,16 @@ class TestWorkspace:
     def test_shared_workspace_equals_fresh_arrays(self, sparse, layers):
         _, adj, x, labels, mask, part = _stacked(TestSegments.SIZES, sparse)
         dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
-        out = output_rows(adj, np.flatnonzero(mask))
-        plan = loss_plan(labels, mask, out, 5, part, TestSegments.WEIGHTS)
+        batch = build_batch(adj, x, labels, 5, np.flatnonzero(mask), mask, part,
+                            TestSegments.WEIGHTS)
         # more rows than the batch: a step writes the leading rows only
         ws = workspace(init_params(dims, seed=8), adj.shape[0] + 7)
         runs = []
         for buffers in (None, ws):
             params, steps = init_params(dims, seed=8), []
             for _ in range(2):
-                cache = forward(params, adj, x, out, ws=buffers)
-                gr = loss_and_backward(cache, params, adj, plan=plan, ws=buffers)
+                cache = forward(params, batch, ws=buffers)
+                gr = loss_and_backward(cache, params, ws=buffers)
                 steps.append([cache.logits.tobytes(), np.float64(gr.loss).tobytes()]
                              + [g.tobytes() for g in gr.grads])
                 params = sgd_update(params, gr, 1e-3)
@@ -534,20 +568,20 @@ class TestWorkspace:
 
     def test_held_gradients_unchanged_by_a_second_call(self):
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
+        batch = whole_batch(g, g.train_mask)
         params = init_params((4, 8, 8, 3), seed=6)
-        cache = forward(params, adj, g.features)
-        first = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        cache = forward(params, batch)
+        first = loss_and_backward(cache, params)
         held = [a.tobytes() for a in first.grads]
-        second = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+        second = loss_and_backward(cache, params)
         assert [a.tobytes() for a in second.grads] == held
         other = init_params((4, 8, 8, 3), seed=7)
-        loss_and_backward(forward(other, adj, g.features), other, adj, g.labels, g.train_mask)
+        loss_and_backward(forward(other, batch), other)
         assert [a.tobytes() for a in first.grads] == held
 
     def test_batch_larger_than_workspace_rejected(self):
         g = fixture_graph()
-        adj = normalized_adjacency(full_view(g))
         params = init_params((4, 8, 3), seed=6)
+        batch = whole_batch(g, x=sp.csr_matrix(g.features))
         with pytest.raises(GadError):
-            forward(params, adj, g.features, ws=workspace(params, 5))
+            forward(params, batch, ws=workspace(params, 5))

@@ -9,12 +9,11 @@ from gad.augment import assign_to_workers, augment_partitions, augment_subgraph
 from gad.config import Config
 from gad.errors import GadError, NumericalError
 from gad.gcn import (
-    Propagated,
+    build_batch,
     forward,
     init_params,
     layer_input,
     loss_and_backward,
-    propagated_input,
     sgd_update,
 )
 from gad.graph import Graph, full_view, normalized_adjacency
@@ -40,6 +39,12 @@ def single_partition(g):
 def whole(g, rows=None):
     """The whole graph as one segment for evaluation, reading ``rows`` (every row by default)."""
     return make_batch(layer_input(g.features), [full_view(g)], rows, loss=False)
+
+
+def plain_batch(g, loss_mask=None):
+    """``g`` as one batch over its own A_hat, built without :func:`make_batch`."""
+    adj = normalized_adjacency(full_view(g))
+    return build_batch(adj, layer_input(g.features), g.labels, g.num_classes, loss_mask=loss_mask)
 
 
 class TestEvaluate:
@@ -87,11 +92,10 @@ class TestEvaluate:
         g = dataclasses.replace(g, features=(rng.random((g.num_nodes, 40)) < density) * 1.0)
         params = init_params((40, 8, 2), seed=3)
         batch = whole(g)
-        adj = normalized_adjacency(full_view(g))
-        plain = forward(params, adj, propagated_input(layer_input(g.features), adj))
-        stacked = forward(params, batch.adj, batch.features)
+        plain = forward(params, plain_batch(g))
+        stacked = forward(params, batch)
         assert plain.probs.tobytes() == stacked.probs.tobytes()
-        assert sp.issparse(batch.features) == (density < 0.1)
+        assert sp.issparse(batch.x) == (density < 0.1) != batch.propagated
 
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -99,11 +103,10 @@ class TestEvaluate:
         # random parameters; the batch reads the validation and test rows only
         g = small_graph(seed=seed)
         params = init_params((8, 16, 2), seed=seed)
-        adj = normalized_adjacency(full_view(g))
-        pred = forward(params, adj, propagated_input(layer_input(g.features), adj)).probs.argmax(1)
+        pred = forward(params, plain_batch(g)).probs.argmax(1)
         masks = np.stack([g.val_mask, g.test_mask])
         batch = whole(g, np.flatnonzero(masks.any(axis=0)))
-        assert len(batch.out_rows.rows) < g.num_nodes
+        assert len(batch.rows) < g.num_nodes
         want = tuple(float((pred[m] == g.labels[m]).mean()) for m in masks)
         assert evaluate(params, batch, masks) == want
         assert evaluate(params, batch, g.test_mask) == want[1]
@@ -124,7 +127,7 @@ class TestMakeBatch:
         rows = np.flatnonzero(g.train_mask)[:-1]
         with pytest.raises(GadError, match="loss mask selects a row the forward pass did not compute"):
             make_batch(x, views, rows)
-        assert make_batch(x, views, rows, loss=False).loss is None
+        assert make_batch(x, views, rows, loss=False).at is None
 
     def test_label_out_of_range_rejected(self):
         g = small_graph(seed=2)
@@ -142,9 +145,9 @@ class TestMakeBatch:
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_plan_equals_per_call_mask_bit_for_bit(self, layout):
-        # the batch's plan, of unit weight per subgraph, gives the gradients
-        # of the mask form, which builds its plan per call; its loss is
-        # summed subgraph by subgraph, so it agrees up to rounding
+        # the batch of the views, of unit weight per subgraph, gives the
+        # gradients of one part holding every loss row; its loss is summed
+        # subgraph by subgraph, so it agrees up to rounding
         g = small_graph(seed=4)
         if layout == "csr":
             rng = np.random.default_rng(4)
@@ -152,24 +155,29 @@ class TestMakeBatch:
         p = partition_graph(g, 3, seed=4)
         views = [r.subgraph.view for r in augment_partitions(g, p, 2, alpha=0.2, seed=4)]
         mask = np.concatenate([v.local_train_mask() for v in views])
-        batch = make_batch(layer_input(g.features), views, np.flatnonzero(mask))
-        assert sp.issparse(batch.features) == (layout == "csr")
+        x, rows = layer_input(g.features), np.flatnonzero(mask)
+        batch = make_batch(x, views, rows)
+        assert sp.issparse(batch.x) == (layout == "csr")
+        labels = np.concatenate([v.local_labels() for v in views])
+        one = build_batch(batch.adj, x[batch.ids], labels, g.num_classes, rows, mask)
         params = init_params((g.feature_dim, 8, 8, g.num_classes), seed=4)
-        cache = forward(params, batch.adj, batch.features, batch.out_rows)
-        got = loss_and_backward(cache, params, batch.adj, plan=batch.loss)
-        want = loss_and_backward(cache, params, batch.adj, batch.labels, mask)
-        assert len(got.part_losses) == len(views)
+        got = loss_and_backward(forward(params, batch), params)
+        want = loss_and_backward(forward(params, one), params)
+        assert len(got.part_losses) == len(views) and len(want.part_losses) == 1
         assert got.loss == pytest.approx(want.loss, rel=1e-12)
         assert [w.tobytes() for w in got.grads] == [w.tobytes() for w in want.grads]
 
-    def test_plan_of_another_batch_rejected(self):
+    def test_rows_come_from_the_views(self):
+        # the stacked rows are the views' rows of x, in view order
         g = small_graph(seed=4)
-        x, views = layer_input(g.features), [full_view(g)]
-        a, b = make_batch(x, views), make_batch(x, views)
-        params = init_params((g.feature_dim, 8, g.num_classes), seed=4)
-        cache = forward(params, a.adj, a.features, a.out_rows)
-        with pytest.raises(GadError, match="loss plan was made for another batch"):
-            loss_and_backward(cache, params, a.adj, plan=b.loss)
+        p = partition_graph(g, 3, seed=4)
+        views = [r.subgraph.view for r in augment_partitions(g, p, 2, alpha=0.2, seed=4)]
+        x = layer_input(g.features)
+        batch = make_batch(x, views, loss=False)
+        assert np.array_equal(batch.ids, np.concatenate([v.local_ids for v in views]))
+        assert np.array_equal(batch.labels, g.labels[batch.ids])
+        assert batch.propagated and batch.adj.shape == (len(batch.ids),) * 2
+        assert batch.x.tobytes() == (batch.adj @ x[batch.ids]).tobytes()
 
 
 class TestCommunicationSize:
@@ -261,13 +269,11 @@ class TestTrain:
 
             dims = (g.feature_dim,) + (cfg.hidden,) * (layers - 1) + (g.num_classes,)
             params = init_params(dims, seed=cfg.seed)
-            adj = normalized_adjacency(full_view(g))
             # layer 0's input prepared as train prepares it
-            x = propagated_input(layer_input(g.features), adj)
+            batch = plain_batch(g, g.train_mask)
             oracle = []
             for _ in range(20):
-                cache = forward(params, adj, x)
-                gr = loss_and_backward(cache, params, adj, g.labels, g.train_mask)
+                gr = loss_and_backward(forward(params, batch), params)
                 oracle.append(gr.loss)
                 params = sgd_update(params, gr, cfg.eta)
             assert np.allclose(rep.train_loss, oracle, rtol=0, atol=1e-12)
@@ -477,15 +483,15 @@ class TestTrain:
         seen = []
         real_forward = training.forward
 
-        def recording_forward(params, adj, features, *args):
-            seen.append(type(features))
-            return real_forward(params, adj, features, *args)
+        def recording_forward(params, batch, *args):
+            seen.append(type(batch.x))
+            return real_forward(params, batch, *args)
 
         monkeypatch.setattr(training, "forward", recording_forward)
         train(g, p, augs, 1, quick_config(k=5, workers=1, epochs=2, eval_every=1))
         # per epoch five single-part groups, then one evaluation; one before
         assert len(seen) == 1 + 2 * (5 + 1)
-        assert set(seen) == {sp.csr_matrix if layout == "csr" else Propagated}
+        assert set(seen) == {sp.csr_matrix if layout == "csr" else np.ndarray}
 
     def test_no_owned_training_node_rejected(self):
         g = small_graph(seed=7)
@@ -524,3 +530,13 @@ class TestTrain:
         with pytest.raises(NumericalError) as exc_info:
             train(g, p, augs, 1, cfg)
         assert hasattr(exc_info.value, "partial_report")
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_update_carries_partial_report(self):
+        # the first loss is finite, and the step from it overflows the weights
+        g = small_graph(seed=8)
+        p = partition_graph(g, 2, seed=8)
+        cfg = quick_config(epochs=3, eta=1e308)
+        with pytest.raises(NumericalError, match="non-finite parameter values") as exc_info:
+            train(g, p, bare_subgraphs(g, p), 2, cfg)
+        assert exc_info.value.partial_report.train_loss == []
