@@ -198,14 +198,22 @@ class ForwardCache:
 class Workspace:
     """Buffers a run's steps write their large products into; see :func:`workspace`."""
 
+    num_rows: int                       # the most rows a pass may have
     hidden: tuple[np.ndarray, ...]      # H_1 .. H_{L-1}, read again by the backward
     temp: tuple[np.ndarray, ...]        # two flat buffers for the products in between
     grads: tuple[np.ndarray, ...]       # d(loss)/dW_l, per layer
 
-    def rows(self, i: int, n: int, d: int) -> np.ndarray:
-        """The first ``n * d`` entries of temporary buffer ``i`` as an (n, d) array."""
-        if n * d > self.temp[i].size:
+    def check(self, n: int) -> None:
+        """Raise :class:`GadError` unless a pass over ``n`` rows fits."""
+        if n > self.num_rows:
             raise GadError("the pass has more rows than the workspace")
+
+    def rows(self, i: int, n: int, d: int) -> np.ndarray:
+        """The first ``n * d`` entries of temporary buffer ``i`` as an (n, d) array.
+
+        ``n`` has passed :meth:`check`, and ``d`` is a layer width of the
+        weights the workspace was made for, so the array fits.
+        """
         return self.temp[i][:n * d].reshape(n, d)
 
 
@@ -221,6 +229,7 @@ def workspace(params: GcnParams, rows: int) -> Workspace:
     ws = params.weights
     width = max(w.shape[1] for w in ws)
     return Workspace(
+        num_rows=rows,
         hidden=tuple(np.empty((rows, w.shape[1])) for w in ws[:-1]),
         temp=(np.empty(rows * width), np.empty(rows * width)),
         grads=tuple(np.empty_like(w) for w in ws),
@@ -261,9 +270,12 @@ def forward(params: GcnParams, batch: Batch, xw=None, ws: Workspace | None = Non
     from a product over more rows of the same matrix qualify, since a CSR
     product computes each row on its own; a dense GEMM does not, so dense
     input takes no ``xw``.  With ``ws``, a :func:`workspace`, the products
-    over all rows are written into its buffers instead of fresh arrays.
+    over all rows are written into its buffers instead of fresh arrays; a
+    batch with more rows than it holds raises :class:`GadError` first.
     """
     propagated, n, last = batch.propagated, batch.adj.shape[0], params.num_layers - 1
+    if ws is not None:
+        ws.check(n)
     h, activations = batch.x, []
     for l, w in enumerate(params.weights):
         if h.shape[1] != w.shape[0]:
@@ -306,11 +318,14 @@ def loss_and_backward(cache: ForwardCache, params: GcnParams,
     Returns one :class:`Gradients`: ``loss`` is ``sum_i c_i * L_i``, and
     ``part_losses`` holds each ``L_i`` (0 for a part without a loss row).
     With ``ws``, a :func:`workspace`, the products and gradients go into its
-    buffers, which the next step given it overwrites.
+    buffers, which the next step given it overwrites; a batch with more rows
+    than it holds raises :class:`GadError` before any product.
     """
     batch = cache.batch
     if batch.at is None:
         raise GadError("the batch has no loss rows")
+    if ws is not None:
+        ws.check(batch.adj.shape[0])
     at, ys = batch.at, batch.labels[batch.at]
     gz = cache.probs    # a fresh array: the softmax gradient is formed in it
     nll = -np.log(np.clip(gz[at, ys], PROB_FLOOR, 1.0))

@@ -365,18 +365,44 @@ def _parses(lines) -> bool:
     return True
 
 
+def _digit_rows(values):
+    """Rows of one-digit values one space or tab apart as a float64 array, else None.
+
+    Each value is its ASCII byte minus ``ord("0")``, an exact float64, so the
+    array equals ``np.loadtxt``'s.  The first row's second character turns
+    other files away at once; any later row of another layout returns None.
+    """
+    width = len(values[0])
+    if values[0][1:2] not in ("", " ", "\t"):
+        return None
+    out = np.empty((len(values), width // 2 + 1))
+    for row, text in zip(out, values):
+        b = text.encode()
+        digits = b[::2]
+        if (len(b) != width or digits.translate(None, b"0123456789")
+                or b[1::2].translate(None, b" \t")):
+            return None
+        row[:] = np.frombuffer(digits, np.uint8)
+    out -= ord("0")
+    return out
+
+
 def _parse_feature_rows(rows, path, dim=None, int_labels=False):
     """Parse 'id v1 ... vD label' rows; returns (names, features, labels).
 
-    One ``np.loadtxt`` call parses all values.  If it fails, a width is off
-    or a label is not an integer (with ``int_labels``), the loop below reads
-    the rows one by one and raises for the first bad one.
+    One ``np.loadtxt`` call parses all values, unless every one is a single
+    digit (see :func:`_digit_rows`).  If it fails, a width is off or a label
+    is not an integer (with ``int_labels``), the loop below reads the rows
+    one by one and raises for the first bad one.
     """
     heads = [line.split(None, 1) for _, line in rows]
     tails = [h[-1].rsplit(None, 1) for h in heads]
     if rows and all(len(t) == 2 for t in tails):
         try:
-            feats = np.loadtxt([t[0] for t in tails], dtype=np.float64, ndmin=2, comments=None)
+            values = [t[0] for t in tails]
+            feats = _digit_rows(values)
+            if feats is None:
+                feats = np.loadtxt(values, dtype=np.float64, ndmin=2, comments=None)
             labels = [int(t[1]) if int_labels else t[1] for t in tails]
             if dim in (None, feats.shape[1]):
                 return [h[0] for h in heads], feats, labels
@@ -412,8 +438,10 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
     layout (same rows, string labels, no header).  Node ids are arbitrary
     strings interned in file order.  Values are read by NumPy's parser, so
     ``1_0`` and non-ASCII digits are rejected; only the edge file may hold
-    ``#`` comments.  A native label of ``UNLABELED`` (-1) keeps its node out
-    of all three split masks.
+    ``#`` comments.  A file whose values are all single ASCII digits, one
+    space or tab apart (Cora's 0/1 words), is converted from its bytes
+    instead, to the values NumPy's parser gives.  A native label of
+    ``UNLABELED`` (-1) keeps its node out of all three split masks.
     """
     feature_path = Path(feature_path)
     with open(feature_path, "r", encoding="utf-8") as fh:

@@ -582,6 +582,15 @@ class TestWorkspace:
     def test_batch_larger_than_workspace_rejected(self):
         g = fixture_graph()
         params = init_params((4, 8, 3), seed=6)
-        batch = whole_batch(g, x=sp.csr_matrix(g.features))
-        with pytest.raises(GadError):
-            forward(params, batch, ws=workspace(params, 5))
+        ws = workspace(params, 5)
+        for x in (sp.csr_matrix(g.features), g.features):   # CSR, then propagated
+            with pytest.raises(GadError, match="more rows than the workspace"):
+                forward(params, whole_batch(g, x=x), ws=ws)
+        # the last layer's 6 x 3 product fits the 5 x 8 buffer's entries, but
+        # not its rows: the backward is rejected before it writes anything
+        for buf in ws.temp + ws.grads:
+            buf.fill(np.nan)
+        batch = whole_batch(g, g.train_mask, x=sp.csr_matrix(g.features))
+        with pytest.raises(GadError, match="more rows than the workspace"):
+            loss_and_backward(forward(params, batch), params, ws=ws)
+        assert all(np.isnan(buf).all() for buf in ws.temp + ws.grads)

@@ -387,11 +387,14 @@ class TestLoaders:
             ("a 1 0 x\n\nb 1 oops y\n", 3, "feature value 'oops' is not a number"),
             ("a 1 0 x\nb 1_0 1 y\n", 2, "feature value '1_0' is not a number"),
             ("a 1e 0 x\nb 1 1 y\n", 1, "feature value '1e' is not a number"),
+            # float() reads a non-ASCII digit, so the oracle cannot judge these
+            ("a 1 0 x\nb \u0663 1 y\n", 2, "feature value '\u0663' is not a number"),
+            ("a \u0663 0 x\nb 1 1 y\n", 1, "feature value '\u0663' is not a number"),
         ],
     )
     def test_non_numeric_value_names_line(self, tmp_path, rows, lineno, match):
         feat = tmp_path / "toy.content"
-        feat.write_text(rows)
+        feat.write_text(rows, encoding="utf-8")
         edge = tmp_path / "toy.cites"
         edge.write_text("a b\n")
         with pytest.raises(GadError, match=f"toy.content:{lineno}: {match}"):
@@ -421,9 +424,12 @@ def _noise_lines(rng, end):
     return "".join(rng.choice(["", " ", "\t", " \t  "]) + end for _ in range(rng.integers(0, 3)))
 
 
-def _random_dataset(tmp_path, seed, layout):
+def _random_dataset(tmp_path, seed, layout, digits=False):
     """Seeded random feature and edge files in ``layout`` ('native' or 'content').
 
+    With ``digits``, every value is one of ``0``-``9``, one space or tab
+    from the next, as in Cora's word columns; for every third seed, one row
+    (when there are two values or more) has a wider gap between two values.
     Returns (edge_path, feature_path, feature_lines, edge_lines): the lines
     as written, so that a test can break one of them and write them again.
     """
@@ -432,19 +438,30 @@ def _random_dataset(tmp_path, seed, layout):
     names = [f"{rng.choice(['n', 'paper-', 'x.', ''])}{i * 7 + 3}" for i in rng.permutation(n)]
     classes = ["Neural_Networks", "Rule_Learning", "Theory", "x"]
     end = _ENDS[seed % 2]
+    wide = int(rng.integers(n)) if digits and d > 1 and seed % 3 == 0 else -1
 
-    def row(cells):
+    def row(cells, gaps=None):
         lead = rng.choice(["", " ", "\t"])
-        return lead + "".join(c + str(rng.choice(_SEPS)) for c in cells[:-1]) + cells[-1]
+        if gaps is None:
+            gaps = [str(rng.choice(_SEPS)) for _ in cells[:-1]]
+        return lead + "".join(c + g for c, g in zip(cells, gaps)) + cells[-1]
 
     feature_lines = []
     if layout == "native":
         feature_lines.append(json.dumps({"num_nodes": n, "dim": d, "classes": 3}))
-    for name in names:
-        values = [_VALUE_FORMS[rng.integers(len(_VALUE_FORMS))](float(x))
-                  for x in rng.normal(0, 10, d)]
+    for i, name in enumerate(names):
+        gaps = None
+        if digits:
+            values = [str(x) for x in rng.integers(0, 10, d)]
+            gaps = [str(rng.choice(_SEPS))] + [str(rng.choice(_SEPS[:2])) for _ in range(d - 1)]
+            if i == wide:
+                gaps[1 + rng.integers(d - 1)] = str(rng.choice(_SEPS[2:]))
+            gaps.append(str(rng.choice(_SEPS)))
+        else:
+            values = [_VALUE_FORMS[rng.integers(len(_VALUE_FORMS))](float(x))
+                      for x in rng.normal(0, 10, d)]
         label = str(rng.integers(-1, 3)) if layout == "native" else str(rng.choice(classes))
-        feature_lines.append(row([name] + values + [label]))
+        feature_lines.append(row([name] + values + [label], gaps))
     edge_lines = []
     for _ in range(int(rng.integers(0, 3 * n + 1))):
         u, v = rng.choice(names, 2)
@@ -490,10 +507,12 @@ def _load_both(edge, feat, seed):
 class TestLoaderOracle:
     """``load_dataset`` against the row-by-row parser in ``loader_oracle``."""
 
+    DIGITS = False   # the value mode of every _random_dataset here
+
     @pytest.mark.parametrize("layout", ["native", "content"])
     @pytest.mark.parametrize("seed", range(12))
     def test_random_files_identical(self, tmp_path, seed, layout):
-        edge, feat, _, _ = _random_dataset(tmp_path, seed, layout)
+        edge, feat, _, _ = _random_dataset(tmp_path, seed, layout, self.DIGITS)
         new, old = _load_both(edge, feat, seed)
         assert not isinstance(old, str), old
         _assert_same_graph(new, old)
@@ -521,7 +540,7 @@ class TestLoaderOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_errors_identical(self, tmp_path, seed, fault, layout):
         rng = np.random.default_rng(seed)
-        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, seed, layout)
+        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, seed, layout, self.DIGITS)
         first = 1 if layout == "native" else 0
         rows = feature_lines[first:]
         self.FAULTS[fault](rng, rows, edge_lines)
@@ -545,7 +564,7 @@ class TestLoaderOracle:
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_header_width_mismatch_identical(self, tmp_path, delta):
         # every row agrees with every other, but not with the header's dim
-        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 4, "native")
+        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 4, "native", self.DIGITS)
         header = json.loads(feature_lines[0])
         header["dim"] += delta
         feature_lines[0] = json.dumps(header)
@@ -554,11 +573,75 @@ class TestLoaderOracle:
         assert new == old and "inconsistent feature dimension" in old
 
     def test_label_out_of_range_identical(self, tmp_path):
-        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 1, "native")
+        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 1, "native", self.DIGITS)
         feature_lines[-1] = feature_lines[-1].rsplit(None, 1)[0] + " 3"
         edge, feat = _write_dataset(tmp_path, "native", feature_lines, edge_lines)
         new, old = _load_both(edge, feat, 1)
         assert new == old == f"{feat}: label outside 0..classes-1"
+
+
+class TestDigitLoaderOracle(TestLoaderOracle):
+    """The same checks on files of one-digit values, which are read from their bytes."""
+
+    DIGITS = True
+
+    # near misses of the one-digit layout, in the first row (turned away at
+    # its second character) or the last (turned away by the row check)
+    NEAR_MISSES = {
+        "two-digit value": lambda p: p[:1] + ["10"] + p[2:],
+        "negative value": lambda p: p[:1] + ["-1"] + p[2:],
+        "one value short": lambda p: p[:-2] + p[-1:],
+        # the row keeps its length: a digit stands where a gap was
+        "values run together": lambda p: p[:2] + [p[2] + "0" + p[3]] + p[4:],
+    }
+
+    @pytest.mark.parametrize("layout", ["native", "content"])
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("miss", sorted(NEAR_MISSES))
+    def test_digit_near_misses_identical(self, tmp_path, miss, where, layout):
+        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 4, layout, self.DIGITS)
+        first = 1 if layout == "native" else 0
+        rows = feature_lines[first:]
+        assert len(rows[where].split()) > 4   # three values or more
+        rows[where] = " ".join(self.NEAR_MISSES[miss](rows[where].split()))
+        edge, feat = _write_dataset(tmp_path, layout, feature_lines[:first] + rows, edge_lines)
+        new, old = _load_both(edge, feat, 4)
+        if miss in ("one value short", "values run together"):
+            assert new == old and "inconsistent feature dimension" in old
+        else:
+            _assert_same_graph(new, old)
+
+
+class _LoadtxtCalled(Exception):
+    pass
+
+
+def _forbid_loadtxt(monkeypatch):
+    """Make ``np.loadtxt``, as ``gad.graph`` reaches it, raise ``_LoadtxtCalled``."""
+    def loadtxt(*args, **kwargs):
+        raise _LoadtxtCalled
+    monkeypatch.setattr("gad.graph.np.loadtxt", loadtxt)
+
+
+class TestDigitRows:
+    """Files of one-digit values are read from their bytes, without ``np.loadtxt``."""
+
+    @pytest.mark.parametrize("layout", ["native", "content"])
+    def test_one_digit_files_skip_loadtxt(self, tmp_path, monkeypatch, layout):
+        edge, feat, _, _ = _random_dataset(tmp_path, 1, layout, digits=True)
+        expected = loader_oracle.load_dataset(edge, feat, (0.4, 0.3, 0.3), 1)
+        _forbid_loadtxt(monkeypatch)
+        _assert_same_graph(load_dataset(edge, feat, (0.4, 0.3, 0.3), 1), expected)
+
+    def test_decimal_file_reaches_loadtxt(self, tmp_path, monkeypatch):
+        feat = tmp_path / "features.txt"
+        feat.write_text('{"num_nodes": 2, "dim": 2, "classes": 2}\n'
+                        "a 1.000000 0.000000 0\nb 0.000000 1.000000 1\n")
+        edge = tmp_path / "edges.txt"
+        edge.write_text("a b\n")
+        _forbid_loadtxt(monkeypatch)
+        with pytest.raises(_LoadtxtCalled):
+            load_dataset(edge, feat, (0.5, 0.5, 0.0), seed=0)
 
 
 def _edit_row(rng, rows, edit):
