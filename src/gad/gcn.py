@@ -5,8 +5,8 @@ relu, and its output rows are logits whose row softmax gives the class
 probabilities.  Layers after the first multiply as A_hat @ (H_prev @ W_l).
 Layer 0 takes CSR features the same way (see :func:`layer_input`), but dense
 features as P = A_hat @ X, made once per batch, and then computes P @ W_0.
-The loss is masked categorical cross-entropy summed over the selected
-nodes, and gradients come from exact reverse-mode differentiation of that
+The loss is categorical cross-entropy summed over a training batch's
+rows, and gradients come from exact reverse-mode differentiation of that
 chain, so they can be checked against finite differences.
 
 A pass reads one :class:`Batch`, built and checked once by
@@ -14,11 +14,11 @@ A pass reads one :class:`Batch`, built and checked once by
 block-diagonal A_hat, each product run once over all rows, with the loss
 ``sum_i c_i * L_i`` of the parts' summed losses; no edge joins two parts,
 so its gradient is ``sum_i c_i * g_i`` up to rounding.  A pass computes its
-last layer only on the batch's rows (the loss rows in training, the scored
-rows in evaluation), as A_hat[rows] @ (H @ W); every row is the default,
-and the rows it computes equal those of an all-rows pass, bit for bit.  A
-run's steps write their products over all rows into one reused
-:class:`Workspace`.
+last layer only on the batch's rows (a training batch's loss rows, or an
+evaluation's scored rows), as A_hat[rows] @ (H @ W); every row is the
+default, and the rows it computes equal those of an all-rows pass, bit for
+bit.  Every pass writes its products over all rows into a
+:class:`Workspace`: a run hands its one workspace to all of them.
 """
 
 from __future__ import annotations
@@ -107,21 +107,23 @@ class Batch:
 
     adj: sp.csr_matrix              # A_hat
     x: np.ndarray | sp.csr_matrix   # layer 0's input: CSR X, or dense P = A_hat @ X
-    propagated: bool                # x is P, so layer 0 takes no product with A_hat
     rows: np.ndarray                # the rows the last layer is computed on, increasing
     adj_rows: sp.csr_matrix         # A_hat[rows]
     adj_rows_t: sp.csc_matrix       # its transpose, a view of the same arrays, for the backward
     labels: np.ndarray              # the label of each of ``rows``
-    # the loss rows; all None for a batch that is only evaluated
-    at: np.ndarray | None           # loss row t is computed row at[t]; loss rows increase
-    part: np.ndarray | None         # the part of each loss row
+    # a training batch's loss rows are its rows; both None for a batch that is only evaluated
+    part: np.ndarray | None         # the part of each of ``rows``
     weights: np.ndarray | None      # each part's loss weight c_i
-    row_weights: np.ndarray | None  # per computed row: its part's weight on a loss row, else 0
     ids: np.ndarray | None = None   # the caller's own id of each row, carried as given
 
+    @property
+    def propagated(self) -> bool:
+        """Whether ``x`` is P, so that layer 0 takes no product with A_hat."""
+        return not sp.issparse(self.x)
 
-def build_batch(adj: sp.csr_matrix, x, labels, n_classes: int, rows=None, loss_mask=None,
-                part=None, weights=None, ids=None) -> Batch:
+
+def build_batch(adj: sp.csr_matrix, x, labels, n_classes: int, rows=None, part=None,
+                weights=None, ids=None) -> Batch:
     """The batch of a pass over ``adj``, checked once for every pass over it.
 
     ``adj`` is the normalized adjacency A_hat (see
@@ -136,15 +138,14 @@ def build_batch(adj: sp.csr_matrix, x, labels, n_classes: int, rows=None, loss_m
     symmetric.
 
     The last layer is computed on ``rows`` only, distinct row ids in
-    increasing order (every row by default).  ``loss_mask`` marks the loss
-    rows, and without it the batch is only evaluated.  The mask must
-    select a row, every selected row must be one of ``rows``, and its
-    label must be a class id below ``n_classes``.  ``part`` gives each row
-    its part, an index into ``weights``, which holds each part's weight
-    ``c_i``: the loss is ``sum_i c_i * L_i``, with ``L_i`` the
-    cross-entropy summed over part i's loss rows.  By default every row is
-    in part 0, and every part has weight 1.  Any other input raises
-    :class:`GadError`.
+    increasing order (every row by default).  ``weights`` makes a training
+    batch, whose loss rows are its ``rows``; without it the batch is only
+    evaluated.  A training batch needs a row, and each row's label must be
+    a class id below ``n_classes``.  ``part`` gives each adjacency row its
+    part, an index into ``weights``, which holds each part's weight
+    ``c_i``: the loss is ``sum_i c_i * L_i``, with ``L_i`` the cross-entropy
+    summed over part i's rows.  By default every row is in part 0.  Any
+    other input raises :class:`GadError`.
     """
     n = adj.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
@@ -153,31 +154,24 @@ def build_batch(adj: sp.csr_matrix, x, labels, n_classes: int, rows=None, loss_m
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     if rows.ndim != 1 or (np.diff(rows) <= 0).any() or not np.all((0 <= rows) & (rows < n)):
         raise GadError("output rows must be distinct row ids in increasing order")
-    at = row_weights = None
-    if loss_mask is None:
-        part = weights = None
-    else:
-        sel = np.flatnonzero(np.asarray(loss_mask, dtype=bool))
-        if not sel.size:
-            raise GadError("loss mask selects no nodes")
-        at = np.searchsorted(rows, sel)
-        if not ((at < len(rows)).all() and np.array_equal(rows[at], sel)):
-            raise GadError("loss mask selects a row the forward pass did not compute")
-        if labels[sel].min() < 0 or labels[sel].max() >= n_classes:
-            raise GadError("label out of range under loss mask")
-        part = np.asarray(np.zeros(n) if part is None else part, dtype=np.int64)[sel]
-        weights = np.asarray(np.ones(part.max() + 1) if weights is None else weights,
-                             dtype=np.float64)
+    labels = labels[rows]
+    if weights is not None:
+        part = np.zeros(n, dtype=np.int64) if part is None else np.asarray(part, dtype=np.int64)
+        if part.shape != (n,):
+            raise GadError("part needs one entry per adjacency row")
+        part, weights = part[rows], np.asarray(weights, dtype=np.float64)
+        if not len(rows):
+            raise GadError("a training batch needs a loss row")
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise GadError("label out of range on a loss row")
         if part.min() < 0 or part.max() >= len(weights):
             raise GadError("every loss row's part needs a weight")
-        row_weights = np.zeros(len(rows))
-        row_weights[at] = weights[part]
-    propagated = not sp.issparse(x)
-    x = adj @ np.asarray(x, dtype=np.float64) if propagated else layer_input(x)
+    else:
+        part = None
+    x = layer_input(x) if sp.issparse(x) else adj @ np.asarray(x, dtype=np.float64)
     adj_rows = adj if len(rows) == n else adj[rows]
-    return Batch(adj=adj, x=x, propagated=propagated, rows=rows, adj_rows=adj_rows,
-                 adj_rows_t=adj_rows.T, labels=labels[rows], at=at, part=part,
-                 weights=weights, row_weights=row_weights, ids=ids)
+    return Batch(adj=adj, x=x, rows=rows, adj_rows=adj_rows, adj_rows_t=adj_rows.T,
+                 labels=labels, part=part, weights=weights, ids=ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +190,7 @@ class ForwardCache:
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """Buffers a run's steps write their large products into; see :func:`workspace`."""
+    """Buffers that passes write their large products into; see :func:`workspace`."""
 
     num_rows: int                       # the most rows a pass may have
     hidden: tuple[np.ndarray, ...]      # H_1 .. H_{L-1}, read again by the backward
@@ -220,11 +214,12 @@ class Workspace:
 def workspace(params: GcnParams, rows: int) -> Workspace:
     """Buffers for passes over at most ``rows`` rows, under weights shaped as ``params``.
 
-    A training run hands one to every step (see :func:`forward` and
-    :func:`loss_and_backward`), which overwrites the previous step's arrays
-    there.  Fresh arrays at every step can make the allocator hand the top
-    of its heap back to the system and fault it in again, thousands of pages
-    per epoch, depending on where earlier allocations happened to land.
+    A training run makes one and hands it to every pass, the evaluation's
+    too (see :func:`forward` and :func:`loss_and_backward`); each overwrites
+    the previous pass's arrays there.  Fresh arrays at every step can make
+    the allocator hand the top of its heap back to the system and fault it
+    in again, thousands of pages per epoch, depending on where earlier
+    allocations happened to land.
     """
     ws = params.weights
     width = max(w.shape[1] for w in ws)
@@ -269,28 +264,29 @@ def forward(params: GcnParams, batch: Batch, xw=None, ws: Workspace | None = Non
     already has it, and is then used instead of the product.  Rows taken
     from a product over more rows of the same matrix qualify, since a CSR
     product computes each row on its own; a dense GEMM does not, so dense
-    input takes no ``xw``.  With ``ws``, a :func:`workspace`, the products
-    over all rows are written into its buffers instead of fresh arrays; a
-    batch with more rows than it holds raises :class:`GadError` first.
+    input takes no ``xw``.  The products over all rows are written into
+    ``ws``, a :func:`workspace` (a fresh one by default), and the cache's
+    activations live there; a batch with more rows than it holds raises
+    :class:`GadError` first.
     """
-    propagated, n, last = batch.propagated, batch.adj.shape[0], params.num_layers - 1
-    if ws is not None:
-        ws.check(n)
+    n, last = batch.adj.shape[0], params.num_layers - 1
+    ws = ws or workspace(params, n)
+    ws.check(n)
     h, activations = batch.x, []
     for l, w in enumerate(params.weights):
         if h.shape[1] != w.shape[0]:
             raise GadError(f"layer {l}: input dim {h.shape[1]} != weight rows {w.shape[0]}")
         activations.append(h)
         # H_{l+1}, and then H_l @ W_l when H_{l+1} is not made from it in place
-        act = None if ws is None or l == last else ws.hidden[l][:n]
-        hw_out = act if l == 0 and propagated else ws and ws.rows(0, n, w.shape[1])
+        act = None if l == last else ws.hidden[l][:n]
+        hw_out = act if l == 0 and batch.propagated else ws.rows(0, n, w.shape[1])
         if l == 0 and xw is not None:
-            if propagated or xw.shape != (n, w.shape[1]):
+            if batch.propagated or xw.shape != (n, w.shape[1]):
                 raise GadError("a layer-0 product needs CSR input of its row count and W_0")
             hw = xw
         else:
             hw = _spmm(h, w) if sp.issparse(h) else np.matmul(h, w, out=hw_out)
-        if l == 0 and propagated:
+        if l == 0 and batch.propagated:
             z = hw[batch.rows] if l == last else hw
         else:
             z = _spmm(batch.adj_rows if l == last else batch.adj, hw, act)
@@ -300,61 +296,60 @@ def forward(params: GcnParams, batch: Batch, xw=None, ws: Workspace | None = Non
 
 def loss_and_backward(cache: ForwardCache, params: GcnParams,
                       ws: Workspace | None = None) -> Gradients:
-    """Masked categorical cross-entropy, summed with part weights, and its exact gradients.
+    """Categorical cross-entropy, summed with part weights, and its exact gradients.
 
-    The loss rows, their parts and the parts' weights are those of
-    ``cache.batch``; a batch that is only evaluated has none and raises
-    :class:`GadError`.  Replicas or unlabeled nodes are simply left out of
-    the loss mask.  The softmax gradient, ``c_i * (probs - onehot)`` on
-    part i's loss rows, lives on the computed rows only, and the last
-    layer carries it back through ``A_hat[rows]^T``, which gives A_hat's
-    product with the gradient padded by zero rows, bit for bit, since
-    A_hat is exactly symmetric.  The layer-0 input is read in the batch's
-    layout, so a CSR input makes ``X^T @ G`` a sparse product, and a
-    propagated input ``P = A_hat X`` gives ``P^T @ G``, which equals
-    ``X^T @ (A_hat G)``.
+    The loss rows are ``cache.batch``'s rows, with its parts and their
+    weights; a batch that is only evaluated has none and raises
+    :class:`GadError`.  The softmax gradient, ``c_i * (probs - onehot)`` on
+    part i's rows, lives on the computed rows only, and the last layer
+    carries it back through ``A_hat[rows]^T``, which gives A_hat's product
+    with the gradient padded by zero rows, bit for bit, since A_hat is
+    exactly symmetric.  The layer-0 input is read in the batch's layout, so
+    a CSR input makes ``X^T @ G`` a sparse product, and a propagated input
+    ``P = A_hat X`` gives ``P^T @ G``, which equals ``X^T @ (A_hat G)``.
 
     Per layer, one ``H^T @ G`` and one ``G @ W^T`` run over all rows.
     Returns one :class:`Gradients`: ``loss`` is ``sum_i c_i * L_i``, and
-    ``part_losses`` holds each ``L_i`` (0 for a part without a loss row).
-    With ``ws``, a :func:`workspace`, the products and gradients go into its
-    buffers, which the next step given it overwrites; a batch with more rows
-    than it holds raises :class:`GadError` before any product.
+    ``part_losses`` holds each ``L_i`` (0 for a part without a row).  The
+    products and gradients go into ``ws``, a :func:`workspace` (a fresh one
+    by default), which the next pass given it overwrites; a batch with more
+    rows than it holds raises :class:`GadError` before any product.
     """
     batch = cache.batch
-    if batch.at is None:
+    if batch.weights is None:
         raise GadError("the batch has no loss rows")
-    if ws is not None:
-        ws.check(batch.adj.shape[0])
-    at, ys = batch.at, batch.labels[batch.at]
+    n, last = batch.adj.shape[0], params.num_layers - 1
+    ws = ws or workspace(params, n)
+    ws.check(n)
+    ys = batch.labels
+    t = np.arange(len(ys))
     gz = cache.probs    # a fresh array: the softmax gradient is formed in it
-    nll = -np.log(np.clip(gz[at, ys], PROB_FLOOR, 1.0))
+    nll = -np.log(np.clip(gz[t, ys], PROB_FLOOR, 1.0))
     part_losses = np.bincount(batch.part, weights=nll, minlength=len(batch.weights))
     loss = float(batch.weights @ part_losses)
     if not math.isfinite(loss):
         raise NumericalError("non-finite loss")
-    gz[at, ys] -= 1.0
-    gz *= batch.row_weights[:, None]
+    gz[t, ys] -= 1.0
+    gz *= batch.weights[batch.part][:, None]
 
-    n, last = batch.adj.shape[0], params.num_layers - 1
     grads = [None] * (last + 1)
     for l in range(last, -1, -1):
         # d(loss)/d(H_in @ W); A_hat is symmetric, and a propagated H_0 holds it
         if not (l == 0 and batch.propagated):
             a = batch.adj_rows_t if l == last else batch.adj
-            gm = _spmm(a, gz, ws and ws.rows(1, n, gz.shape[1]))
+            gm = _spmm(a, gz, ws.rows(1, n, gz.shape[1]))
         elif l < last:
             gm = gz
         else:   # one layer on a propagated input: forward read (P @ W)[rows]
             gm = np.zeros((n, gz.shape[1]))
             gm[batch.rows] = gz
         h = cache.activations[l]
-        out = ws and ws.grads[l]
-        grads[l] = _spmm(h.T, gm, out) if sp.issparse(h) else np.matmul(h.T, gm, out=out)
+        grads[l] = (_spmm(h.T, gm, ws.grads[l]) if sp.issparse(h)
+                    else np.matmul(h.T, gm, out=ws.grads[l]))
         if l > 0:
             # relu'(z) from its output: relu(z) > 0 exactly where z > 0
             w_t = params.weights[l].T
-            gz = np.matmul(gm, w_t, out=ws and ws.rows(0, n, w_t.shape[1]))
+            gz = np.matmul(gm, w_t, out=ws.rows(0, n, w_t.shape[1]))
             gz *= h > 0.0
     return Gradients(grads=tuple(grads), loss=loss, part_losses=part_losses)
 

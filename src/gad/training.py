@@ -14,9 +14,10 @@ per run, for the whole feature matrix, and every pass reads its rows of
 that input: each round's, and the centralized evaluation's over the whole
 graph.  Each pass computes its output layer only on the rows it reads: a
 round's loss rows, and the evaluation's validation and test rows.  Each
-batch is made once, by :func:`make_batch`, for all its passes, and with CSR
-input the first round after an evaluation takes its rows of the
-evaluation's ``X @ W_0`` instead of multiplying (see :func:`train`).
+batch is made once, by :func:`make_batch`, for all its passes, every pass
+writes into the run's one workspace, and with CSR input the first round
+after an evaluation takes its rows of the evaluation's ``X @ W_0`` instead
+of multiplying (see :func:`train`).
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -38,6 +39,8 @@ from .errors import GadError, NumericalError
 from .gcn import (
     Batch,
     GcnParams,
+    Workspace,
+    _spmm,
     build_batch,
     forward,
     init_params,
@@ -139,13 +142,14 @@ class TrainReport:
         }
 
 
-def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool = False):
+def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool = False,
+             ws: Workspace | None = None):
     """Centralized accuracy: one forward over ``batch``, argmax vs its labels.
 
     ``batch`` is the whole graph as one subgraph, reading the masks' rows:
-    :func:`train` builds ``make_batch(x, [full_view(g)], rows, loss=False)``
-    once per run, with ``x = layer_input(g.features)`` and ``rows`` the
-    validation and test nodes.  ``masks`` is one boolean node mask, giving
+    :func:`train` builds ``make_batch(x, [full_view(g)], rows)`` once per
+    run, with ``x = layer_input(g.features)`` and ``rows`` the validation
+    and test nodes.  ``masks`` is one boolean node mask, giving
     one float, or a stack of them (one mask per row), giving a tuple with
     one accuracy per mask, all read from the same forward.  The prediction
     is the argmax of the logits, which the softmax would not change but for
@@ -155,7 +159,8 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool
     With ``return_xw`` the result is ``(accuracies, xw)``: ``xw`` is the
     pass's layer-0 product ``X @ W_0`` on every row of a CSR input, whose
     rows a pass under the same W_0 can take instead of multiplying (see
-    :func:`gad.gcn.forward`), and None for dense input.
+    :func:`gad.gcn.forward`), and None for dense input.  The forward writes
+    into ``ws``, a :func:`gad.gcn.workspace` (a fresh one by default).
     """
     masks = np.asarray(masks, dtype=bool)
     each = np.atleast_2d(masks)
@@ -165,9 +170,9 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool
     read[batch.rows] = True
     if (each & ~read).any():
         raise GadError("evaluation mask selects a row the batch does not read")
-    xw = batch.x @ params.weights[0] if return_xw and not batch.propagated else None
+    xw = _spmm(batch.x, params.weights[0]) if return_xw and not batch.propagated else None
     hit = np.zeros(len(read), dtype=bool)
-    hit[batch.rows] = forward(params, batch, xw).logits.argmax(axis=1) == batch.labels
+    hit[batch.rows] = forward(params, batch, xw, ws).logits.argmax(axis=1) == batch.labels
     accs = tuple(float(hit[m].mean()) for m in each)
     accs = accs[0] if masks.ndim == 1 else accs
     return (accs, xw) if return_xw else accs
@@ -203,24 +208,27 @@ def communication_size(
     )
 
 
-def make_batch(x, views, rows=None, loss=True, weights=None) -> Batch:
+def make_batch(x, views, rows=None, weights=None) -> Batch:
     """The :class:`gad.gcn.Batch` of ``views``, whose layer-0 input is their rows of ``x``.
 
     ``x`` is the run's :func:`layer_input`, so every pass keeps its layout.
     The views' rows follow one another, and the batch's A_hat is the block
-    diagonal of theirs, so no edge joins two of them.  ``rows`` are the
-    stacked rows whose output the passes read; every row by default.  The
-    loss rows are the views' owned training nodes, each view's weighted by
-    ``weights`` (1 by default), and ``loss=False`` makes a batch that is
-    only evaluated.  The batch's ``ids`` are the rows of ``x`` behind its
-    rows.  See :func:`gad.gcn.build_batch` for the checks.
+    diagonal of theirs, so no edge joins two of them.  ``weights``, one per
+    view, makes a training batch: its rows are the views' owned training
+    nodes, and each view's loss is weighted by its weight.  Without it the
+    batch is only evaluated, and reads the stacked ``rows`` (every row by
+    default).  The batch's ``ids`` are the rows of ``x`` behind its rows.
+    See :func:`gad.gcn.build_batch` for the checks.
     """
+    if weights is not None:
+        if rows is not None:
+            raise GadError("a training batch's rows are its views' training nodes")
+        rows = np.flatnonzero(np.concatenate([v.local_train_mask() for v in views]))
     adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
     ids = np.concatenate([v.local_ids for v in views])
-    mask = np.concatenate([v.local_train_mask() for v in views]) if loss else None
     part = np.repeat(np.arange(len(views)), [v.num_nodes for v in views])
     return build_batch(adj, x[ids], np.concatenate([v.local_labels() for v in views]),
-                       views[0].graph.num_classes, rows, mask, part, weights, ids)
+                       views[0].graph.num_classes, rows, part, weights, ids)
 
 
 def _prepare_groups(g, x, augmented, worker_of, workers, config):
@@ -251,27 +259,13 @@ def _prepare_groups(g, x, augmented, worker_of, workers, config):
     for r, row in enumerate(zip_longest(*queues)):
         group = [i for i in row if i is not None and trainable[i]]
         if group:
-            views = [augmented[i].view for i in group]
-            loss_rows = np.flatnonzero(np.concatenate([v.local_train_mask() for v in views]))
             s = np.array([scales[i] for i in group])
             c = (weighted_consensus([zetas[i] for i in group], s) if config.weighted
                  else plain_consensus(s))
-            groups.append((r, make_batch(x, views, loss_rows, weights=c), s))
+            groups.append((r, make_batch(x, [augmented[i].view for i in group], weights=c), s))
     if not groups:
         raise GadError("no subgraph has an owned training node")
     return zetas, trainable, groups
-
-
-def _group_gradient(params, batch: Batch, ws, xw=None):
-    """A group's consensus step: one pass over its batch, using the workspace ``ws``.
-
-    ``xw`` is an evaluation's ``X @ W_0`` on every row of the run's CSR
-    layer input, made under the current W_0; the forward then takes the
-    batch's rows of it instead of multiplying (see :func:`gad.gcn.forward`).
-    Those rows are freed when the forward returns.
-    """
-    cache = forward(params, batch, None if xw is None else xw[batch.ids], ws)
-    return loss_and_backward(cache, params, ws)
 
 
 def train(
@@ -295,10 +289,12 @@ def train(
     layer on its loss rows, each weighted by its subgraph's consensus
     weight, and the evaluation's on the validation and test rows.  Each
     epoch runs every group once, in order: one forward and one backward of
-    its weighted loss, writing into one workspace sized by the largest
-    batch, and one SGD step.  With CSR input, an evaluation hands its
-    ``X @ W_0`` to the next group, which runs under the same W_0 and takes
-    its rows of it instead of multiplying.
+    its weighted loss, and one SGD step.  Every pass, the evaluation's
+    included, writes into one workspace sized by the whole graph or the
+    largest batch, whichever has more rows.  With CSR input, an evaluation
+    hands its ``X @ W_0`` to the next group, which runs under the same W_0
+    and takes its rows of it instead of multiplying; those rows are freed
+    when the group's forward returns.
     ``on_barrier(epoch, r, params_list)`` is called after each step with
     each worker's parameters, mainly so tests can check replica consistency.
     """
@@ -310,7 +306,7 @@ def train(
 
     dims = (g.feature_dim,) + (config.hidden,) * (config.layers - 1) + (g.num_classes,)
     params = init_params(dims, seed=config.seed)
-    ws = workspace(params, max(batch.adj.shape[0] for _, batch, _ in groups))
+    ws = workspace(params, max([g.num_nodes] + [batch.adj.shape[0] for _, batch, _ in groups]))
     report = TrainReport(
         config=config.to_json_dict(),
         seed=config.seed,
@@ -323,11 +319,11 @@ def train(
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
     eval_masks = np.stack([g.val_mask, g.test_mask])
-    whole = make_batch(x, [full_view(g)], np.flatnonzero(eval_masks.any(axis=0)), loss=False)
+    whole = make_batch(x, [full_view(g)], np.flatnonzero(eval_masks.any(axis=0)))
     # xw: the last evaluation's X @ W_0 on every node (CSR input only), whose
     # rows the next group takes, as it runs under the same W_0
     (report.initial_val_acc, report.initial_test_acc), xw = evaluate(
-        params, whole, eval_masks, return_xw=True)
+        params, whole, eval_masks, True, ws)
     report.final_val_acc, report.final_test_acc = report.initial_val_acc, report.initial_test_acc
 
     for epoch in range(config.epochs):
@@ -335,7 +331,8 @@ def train(
         losses: list[float] = []
         for r, batch, scales in groups:
             try:
-                step = _group_gradient(params, batch, ws, xw)
+                cache = forward(params, batch, None if xw is None else xw[batch.ids], ws)
+                step = loss_and_backward(cache, params, ws)
                 params = sgd_update(params, step, config.eta)
             except NumericalError as exc:
                 exc.partial_report = report   # flushed by the CLI on exit code 2
@@ -349,7 +346,7 @@ def train(
         # the last epoch is always evaluated, and gives the final accuracies
         if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
             (report.final_val_acc, report.final_test_acc), xw = evaluate(
-                params, whole, eval_masks, return_xw=True)
+                params, whole, eval_masks, True, ws)
             report.val_acc.append(report.final_val_acc)
             report.test_acc.append(report.final_test_acc)
         else:

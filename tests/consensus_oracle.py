@@ -18,7 +18,8 @@ from gad.graph import normalized_adjacency
 def subgraph_gradient(params, view, x):
     """Loss and gradient of one subgraph alone; ``x`` is the run's layer-0 input."""
     batch = build_batch(normalized_adjacency(view), x[view.local_ids], view.local_labels(),
-                        view.graph.num_classes, loss_mask=view.local_train_mask())
+                        view.graph.num_classes, np.flatnonzero(view.local_train_mask()),
+                        weights=[1.0])
     return loss_and_backward(forward(params, batch), params)
 
 

@@ -289,13 +289,13 @@ class TestCriterion8GradientCorrectness:
 
         g = fixture_graph()
         batch = build_batch(normalized_adjacency(full_view(g)), g.features, g.labels, 3,
-                            loss_mask=g.train_mask)
+                            np.flatnonzero(g.train_mask), weights=[1.0])
         worst = 0.0
         for layers, hidden in itertools.product((2, 3, 4), (8, 16)):
             dims = (4,) + (hidden,) * (layers - 1) + (3,)
             params = init_params(dims, seed=21)
             gr = loss_and_backward(forward(params, batch), params)
-            num = numeric_gradient(params, batch, g.labels, g.train_mask)
+            num = numeric_gradient(params, batch)
             for analytic, numeric in zip(gr.grads, num):
                 err = rel_err(analytic, numeric)
                 big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
@@ -321,7 +321,7 @@ class TestCriterion9SerialEquivalence:
             dims = (g.feature_dim,) + (8,) * (layers - 1) + (g.num_classes,)
             params = init_params(dims, seed=1)
             batch = build_batch(normalized_adjacency(full_view(g)), g.features, g.labels,
-                                g.num_classes, loss_mask=g.train_mask)
+                                g.num_classes, np.flatnonzero(g.train_mask), weights=[1.0])
             for epoch in range(20):
                 gr = loss_and_backward(forward(params, batch), params)
                 worst = max(worst, abs(gr.loss - rep.train_loss[epoch]))

@@ -73,3 +73,18 @@ def test_tracer_wraps_a_pipeline_and_uninstalls():
                  "training.evaluate", "training.comm", "graph.adjacency"):
         assert calls[name] > 0, name
     assert np.isfinite(list(seconds.values())).all()
+
+
+def test_tracer_counts_the_orphan_warning():
+    # the tracer reads the orphan count from the warning's text: nodes 4 and 5
+    # have no edge, and growth warns once, about one node
+    tracing = _load("tracing")
+    g = gad.Graph.from_edges(6, np.array([[0, 1], [1, 2], [2, 3]]))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        gad.partition.partition_coarse(gad.partition.level_zero(g), 2, 1.0, restarts=1, seed=0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["partition.orphan_warnings"] == 1
+    assert tracer.counts["partition.orphan_nodes"] == 1

@@ -31,22 +31,24 @@ def fixture_graph():
 
 
 def whole_batch(g, loss_mask=None, rows=None, x=None):
-    """``g`` as one batch over its own A_hat: its features (or ``x``) and labels."""
+    """``g`` as one batch over its own A_hat: its features (or ``x``) and labels.
+
+    With ``loss_mask`` it trains, of weight 1, on the masked rows; without,
+    it only evaluates ``rows``.
+    """
     adj = normalized_adjacency(full_view(g))
     x = g.features if x is None else x
-    return build_batch(adj, x, g.labels, g.num_classes, rows, loss_mask)
+    if loss_mask is None:
+        return build_batch(adj, x, g.labels, g.num_classes, rows)
+    return build_batch(adj, x, g.labels, g.num_classes, np.flatnonzero(loss_mask), weights=[1.0])
 
 
-def numeric_gradient(params, batch, labels, mask, h=1e-4):
-    """Central finite differences of the loss summed over ``mask`` wrt every weight entry.
-
-    ``batch`` computes every row; ``labels`` and ``mask`` are per row.
-    """
+def numeric_gradient(params, batch, h=1e-4):
+    """Central finite differences of ``batch``'s loss, summed over its rows, wrt every weight entry."""
 
     def loss_at(ws):
         probs = forward(GcnParams(weights=tuple(ws)), batch).probs
-        sel = np.flatnonzero(mask)
-        picked = np.clip(probs[sel, labels[sel]], 1e-12, 1.0)
+        picked = np.clip(probs[np.arange(len(batch.rows)), batch.labels], 1e-12, 1.0)
         return -np.log(picked).sum()
 
     grads = []
@@ -138,27 +140,29 @@ class TestLoss:
         assert gr.loss == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(GadError, match="loss mask selects no nodes"):
+        with pytest.raises(GadError, match="a training batch needs a loss row"):
             whole_batch(fixture_graph(), np.zeros(6, bool))
 
     def test_label_out_of_range(self):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
+        rows = np.flatnonzero(g.train_mask)
         for bad_label in (7, -1):
             bad = g.labels.copy()
             bad[0] = bad_label
-            with pytest.raises(GadError, match="label out of range under loss mask"):
-                build_batch(adj, g.features, bad, 3, loss_mask=g.train_mask)
+            with pytest.raises(GadError, match="label out of range on a loss row"):
+                build_batch(adj, g.features, bad, 3, rows, weights=[1.0])
+            build_batch(adj, g.features, bad, 3, rows)   # an evaluation reads any label
         # row 5 is no loss row, so its label is not checked
         bad = g.labels.copy()
         bad[5] = 7
-        build_batch(adj, g.features, bad, 3, loss_mask=g.train_mask)
+        build_batch(adj, g.features, bad, 3, rows, weights=[1.0])
 
     def test_evaluation_only_batch_has_no_loss(self):
         g = fixture_graph()
         params = init_params((4, 3), seed=0)
         batch = whole_batch(g)
-        assert batch.at is None and batch.part is None and batch.weights is None
+        assert batch.part is None and batch.weights is None
         with pytest.raises(GadError, match="no loss rows"):
             loss_and_backward(forward(params, batch), params)
 
@@ -183,7 +187,7 @@ class TestGradients:
                              for h, w in zip(cache.activations, params.weights))
                 assert margin > 1e-3, "fixture params sit too close to a relu kink"
             gr = loss_and_backward(cache, params)
-            num = numeric_gradient(params, batch, g.labels, g.train_mask)
+            num = numeric_gradient(params, batch)
             for analytic, numeric in zip(gr.grads, num):
                 err = rel_err(analytic, numeric)
                 big = np.maximum(np.abs(analytic), np.abs(numeric)) > 1e-7
@@ -400,7 +404,7 @@ class TestSegments:
         parts, adj, x, labels, mask, part = _stacked(self.SIZES, sparse)
         dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
         params = init_params(dims, seed=layers)
-        batch = build_batch(adj, x, labels, 5, np.flatnonzero(mask), mask, part, self.WEIGHTS)
+        batch = build_batch(adj, x, labels, 5, np.flatnonzero(mask), part, self.WEIGHTS)
         assert batch.propagated != sparse
         got = loss_and_backward(forward(params, batch), params)
 
@@ -409,7 +413,7 @@ class TestSegments:
             if not m_i.any():
                 part_losses.append(0.0)
                 continue
-            alone = build_batch(a_i, layer_input(f_i), y_i, 5, loss_mask=m_i)
+            alone = build_batch(a_i, layer_input(f_i), y_i, 5, np.flatnonzero(m_i), weights=[1.0])
             gr = loss_and_backward(forward(params, alone), params)
             part_losses.append(gr.loss)
             want_loss += c * gr.loss
@@ -422,12 +426,12 @@ class TestSegments:
             assert rel_gap(g, want) <= 1e-12
 
     def test_one_segment_is_the_plain_call(self):
-        # by default every loss row is in part 0, of weight 1, bit for bit
+        # by default every loss row is in part 0, bit for bit
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
         params = init_params((4, 8, 3), seed=4)
-        explicit = build_batch(adj, g.features, g.labels, 3, None, g.train_mask, np.zeros(6),
-                               [1.0])
+        explicit = build_batch(adj, g.features, g.labels, 3, np.flatnonzero(g.train_mask),
+                               np.zeros(6), [1.0])
         got = loss_and_backward(forward(params, explicit), params)
         want = loss_and_backward(forward(params, whole_batch(g, g.train_mask)), params)
         assert got.loss == want.loss and got.part_losses.tolist() == [want.loss]
@@ -437,11 +441,20 @@ class TestSegments:
     def test_part_without_weight_rejected(self):
         g = fixture_graph()
         adj = normalized_adjacency(full_view(g))
-        build_batch(adj, g.features, g.labels, 3, None, g.train_mask, [0, 0, 0, 1, 1, 1],
-                    [1.0, 2.0])
+        rows = np.flatnonzero(g.train_mask)
+        build_batch(adj, g.features, g.labels, 3, rows, [0, 0, 0, 1, 1, 1], [1.0, 2.0])
         for part in ([0, 0, 0, 1, 2, 1], [0, 0, -1, 1, 1, 1]):  # row 5 is no loss row
             with pytest.raises(GadError, match="part needs a weight"):
-                build_batch(adj, g.features, g.labels, 3, None, g.train_mask, part, [1.0, 2.0])
+                build_batch(adj, g.features, g.labels, 3, rows, part, [1.0, 2.0])
+
+    @pytest.mark.parametrize("size", [2, 5, 7, 9])
+    def test_part_of_wrong_length_rejected(self, size):
+        # one entry per adjacency row, not per loss row: 5 is the loss rows' count
+        g = fixture_graph()
+        adj = normalized_adjacency(full_view(g))
+        with pytest.raises(GadError, match="one entry per adjacency row"):
+            build_batch(adj, g.features, g.labels, 3, np.flatnonzero(g.train_mask),
+                        np.zeros(size), [1.0])
 
 
 def all_rows_pass(params, adj, x, labels, mask, part, weights):
@@ -479,7 +492,7 @@ def all_rows_pass(params, adj, x, labels, mask, part, weights):
 
 
 class TestOutputRows:
-    """A pass that computes its last layer on the loss rows only equals the all-rows pass."""
+    """A pass that computes its last layer on some rows only equals the all-rows pass there."""
 
     # the 5-row part has no loss row; the last case is one part
     @pytest.mark.parametrize("sizes", [TestSegments.SIZES, ((90, True),)],
@@ -495,20 +508,21 @@ class TestOutputRows:
         assert 0 < len(rows) < adj.shape[0]
 
         logits, losses, grads = all_rows_pass(params, adj, x, labels, mask, part, weights)
-        full_batch = build_batch(adj, x, labels, 5, None, mask, part, weights)
-        rows_batch = build_batch(adj, x, labels, 5, rows, mask, part, weights)
-        full, loss_rows = forward(params, full_batch), forward(params, rows_batch)
-        assert loss_rows.logits.shape == (len(rows), 5)
+        # evaluation only: a pass on the rows against the all-rows pass, logit for logit
+        full = forward(params, build_batch(adj, x, labels, 5))
+        scored = forward(params, build_batch(adj, x, labels, 5, rows))
+        assert scored.logits.shape == (len(rows), 5)
         assert full.logits.tobytes() == logits.tobytes()
-        assert loss_rows.logits.tobytes() == logits[rows].tobytes()
-        assert loss_rows.probs.tobytes() == full.probs[rows].tobytes()
-        for cache in (full, loss_rows):
-            got = loss_and_backward(cache, params)
-            assert got.part_losses.tobytes() == losses.tobytes()
-            assert got.loss == float(np.asarray(weights) @ losses)
-            for a, b in zip(got.grads, grads):
-                assert a.tobytes() == b.tobytes()
-
+        assert scored.logits.tobytes() == logits[rows].tobytes()
+        assert scored.probs.tobytes() == full.probs[rows].tobytes()
+        # training on the same rows: the written-out loss and gradients
+        cache = forward(params, build_batch(adj, x, labels, 5, rows, part, weights))
+        assert cache.logits.tobytes() == logits[rows].tobytes()
+        got = loss_and_backward(cache, params)
+        assert got.part_losses.tobytes() == losses.tobytes()
+        assert got.loss == float(np.asarray(weights) @ losses)
+        for a, b in zip(got.grads, grads):
+            assert a.tobytes() == b.tobytes()
 
     def test_every_row_is_the_default(self):
         g = fixture_graph()
@@ -528,28 +542,16 @@ class TestOutputRows:
         with pytest.raises(GadError, match="distinct row ids in increasing order"):
             whole_batch(fixture_graph(), rows=rows)
 
-    def test_loss_row_outside_output_rows_rejected(self):
-        g = fixture_graph()
-        params = init_params((4, 8, 3), seed=0)
-        # rows 0-4 are masked: row 2 is missing inside the computed range, row 4 past its end
-        for rows in ([0, 1, 3, 4, 5], [0, 1, 2, 3]):
-            with pytest.raises(GadError, match="did not compute"):
-                whole_batch(g, g.train_mask, rows)
-            computed = g.train_mask & np.isin(np.arange(6), rows)
-            gr = loss_and_backward(forward(params, whole_batch(g, computed, rows)), params)
-            assert gr.loss > 0.0
-
 
 class TestWorkspace:
-    """Steps that write their dense products into one workspace equal steps with fresh arrays."""
+    """Steps that share one workspace equal steps that each make their own."""
 
     @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "propagated"])
     @pytest.mark.parametrize("layers", [1, 3])
     def test_shared_workspace_equals_fresh_arrays(self, sparse, layers):
         _, adj, x, labels, mask, part = _stacked(TestSegments.SIZES, sparse)
         dims = ((300,) if sparse else (48,)) + (64,) * (layers - 1) + (5,)
-        batch = build_batch(adj, x, labels, 5, np.flatnonzero(mask), mask, part,
-                            TestSegments.WEIGHTS)
+        batch = build_batch(adj, x, labels, 5, np.flatnonzero(mask), part, TestSegments.WEIGHTS)
         # more rows than the batch: a step writes the leading rows only
         ws = workspace(init_params(dims, seed=8), adj.shape[0] + 7)
         runs = []

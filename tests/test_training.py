@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from gad.augment import assign_to_workers, augment_partitions, augment_subgraph
 from gad.config import Config
 from gad.errors import GadError, NumericalError
 from gad.gcn import (
+    Workspace,
     build_batch,
     forward,
     init_params,
@@ -38,13 +41,19 @@ def single_partition(g):
 
 def whole(g, rows=None):
     """The whole graph as one segment for evaluation, reading ``rows`` (every row by default)."""
-    return make_batch(layer_input(g.features), [full_view(g)], rows, loss=False)
+    return make_batch(layer_input(g.features), [full_view(g)], rows)
 
 
 def plain_batch(g, loss_mask=None):
-    """``g`` as one batch over its own A_hat, built without :func:`make_batch`."""
-    adj = normalized_adjacency(full_view(g))
-    return build_batch(adj, layer_input(g.features), g.labels, g.num_classes, loss_mask=loss_mask)
+    """``g`` as one batch over its own A_hat, built without :func:`make_batch`.
+
+    With ``loss_mask`` it trains, of weight 1, on the masked rows; without,
+    it only evaluates every row.
+    """
+    adj, x = normalized_adjacency(full_view(g)), layer_input(g.features)
+    if loss_mask is None:
+        return build_batch(adj, x, g.labels, g.num_classes)
+    return build_batch(adj, x, g.labels, g.num_classes, np.flatnonzero(loss_mask), weights=[1.0])
 
 
 class TestEvaluate:
@@ -121,27 +130,28 @@ class TestEvaluate:
 
 
 class TestMakeBatch:
-    def test_loss_row_outside_read_rows_rejected(self):
-        g = small_graph(seed=2)
-        x, views = layer_input(g.features), [full_view(g)]
-        rows = np.flatnonzero(g.train_mask)[:-1]
-        with pytest.raises(GadError, match="loss mask selects a row the forward pass did not compute"):
-            make_batch(x, views, rows)
-        assert make_batch(x, views, rows, loss=False).at is None
-
     def test_label_out_of_range_rejected(self):
         g = small_graph(seed=2)
         labels = g.labels.copy()
         labels[np.flatnonzero(g.train_mask)[3]] = -1
         g = dataclasses.replace(g, labels=labels)
-        with pytest.raises(GadError, match="label out of range under loss mask"):
-            make_batch(layer_input(g.features), [full_view(g)])
+        with pytest.raises(GadError, match="label out of range on a loss row"):
+            make_batch(layer_input(g.features), [full_view(g)], weights=[1.0])
 
     def test_no_loss_row_rejected(self):
         g = small_graph(seed=2)
         g = dataclasses.replace(g, train_mask=np.zeros(g.num_nodes, bool))
-        with pytest.raises(GadError, match="loss mask selects no nodes"):
-            make_batch(layer_input(g.features), [full_view(g)])
+        with pytest.raises(GadError, match="a training batch needs a loss row"):
+            make_batch(layer_input(g.features), [full_view(g)], weights=[1.0])
+
+    def test_training_rows_are_the_training_nodes(self):
+        g = small_graph(seed=2)
+        x, views = layer_input(g.features), [full_view(g)]
+        batch = make_batch(x, views, weights=[1.0])
+        assert np.array_equal(batch.rows, np.flatnonzero(g.train_mask))
+        assert np.array_equal(batch.labels, g.labels[g.train_mask])
+        with pytest.raises(GadError, match="rows are its views' training nodes"):
+            make_batch(x, views, batch.rows, weights=[1.0])
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_plan_equals_per_call_mask_bit_for_bit(self, layout):
@@ -156,10 +166,11 @@ class TestMakeBatch:
         views = [r.subgraph.view for r in augment_partitions(g, p, 2, alpha=0.2, seed=4)]
         mask = np.concatenate([v.local_train_mask() for v in views])
         x, rows = layer_input(g.features), np.flatnonzero(mask)
-        batch = make_batch(x, views, rows)
+        batch = make_batch(x, views, weights=np.ones(len(views)))
         assert sp.issparse(batch.x) == (layout == "csr")
+        assert np.array_equal(batch.rows, rows)
         labels = np.concatenate([v.local_labels() for v in views])
-        one = build_batch(batch.adj, x[batch.ids], labels, g.num_classes, rows, mask)
+        one = build_batch(batch.adj, x[batch.ids], labels, g.num_classes, rows, weights=[1.0])
         params = init_params((g.feature_dim, 8, 8, g.num_classes), seed=4)
         got = loss_and_backward(forward(params, batch), params)
         want = loss_and_backward(forward(params, one), params)
@@ -173,7 +184,7 @@ class TestMakeBatch:
         p = partition_graph(g, 3, seed=4)
         views = [r.subgraph.view for r in augment_partitions(g, p, 2, alpha=0.2, seed=4)]
         x = layer_input(g.features)
-        batch = make_batch(x, views, loss=False)
+        batch = make_batch(x, views)
         assert np.array_equal(batch.ids, np.concatenate([v.local_ids for v in views]))
         assert np.array_equal(batch.labels, g.labels[batch.ids])
         assert batch.propagated and batch.adj.shape == (len(batch.ids),) * 2
@@ -365,16 +376,46 @@ class TestTrain:
         feats = (rng.random((g.num_nodes, 200)) < 0.03).astype(np.float64)
         g = dataclasses.replace(g, features=feats)
         assert sp.issparse(layer_input(g.features))
-        real_group_gradient = training._group_gradient
+        real_forward = training.forward
         taken = []
 
-        def recording_group_gradient(*args):
-            taken.append(args[-1] is not None)
-            return real_group_gradient(*args)
+        def recording_forward(params, batch, xw=None, ws=None):
+            if batch.weights is not None:   # a group's pass, not an evaluation's
+                taken.append(xw is not None)
+            return real_forward(params, batch, xw, ws)
 
-        monkeypatch.setattr(training, "_group_gradient", recording_group_gradient)
+        monkeypatch.setattr(training, "forward", recording_forward)
         self._schedule_matches_serial_loop(g, layers=3, eval_every=2)
         assert taken == [True, False, True, False, False, False, True, False]
+
+    def test_one_workspace_reaches_every_pass(self, monkeypatch):
+        # wrapped as the benchmark's tracer wraps them: every forward, the
+        # evaluations' included, and every backward run in one workspace
+        g = small_graph(seed=4)
+        p = partition_graph(g, 3, seed=4)
+        augs = [r.subgraph for r in augment_partitions(g, p, 2, alpha=0.2, seed=4)]
+        seen = []
+
+        def recording(fn):
+            signature = inspect.signature(fn)
+
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, signature.bind(*args, **kwargs).arguments))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("forward", "loss_and_backward"):
+            monkeypatch.setattr(training, name, recording(getattr(training, name)))
+        train(g, p, augs, 2, quick_config(k=3, epochs=3, eval_every=2))
+        ws = seen[0][1].get("ws")
+        assert isinstance(ws, Workspace) and all(args.get("ws") is ws for _, args in seen)
+        batches = [args["batch"] for name, args in seen if name == "forward"]
+        # two groups per epoch; evaluations before training and after epochs 0 and 2
+        assert sum(b.weights is None for b in batches) == 3
+        assert [name for name, _ in seen].count("loss_and_backward") == len(batches) - 3 == 6
+        assert ws.num_rows == max([g.num_nodes] + [b.adj.shape[0] for b in batches])
 
     @staticmethod
     def _schedule_matches_serial_loop(g, layers, eval_every=5, weighted=True):
