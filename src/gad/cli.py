@@ -28,9 +28,7 @@ from .partition import (
     balance_cap,
     json_array,
     json_checked,
-    load_partitioning,
     partition_graph,
-    save_partitioning,
 )
 from .training import train
 
@@ -120,7 +118,7 @@ def cmd_partition(args) -> int:
         seed=cfg.seed, target_fraction=cfg.target_fraction,
     )
     out = Path(args.out)
-    save_partitioning(part, out)
+    _write_json(out, part.to_json_dict())
     if g.node_names is not None:
         _write_json(out.with_suffix(".node_ids.json"), {"node_ids": list(g.node_names)})
     sizes = part.part_sizes()
@@ -140,8 +138,8 @@ def cmd_partition(args) -> int:
 def cmd_augment(args) -> int:
     cfg = _config_from_args(args)
     g = _load_graph(cfg)
-    with _reading(args.partition):
-        part = load_partitioning(args.partition)
+    with _reading(args.partition), open(args.partition, "r", encoding="utf-8") as fh:
+        part = Partitioning.from_json_dict(json.load(fh))
     if len(part.assignment) != g.num_nodes:
         raise GadError("partition file does not match the dataset")
     records = augment_partitions(

@@ -11,7 +11,6 @@ on node weight during growth and finally on node count after projection.
 from __future__ import annotations
 
 import heapq
-import json
 import warnings
 from dataclasses import dataclass, replace
 
@@ -257,10 +256,9 @@ def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> 
     # Attach orphans to the adjacent part with the smallest weight; repeat
     # passes so chains of orphans resolve, then fall back to the globally
     # lightest part for nodes with no assigned neighbor at all.
-    orphans = [u for u in range(n) if assign[u] == -1]
-    while orphans:
-        rest = []
-        progress = False
+    orphans, rest = [], [u for u in range(n) if assign[u] == -1]
+    while len(rest) != len(orphans):   # until a pass attaches no orphan
+        orphans, rest = rest, []
         for u in orphans:
             parts = {assign[v] for v in targets[offsets[u]:offsets[u + 1]].tolist()
                      if assign[v] != -1}
@@ -268,21 +266,18 @@ def _grow_parts(cg: CoarseGraph, k: int, cap: int, rng: np.random.Generator) -> 
                 tgt = min(parts, key=lambda p: (part_weight[p], p))
                 assign[u] = tgt
                 part_weight[tgt] += node_weight[u]
-                progress = True
             else:
                 rest.append(u)
-        if not progress:
-            warnings.warn(
-                f"{len(rest)} node(s) with no adjacent part assigned to the "
-                "lightest part",
-                stacklevel=2,
-            )
-            for u in rest:
-                tgt = part_weight.index(min(part_weight))   # lightest part, lowest id on ties
-                assign[u] = tgt
-                part_weight[tgt] += node_weight[u]
-            rest = []
-        orphans = rest
+    if rest:
+        warnings.warn(
+            f"{len(rest)} node(s) with no adjacent part assigned to the "
+            "lightest part",
+            stacklevel=2,
+        )
+        for u in rest:
+            tgt = part_weight.index(min(part_weight))   # lightest part, lowest id on ties
+            assign[u] = tgt
+            part_weight[tgt] += node_weight[u]
     return np.asarray(assign, dtype=np.int64)
 
 
@@ -331,51 +326,38 @@ def _rebalance_counts(level0: CoarseGraph, assign: np.ndarray, k: int, cap: int)
     assign = assign.tolist()
     sizes = np.bincount(assign, minlength=k).tolist()
 
-    def target(u: int, part: int) -> int:
-        """Smallest under-full part next to u other than its own, or -1."""
-        under = [p for p in {assign[v] for v in targets[offsets[u]:offsets[u + 1]]}
-                 if p != part and sizes[p] < cap]
+    def smallest(parts) -> int:
+        """The smallest under-full part among ``parts`` (lowest id on ties), or -1."""
+        under = [p for p in parts if sizes[p] < cap]
         return min(under, key=lambda p: (sizes[p], p)) if under else -1
 
     for part in range(k):
         if sizes[part] <= cap:
             continue
-        # Members are scanned once, in id order.  Sizes of the other parts
-        # only grow here, so a scanned node that had no target gains one
-        # only when a neighbor moves out; those neighbors are looked at
-        # again, lowest id first, before the scan goes on.
-        members = [u for u in range(n) if assign[u] == part]
-        scanned = 0
-        recheck: list[int] = []
+        # Members leave one min-heap lowest id first (in id order, the list
+        # is already a heap).  Sizes of the other parts only grow here, so a
+        # popped node that had no target gains one only when a neighbor
+        # moves out; those neighbors are pushed back.
+        heap = [u for u in range(n) if assign[u] == part]
         while sizes[part] > cap:
-            u = tgt = -1
-            bound = members[scanned] if scanned < len(members) else n
-            while recheck and recheck[0] < bound:
-                x = heapq.heappop(recheck)
-                if assign[x] == part:
-                    tgt = target(x, part)
-                    if tgt != -1:
-                        u = x
-                        break
-            while u == -1 and scanned < len(members):
-                x = members[scanned]
-                scanned += 1
-                if assign[x] == part:
-                    tgt = target(x, part)
-                    if tgt != -1:
-                        u = x
-            if u == -1:
-                under = [p for p in range(k) if sizes[p] < cap and p != part]
-                if not under:
+            if heap:
+                u = heapq.heappop(heap)
+                if assign[u] != part:
+                    continue
+                tgt = smallest({assign[v] for v in targets[offsets[u]:offsets[u + 1]]})
+                if tgt == -1:
+                    continue
+            else:
+                tgt = smallest(range(k))
+                if tgt == -1:
                     raise BalanceError("rebalance failed: no under-full part available")
-                u = next(x for x in members if assign[x] == part)
-                tgt = min(under, key=lambda p: (sizes[p], p))
+                u = assign.index(part)   # its lowest-id member
             assign[u] = tgt
             sizes[part] -= 1
             sizes[tgt] += 1
             for v in targets[offsets[u]:offsets[u + 1]]:
                 if assign[v] == part:
-                    heapq.heappush(recheck, v)
+                    heapq.heappush(heap, v)
     return np.asarray(assign, dtype=np.int64)
 
 
@@ -460,14 +442,3 @@ def random_balanced_partition(num_nodes: int, k: int, seed: int) -> np.ndarray:
     assign = np.arange(num_nodes, dtype=np.int64) % k
     rng.shuffle(assign)
     return assign
-
-
-def save_partitioning(p: Partitioning, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(p.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_partitioning(path) -> Partitioning:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Partitioning.from_json_dict(json.load(fh))

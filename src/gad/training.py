@@ -153,8 +153,9 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool
     one float, or a stack of them (one mask per row), giving a tuple with
     one accuracy per mask, all read from the same forward.  The prediction
     is the argmax of the logits, which the softmax would not change but for
-    rounding; ties resolve to the lowest class id.  A mask that selects no
-    row, or a row outside ``batch.rows``, raises :class:`GadError`.
+    rounding; ties resolve to the lowest class id.  A mask whose length is
+    not the batch's row count, that selects no row, or that selects a row
+    outside ``batch.rows`` raises :class:`GadError`.
 
     With ``return_xw`` the result is ``(accuracies, xw)``: ``xw`` is the
     pass's layer-0 product ``X @ W_0`` on every row of a CSR input, whose
@@ -164,14 +165,17 @@ def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool
     """
     masks = np.asarray(masks, dtype=bool)
     each = np.atleast_2d(masks)
+    n = batch.adj.shape[0]
+    if each.shape[1] != n:
+        raise GadError(f"evaluation mask has {each.shape[1]} entries for a batch of {n} rows")
     if not each.any(axis=1).all():
         raise GadError("evaluation mask selects no nodes")
-    read = np.zeros(each.shape[1], dtype=bool)
+    read = np.zeros(n, dtype=bool)
     read[batch.rows] = True
     if (each & ~read).any():
         raise GadError("evaluation mask selects a row the batch does not read")
     xw = _spmm(batch.x, params.weights[0]) if return_xw and not batch.propagated else None
-    hit = np.zeros(len(read), dtype=bool)
+    hit = np.zeros(n, dtype=bool)
     hit[batch.rows] = forward(params, batch, xw, ws).logits.argmax(axis=1) == batch.labels
     accs = tuple(float(hit[m].mean()) for m in each)
     accs = accs[0] if masks.ndim == 1 else accs
@@ -185,15 +189,21 @@ def communication_size(
     layers: int,
     worker_of=None,
 ) -> CommMetrics:
-    """Remote-feature fetch counts per partition, before and after replication."""
+    """Remote-feature fetch counts per partition, before and after replication.
+
+    ``worker_of`` holds each part's worker, one entry per part (part i on
+    worker i by default); the per-worker figures sum over it.
+    """
+    if worker_of is None:
+        worker_of = list(range(len(augmented)))
+    if len(worker_of) != len(augmented):
+        raise GadError(f"worker_of has {len(worker_of)} entries for {len(augmented)} parts")
     per_part, per_part_after = [], []
     for aug in augmented:
         halo = candidate_replication_nodes(g, p, aug.part, layers)
         replicas = aug.view.replica_ids
         per_part.append(len(halo))
         per_part_after.append(len(halo) - int(np.isin(replicas, halo).sum()))
-    if worker_of is None:
-        worker_of = list(range(len(augmented)))
     per_worker: dict[int, int] = {}
     per_worker_after: dict[int, int] = {}
     for w, a, b in zip(worker_of, per_part, per_part_after):

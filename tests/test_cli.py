@@ -61,6 +61,11 @@ class TestPartitionCmd:
     def test_missing_dataset_exit_1(self, tmp_path):
         assert run(["partition", tmp_path / "nope", "--k", "2", "--out", tmp_path / "x.json"]) == 1
 
+    def test_out_into_a_new_directory(self, dataset, tmp_path):
+        out = tmp_path / "new" / "p.json"
+        assert run(["partition", dataset, "--k", "2", "--seed", "1", "--out", out]) == 0
+        assert json.loads(out.read_text())["k"] == 2
+
 
 class TestAugmentCmd:
     def test_stage(self, dataset, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -264,44 +265,62 @@ class TestUncoarsen:
         assert p.edge_cut == brute_force_cut(g, p.assignment)
 
     def test_rebalance_matches_rescan(self):
-        # the one-scan rebalance moves the same nodes, in the same order, as
+        # the heap rebalance moves the same nodes, in the same order, as
         # rescanning the over-full part from its lowest id before every move
         from gad.partition import _rebalance_counts
 
         def rescan(lv, assign, k, cap):
+            """The rebalanced assignment, and how many moves it made, how
+            many of them fell back to a non-adjacent part, and how many took
+            a node that had no target when a higher id moved before it."""
             assign = assign.copy()
             sizes = np.bincount(assign, minlength=k)
+            moves = fallbacks = revived = 0
             for part in range(k):
+                last = -1
                 while sizes[part] > cap:
                     for u in np.flatnonzero(assign == part):
                         row = lv.targets[lv.offsets[u]:lv.offsets[u + 1]]
                         under = {int(assign[v]) for v in row
                                  if assign[v] != part and sizes[assign[v]] < cap}
                         if under:
+                            revived += u < last
                             break
                     else:
                         u = np.flatnonzero(assign == part)[0]
                         under = [p for p in range(k) if p != part and sizes[p] < cap]
+                        fallbacks += 1
                     tgt = min(under, key=lambda p: (sizes[p], p))
                     assign[u] = tgt
                     sizes[part] -= 1
                     sizes[tgt] += 1
-            return assign
+                    moves += 1
+                    last = u
+            return assign, (moves, fallbacks, revived)
 
-        for seed in range(12):
+        several, fallbacks, revived = 0, 0, 0
+        for seed in range(16):
             rng = np.random.default_rng(seed)
             # odd seeds draw a sparse random graph with many isolated nodes,
-            # so the fallback to the part's lowest id runs too
+            # so the fallback to the part's lowest id runs once the heap is dry
             if seed % 2:
                 g = _graph(rng.integers(0, 100, size=(30, 2)), n=100)
             else:
                 g = sbm_graph([40, 25, 35], 0.08, 0.01, seed=seed)
             lv = level_zero(g)
-            k = int(rng.integers(2, 6))
+            heavy = 1 + (seed // 2) % 2   # one or two over-full parts
+            k = int(rng.integers(heavy + 1, 6))
             cap = balance_cap(g.num_nodes, k, float(rng.choice([0.0, 0.1])))
             assign = rng.integers(0, k, size=g.num_nodes)
-            assign[rng.random(g.num_nodes) < 0.5] = 0
-            assert np.array_equal(_rebalance_counts(lv, assign, k, cap), rescan(lv, assign, k, cap))
+            crowd = rng.random(g.num_nodes) < 0.6
+            assign[crowd] = rng.integers(0, heavy, size=int(crowd.sum()))
+            want, (moves, fell, rev) = rescan(lv, assign, k, cap)
+            assert np.array_equal(_rebalance_counts(lv, assign, k, cap), want)
+            assert moves > 0
+            several += int((np.bincount(assign, minlength=k) > cap).sum()) > 1
+            fallbacks += fell
+            revived += rev
+        assert several >= 4 and fallbacks > 0 and revived > 0
 
     def test_balance_validated_on_counts(self):
         g = sbm_graph([50, 50], 0.1, 0.02, seed=7)
@@ -393,15 +412,11 @@ class TestPipeline:
         with pytest.raises(GadError):
             partition_graph(two_triangles(), 7)
 
-    def test_json_round_trip(self, tmp_path):
-        from gad.partition import load_partitioning, save_partitioning
-
+    def test_json_round_trip(self):
         g = two_triangles()
         p = partition_graph(g, 2, epsilon=0.34, seed=1)
-        path = tmp_path / "p.json"
-        save_partitioning(p, path)
-        q = load_partitioning(path)
+        text = json.dumps(p.to_json_dict(), sort_keys=True, indent=2)
+        q = Partitioning.from_json_dict(json.loads(text))
         assert np.array_equal(p.assignment, q.assignment)
         assert (q.k, q.epsilon, q.edge_cut) == (p.k, p.epsilon, p.edge_cut)
-        save_partitioning(q, tmp_path / "p2.json")
-        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
+        assert json.dumps(q.to_json_dict(), sort_keys=True, indent=2) == text

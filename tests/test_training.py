@@ -120,6 +120,18 @@ class TestEvaluate:
         assert evaluate(params, batch, masks) == want
         assert evaluate(params, batch, g.test_mask) == want[1]
 
+    def test_mask_length_must_match_batch_rows(self):
+        g = small_graph()
+        params = init_params((8, 2), seed=0)
+        batch = whole(g)
+        n = g.num_nodes
+        for size in (n - 1, n + 1):
+            mask = np.ones(size, dtype=bool)
+            with pytest.raises(GadError, match=f"{size} entries for a batch of {n} rows"):
+                evaluate(params, batch, mask)
+            with pytest.raises(GadError, match=f"{size} entries for a batch of {n} rows"):
+                evaluate(params, batch, np.stack([mask, mask]))
+
     def test_mask_outside_read_rows_rejected(self):
         g = small_graph()
         params = init_params((8, 2), seed=0)
@@ -243,6 +255,16 @@ class TestCommunicationSize:
         cm = communication_size(g, p, augs, 2)
         assert cm.bytes_with == 0
         assert cm.bytes_without > 0
+
+    def test_worker_of_length_must_match_parts(self):
+        g = small_graph()
+        p = partition_graph(g, 2, seed=2)
+        augs = bare_subgraphs(g, p)
+        for worker_of in ([0], [0, 1, 1]):
+            with pytest.raises(GadError, match=f"{len(worker_of)} entries for 2 parts"):
+                communication_size(g, p, augs, 2, worker_of)
+        cm = communication_size(g, p, augs, 2, [0, 0])
+        assert cm.per_worker_remote == {0: sum(cm.per_part_remote)}
 
     def test_monotone_in_replicas(self):
         g = small_graph()
