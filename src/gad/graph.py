@@ -59,8 +59,40 @@ def csr_rows(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
 
 
+class Csr:
+    """What a symmetric CSR structure derives from its ``offsets`` and ``targets``.
+
+    The base of :class:`Graph`, :class:`SubgraphView` and the partitioner's
+    ``CoarseGraph``.  :meth:`Graph.from_edges`, :func:`induce_subgraph` and
+    the partitioner's contraction make each row's targets ascend, with no
+    duplicate, which :meth:`edge_list` needs to come out sorted.
+    """
+
+    offsets: np.ndarray
+    targets: np.ndarray
+
+    @property
+    def num_edges(self) -> int:
+        """Number of undirected edges."""
+        return len(self.targets) // 2
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Source node of every entry of ``targets`` (cached)."""
+        return csr_rows(self.offsets)
+
+    def edge_list(self) -> np.ndarray:
+        """Unique undirected edges as an (m, 2) array with u < v, sorted."""
+        keep = self.rows < self.targets
+        return np.stack([self.rows[keep], self.targets[keep]], axis=1)
+
+
 @dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Csr):
     """Immutable undirected graph with features, labels and split masks."""
 
     num_nodes: int
@@ -96,11 +128,6 @@ class Graph:
             raise GadError("train/val/test masks must be pairwise disjoint")
 
     @property
-    def num_edges(self) -> int:
-        """Number of undirected edges."""
-        return len(self.targets) // 2
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
@@ -109,22 +136,8 @@ class Graph:
         labeled = self.labels[self.labels != UNLABELED]
         return int(labeled.max()) + 1 if labeled.size else 0
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
     def neighbors(self, u: int) -> np.ndarray:
         return self.targets[self.offsets[u]:self.offsets[u + 1]]
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Source node of every entry of ``targets`` (cached)."""
-        return csr_rows(self.offsets)
-
-    def edge_list(self) -> np.ndarray:
-        """Unique undirected edges as an (m, 2) array with u < v, sorted."""
-        keep = self.rows < self.targets
-        return np.stack([self.rows[keep], self.targets[keep]], axis=1)
 
     @classmethod
     def from_edges(
@@ -165,7 +178,7 @@ class Graph:
 
 
 @dataclass(frozen=True, eq=False)
-class SubgraphView:
+class SubgraphView(Csr):
     """Induced subgraph over a subset of a parent graph's nodes.
 
     ``local_ids`` maps local index -> global node id (sorted ascending);
@@ -184,19 +197,6 @@ class SubgraphView:
         return len(self.local_ids)
 
     @property
-    def num_edges(self) -> int:
-        return len(self.targets) // 2
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Local source node of every entry of ``targets`` (cached)."""
-        return csr_rows(self.offsets)
-
-    @property
     def owned_ids(self) -> np.ndarray:
         return self.local_ids[self.owned]
 
@@ -212,13 +212,8 @@ class SubgraphView:
         return self.graph.train_mask[self.local_ids] & self.owned
 
     def edge_list_global(self) -> np.ndarray:
-        """Local edges as global-id pairs with u < v, sorted."""
-        gu = self.local_ids[self.rows]
-        gv = self.local_ids[self.targets]
-        keep = gu < gv
-        out = np.stack([gu[keep], gv[keep]], axis=1)
-        order = np.lexsort((out[:, 1], out[:, 0]))
-        return out[order]
+        """Local edges as global-id pairs with u < v, sorted (``local_ids`` ascend)."""
+        return self.local_ids[self.edge_list()]
 
 
 def gather_rows(g: Graph, node_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +292,8 @@ def full_view(g: Graph) -> SubgraphView:
         graph=g,
         local_ids=ids,
         owned=np.ones(g.num_nodes, dtype=bool),
-        offsets=g.offsets.copy(),
-        targets=g.targets.copy(),
+        offsets=g.offsets,
+        targets=g.targets,
     )
 
 
@@ -310,7 +305,7 @@ def make_split_masks(
     Sizes are floor(fraction * num_nodes); leftover nodes stay unassigned.
     """
     f = tuple(float(x) for x in fractions)
-    if any(x < 0 for x in f) or sum(f) > 1.0 + 1e-9:
+    if len(f) != 3 or any(x < 0 for x in f) or sum(f) > 1.0 + 1e-9:
         raise GadError("split fractions must be nonnegative and sum to <= 1")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(num_nodes)
@@ -323,17 +318,6 @@ def make_split_masks(
         masks.append(m)
         start += s
     return masks[0], masks[1], masks[2]
-
-
-def _apply_split(num_nodes, split_spec, seed):
-    if (
-        isinstance(split_spec, (tuple, list))
-        and len(split_spec) == 3
-        and all(np.isscalar(x) for x in split_spec)
-    ):
-        return make_split_masks(num_nodes, tuple(split_spec), seed)
-    train, val, test = (np.asarray(m, dtype=bool) for m in split_spec)
-    return train, val, test
 
 
 def _read_edge_pairs(path, name_to_idx) -> np.ndarray:
@@ -441,7 +425,8 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
     ``#`` comments.  A file whose values are all single ASCII digits, one
     space or tab apart (Cora's 0/1 words), is converted from its bytes
     instead, to the values NumPy's parser gives.  A native label of
-    ``UNLABELED`` (-1) keeps its node out of all three split masks.
+    ``UNLABELED`` (-1) keeps its node out of all three split masks, which
+    :func:`make_split_masks` draws from the fractions ``split_spec``.
     """
     feature_path = Path(feature_path)
     with open(feature_path, "r", encoding="utf-8") as fh:
@@ -477,7 +462,7 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
     name_to_idx = {name: i for i, name in enumerate(names)}
     pairs = _read_edge_pairs(edge_path, name_to_idx)
     labeled = labels != UNLABELED
-    train, val, test = (m & labeled for m in _apply_split(len(names), split_spec, seed))
+    train, val, test = (m & labeled for m in make_split_masks(len(names), split_spec, seed))
     return Graph.from_edges(
         num_nodes=len(names),
         pairs=pairs,

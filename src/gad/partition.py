@@ -19,13 +19,13 @@ import scipy.sparse as sp
 
 from . import rngs
 from .errors import BalanceError, GadError
-from .graph import Graph, csr_rows
+from .graph import Csr, Graph
 
 SHRINK_STALL = 0.95   # stop coarsening when a level keeps > 95% of its nodes
 
 
 @dataclass(frozen=True, eq=False)
-class CoarseGraph:
+class CoarseGraph(Csr):
     """One level of the coarsening hierarchy.
 
     ``fine_to_coarse`` maps the previous level's node ids to this level's
@@ -39,10 +39,6 @@ class CoarseGraph:
     edge_weights: np.ndarray   # aligned with targets
     node_weight: np.ndarray
     fine_to_coarse: np.ndarray | None
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +106,11 @@ def balance_cap(num_nodes: int, k: int, epsilon: float) -> int:
 
 
 def level_zero(g: Graph) -> CoarseGraph:
-    """Wrap a Graph as the finest level with unit node and edge weights."""
+    """Wrap a Graph, sharing its CSR arrays, as the finest level with unit weights."""
     return CoarseGraph(
         num_nodes=g.num_nodes,
-        offsets=g.offsets.copy(),
-        targets=g.targets.copy(),
+        offsets=g.offsets,
+        targets=g.targets,
         edge_weights=np.ones(len(g.targets), dtype=np.int64),
         node_weight=np.ones(g.num_nodes, dtype=np.int64),
         fine_to_coarse=None,
@@ -163,15 +159,13 @@ def _contract(cg: CoarseGraph, partner: np.ndarray) -> CoarseGraph:
     coarse_id = (np.cumsum(leads) - 1)[np.minimum(ids, partner)]
 
     node_weight = np.bincount(coarse_id, weights=cg.node_weight, minlength=next_id)
-    cu = coarse_id[csr_rows(cg.offsets)]
+    cu = coarse_id[cg.rows]
     cv = coarse_id[cg.targets]
     keep = cu != cv
     mat = sp.coo_matrix(
         (cg.edge_weights[keep].astype(np.int64), (cu[keep], cv[keep])),
         shape=(next_id, next_id),
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
+    ).tocsr()   # canonical: each row's columns ascend, duplicates summed
     return CoarseGraph(
         num_nodes=next_id,
         offsets=mat.indptr.astype(np.int64),
@@ -205,9 +199,9 @@ def coarsen(g: Graph | CoarseGraph, target_fraction: float = 0.2, seed: int = 0)
     return levels
 
 
-def _cut(assign: np.ndarray, rows: np.ndarray, targets: np.ndarray, weights=None) -> int:
-    """Weight (count when ``weights`` is None) of the CSR edges between parts."""
-    cross = assign[rows] != assign[targets]
+def _cut(assign: np.ndarray, csr: Csr, weights=None) -> int:
+    """Weight (count when ``weights`` is None) of ``csr``'s edges between parts."""
+    cross = assign[csr.rows] != assign[csr.targets]
     return int(cross.sum() if weights is None else weights[cross].sum()) // 2
 
 
@@ -302,13 +296,12 @@ def partition_coarse(
         raise BalanceError(
             f"infeasible balance: k={k}, cap={cap} cannot hold {total} nodes"
         )
-    rows = csr_rows(cg.offsets)
     best_assign, best_key = None, None
     for r in range(restarts):
         rng = rngs.stream(seed, rngs.RESTART, r)
         assign = _grow_parts(cg, k, cap, rng)
         over = bool((np.bincount(assign, weights=cg.node_weight, minlength=k) > cap).any())
-        key = (over, _cut(assign, rows, cg.targets, cg.edge_weights))
+        key = (over, _cut(assign, cg, cg.edge_weights))
         if best_key is None or key < best_key:
             best_assign, best_key = assign, key
     return best_assign
@@ -393,7 +386,7 @@ def uncoarsen(
         assignment=assign,
         k=k,
         epsilon=epsilon,
-        edge_cut=_cut(assign, csr_rows(level0.offsets), level0.targets, level0.edge_weights),
+        edge_cut=_cut(assign, level0, level0.edge_weights),
         restarts_used=0,
     )
 
@@ -403,7 +396,7 @@ def edge_cut(g: Graph, p: Partitioning) -> int:
     assign = p.assignment
     if len(assign) != g.num_nodes:
         raise GadError("assignment does not cover all nodes")
-    return _cut(assign, g.rows, g.targets)
+    return _cut(assign, g)
 
 
 def partition_graph(

@@ -49,7 +49,7 @@ from .gcn import (
     sgd_update,
     workspace,
 )
-from .graph import Graph, full_view, normalized_adjacency
+from .graph import Graph, csr_offsets, csr_rows, full_view, normalized_adjacency
 from .partition import Partitioning
 from . import rngs
 
@@ -236,7 +236,7 @@ def make_batch(x, views, rows=None, weights=None) -> Batch:
         rows = np.flatnonzero(np.concatenate([v.local_train_mask() for v in views]))
     adj = sp.block_diag([normalized_adjacency(v) for v in views], format="csr")
     ids = np.concatenate([v.local_ids for v in views])
-    part = np.repeat(np.arange(len(views)), [v.num_nodes for v in views])
+    part = csr_rows(csr_offsets([v.num_nodes for v in views]))
     return build_batch(adj, x[ids], np.concatenate([v.local_labels() for v in views]),
                        views[0].graph.num_classes, rows, part, weights, ids)
 
@@ -288,7 +288,8 @@ def train(
 ) -> TrainReport:
     """Run the synchronous training loop and return the report.
 
-    ``config`` is a validated :class:`gad.config.Config`.  The update
+    ``config`` is a validated :class:`gad.config.Config`, whose ``workers``
+    must equal ``workers`` (else :class:`GadError`).  The update
     groups are fixed before the first epoch: group r holds the r-th
     subgraph that :func:`assign_to_workers` gave each worker, in worker
     order, minus subgraphs with no owned training node (these are listed
@@ -310,6 +311,8 @@ def train(
     """
     if not augmented:
         raise GadError("need at least one augmented subgraph")
+    if workers != config.workers:
+        raise GadError(f"workers={workers} but config.workers={config.workers}")
     worker_of = assign_to_workers(augmented, workers)
     x = layer_input(g.features)
     zetas, trainable, groups = _prepare_groups(g, x, augmented, worker_of, workers, config)

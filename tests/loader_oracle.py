@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from gad.errors import GadError
-from gad.graph import UNLABELED, Graph, _apply_split
+from gad.graph import UNLABELED, Graph, make_split_masks
 
 
 def read_edge_pairs(path, name_to_idx) -> np.ndarray:
@@ -84,7 +84,7 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
     name_to_idx = {name: i for i, name in enumerate(names)}
     pairs = read_edge_pairs(edge_path, name_to_idx)
     labeled = labels != UNLABELED
-    train, val, test = (m & labeled for m in _apply_split(len(names), split_spec, seed))
+    train, val, test = (m & labeled for m in make_split_masks(len(names), split_spec, seed))
     return Graph.from_edges(
         num_nodes=len(names),
         pairs=pairs,

@@ -198,6 +198,18 @@ class TestTrainCmd:
                  "--workers", "2", "--seed", "2", "--out", out])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_timing_out_one_entry_per_epoch(self, dataset, staged, tmp_path):
+        d, part, aug = staged
+        args = ["train", dataset, "--augmented", aug, "--layers", "2", "--hidden", "8",
+                "--eta", "0.001", "--epochs", "3", "--workers", "2", "--seed", "2"]
+        plain, timed, timing = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "t.json"
+        assert run(args + ["--out", plain]) == 0
+        assert run(args + ["--out", timed, "--timing-out", timing]) == 0
+        seconds = json.loads(timing.read_text())["epoch_seconds"]
+        assert len(seconds) == json.loads(timed.read_text())["epochs_run"] == 3
+        assert all(s > 0 for s in seconds)
+        assert timed.read_bytes() == plain.read_bytes()   # timing stays out of the report
+
     def test_weighted_flag_off(self, dataset, staged, tmp_path):
         d, part, aug = staged
         out = tmp_path / "rp.json"

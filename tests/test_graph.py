@@ -227,6 +227,11 @@ class TestInduceSubgraph:
             assert np.array_equal(sub.offsets, offsets)
             assert np.array_equal(sub.targets, targets)
             assert sub.offsets.dtype == sub.targets.dtype == np.int64
+            # g's edges inside ids, as global (u, v) pairs in lexicographic order
+            edges = g.edge_list()
+            edges = edges[np.isin(edges, ids).all(axis=1)]
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+            assert np.array_equal(sub.edge_list_global(), edges)
 
 
 def _induce_by_mask(g, node_ids):
@@ -290,21 +295,8 @@ class TestSplitMasks:
     def test_bad_fractions(self):
         with pytest.raises(GadError):
             make_split_masks(10, (0.8, 0.3, 0.2), seed=0)
-
-    def test_explicit_masks_pass_through(self, tmp_path):
-        feat = tmp_path / "toy.content"
-        feat.write_text("a 1 0 x\nb 0 1 y\nc 1 1 x\n")
-        edge = tmp_path / "toy.cites"
-        edge.write_text("a b\nb c\n")
-        masks = (
-            np.array([True, False, False]),
-            np.array([False, True, False]),
-            np.array([False, False, True]),
-        )
-        g = load_dataset(edge, feat, masks, seed=0)
-        assert g.train_mask.tolist() == [True, False, False]
-        assert g.val_mask.tolist() == [False, True, False]
-        assert g.test_mask.tolist() == [False, False, True]
+        with pytest.raises(GadError):
+            make_split_masks(10, (0.5, 0.2), seed=0)
 
 
 class TestLoaders:

@@ -96,7 +96,10 @@ class TestCoarsen:
     def test_edge_weight_counts_fine_edges(self):
         g = sbm_graph([30, 30], 0.2, 0.05, seed=4)
         levels = coarsen(g, 0.3, seed=2)
+        assert len(levels) > 2
         for prev, cur in zip(levels, levels[1:]):
+            # each contracted row's columns strictly ascend: sorted, no duplicate (row, col)
+            assert (np.diff(cur.rows * cur.num_nodes + cur.targets) > 0).all()
             # total coarse edge weight + internalized weight == total fine weight
             fine_total = prev.edge_weights.sum()
             coarse_total = cur.edge_weights.sum()

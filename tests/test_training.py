@@ -349,6 +349,27 @@ class TestTrain:
         with pytest.raises(GadError):
             train(g, p, bare_subgraphs(g, p), 1, quick_config(k=1, workers=1))
 
+    def test_workers_must_match_config(self):
+        g = small_graph()
+        p = partition_graph(g, 2, seed=0)
+        with pytest.raises(GadError, match="workers"):
+            train(g, p, bare_subgraphs(g, p), 3, quick_config(workers=2))
+
+    def test_pipeline_leaves_the_graph_unchanged(self):
+        # the partitioner's finest level and the evaluation's view share
+        # g's CSR arrays; no stage may write to any of g's arrays
+        g = small_graph(seed=6)
+        names = ("offsets", "targets", "features", "labels", "train_mask", "val_mask", "test_mask")
+
+        def snapshot():
+            return [(a.dtype, a.shape, a.tobytes()) for a in (getattr(g, n) for n in names)]
+
+        before = snapshot()
+        p = partition_graph(g, 3, seed=6)
+        augs = [r.subgraph for r in augment_partitions(g, p, layers=2, alpha=0.1, seed=6)]
+        train(g, p, augs, 2, quick_config(k=3, epochs=3))
+        assert snapshot() == before
+
     def test_zero_epochs_initial_eval_only(self):
         g = small_graph()
         p = single_partition(g)
