@@ -8,6 +8,7 @@ can be handed to the partitioning, augmentation and training stages.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -63,9 +64,10 @@ class Csr:
     """What a symmetric CSR structure derives from its ``offsets`` and ``targets``.
 
     The base of :class:`Graph`, :class:`SubgraphView` and the partitioner's
-    ``CoarseGraph``.  :meth:`Graph.from_edges`, :func:`induce_subgraph` and
-    the partitioner's contraction make each row's targets ascend, with no
-    duplicate, which :meth:`edge_list` needs to come out sorted.
+    ``CoarseGraph``.  Each row's targets ascend, with no duplicate, which
+    :meth:`edge_list` needs to come out sorted: :class:`Graph` rejects other
+    rows, and :func:`induce_subgraph` and the partitioner's contraction keep
+    the order.
     """
 
     offsets: np.ndarray
@@ -114,6 +116,12 @@ class Graph(Csr):
             raise GadError("offsets[-1] must equal len(targets)")
         if np.any(np.diff(self.offsets) < 0):
             raise GadError("offsets must be nondecreasing")
+        # a step between two entries may fall only where a new row starts
+        step = np.diff(self.targets)
+        starts = self.offsets[1:-1]
+        step[starts[(starts > 0) & (starts < len(self.targets))] - 1] = 1
+        if (step <= 0).any():
+            raise GadError("each row's targets must ascend")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise GadError("feature row count must match num_nodes")
         for name in ("labels", "train_mask", "val_mask", "test_mask"):
@@ -252,12 +260,8 @@ def induce_subgraph(g: Graph, node_ids, owned_ids) -> SubgraphView:
     rows_l = csr_rows(span)[keep]
     cols_l = local[keep]
 
+    # g's rows ascend and local_of keeps their order, so the local rows do
     offsets = csr_offsets(np.bincount(rows_l, minlength=len(node_ids)))
-    # rows_l never falls, so the (row, col) keys are in order, as they are
-    # whenever g's rows are sorted, unless a column falls within a row
-    if ((np.diff(rows_l) == 0) & (np.diff(cols_l) < 0)).any():
-        cols_l = cols_l[np.lexsort((cols_l, rows_l))]
-
     owned = np.zeros(len(node_ids), dtype=bool)
     owned[local_of[owned_ids]] = True
     return SubgraphView(
@@ -320,10 +324,21 @@ def make_split_masks(
     return masks[0], masks[1], masks[2]
 
 
-def _read_edge_pairs(path, name_to_idx) -> np.ndarray:
-    """Index pairs of an edge file: one ``u v`` per line, ``#`` starts a comment."""
+# the ASCII characters str.split() splits at
+_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _read_edge_pairs(path, names: list[str]) -> np.ndarray:
+    """Index pairs into ``names`` of an edge file: one ``u v`` per line, ``#`` starts a comment."""
     with open(path, "r", encoding="utf-8") as fh:
         text = re.sub(r"#[^\n]*", "", fh.read())
+    pairs = _integer_pairs(text, names)
+    return _named_pairs(text, names, path) if pairs is None else pairs
+
+
+def _named_pairs(text: str, names: list[str], path) -> np.ndarray:
+    """The pairs of comment-free ``text``, each id looked up by name; names the first bad line."""
+    name_to_idx = {name: i for i, name in enumerate(names)}
     lines = text.split("\n")
     counts = np.array([len(ln.split()) for ln in lines], dtype=np.int64)
     ends = np.cumsum(counts)
@@ -340,6 +355,52 @@ def _read_edge_pairs(path, name_to_idx) -> np.ndarray:
     return idx.reshape(-1, 2)
 
 
+def _integer_pairs(text: str, names: list[str]) -> np.ndarray | None:
+    """The pairs of comment-free ``text`` if every name and id is an integer as ``str`` writes it.
+
+    One ``np.loadtxt`` reads the ids.  Its parser also takes ``007``, ``+7``
+    and ``-0``, each longer than ``str`` of its value, so every id is
+    spelled as its name exactly when the text's non-space characters number
+    the sum of the names' lengths over the ids.  Ids map through a table
+    over the names' span, or a sorted search when the span is sparse.  Any
+    other text, a miss, a width error or an overflow returns None, for the
+    dict path to read or reject.
+    """
+    # str(v) is ASCII, and the character count below counts bytes
+    if not names or not text.isascii():
+        return None
+    try:
+        values = np.fromiter(map(int, names), np.int64, count=len(names))
+    except (ValueError, OverflowError):
+        return None
+    canonical = list(map(str, values.tolist()))
+    if names != canonical:
+        return None
+    width = len(text.encode("ascii").translate(None, _ASCII_SPACE))
+    if width == 0:   # np.loadtxt warns on text without data
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        ids = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2,
+                         encoding="utf-8")
+    except ValueError:
+        return None
+    lo, hi = int(values.min()), int(values.max())
+    # lines of one or three ids each parse too
+    if ids.shape[1] != 2 or ids.min() < lo or ids.max() > hi:
+        return None
+    if hi - lo < 4 * len(values):
+        table = np.full(hi - lo + 1, -1, dtype=np.int64)
+        table[values - lo] = np.arange(len(values))
+        idx = table[ids - lo]   # a miss, -1, reads the last name, of another value
+    else:   # a sparse span, as Cora's ids up to about 1.2M for 2,708 papers
+        order = np.argsort(values)
+        idx = order[np.searchsorted(values[order], ids)]
+    if (values[idx] != ids).any():
+        return None
+    lengths = np.fromiter(map(len, canonical), np.int64, count=len(canonical))
+    return idx if lengths[idx].sum() == width else None
+
+
 def _parses(lines) -> bool:
     """Whether ``np.loadtxt`` reads every one of ``lines`` as float64 values."""
     try:
@@ -349,18 +410,25 @@ def _parses(lines) -> bool:
     return True
 
 
-def _digit_rows(values):
-    """Rows of one-digit values one space or tab apart as a float64 array, else None.
+def _digit_rows(rows):
+    """``(names, features, labels)`` of rows of one-digit values, else None.
 
-    Each value is its ASCII byte minus ``ord("0")``, an exact float64, so the
-    array equals ``np.loadtxt``'s.  The first row's second character turns
-    other files away at once; any later row of another layout returns None.
+    Values are one ASCII digit each, one space or tab apart.  Each is its
+    byte minus ``ord("0")``, an exact float64, so the array equals
+    ``np.loadtxt``'s.  The first row's second value character turns other
+    files away before any row is split; any later row of another layout
+    returns None.
     """
-    width = len(values[0])
-    if values[0][1:2] not in ("", " ", "\t"):
+    first = rows[0][1].split(None, 1)[-1].rsplit(None, 1)[0]
+    if first[1:2] not in ("", " ", "\t"):
         return None
-    out = np.empty((len(values), width // 2 + 1))
-    for row, text in zip(out, values):
+    heads = [line.split(None, 1) for _, line in rows]
+    tails = [h[-1].rsplit(None, 1) for h in heads]
+    if not all(len(t) == 2 for t in tails):
+        return None
+    width = len(tails[0][0])
+    out = np.empty((len(rows), width // 2 + 1))
+    for row, (text, _) in zip(out, tails):
         b = text.encode()
         digits = b[::2]
         if (len(b) != width or digits.translate(None, b"0123456789")
@@ -368,28 +436,33 @@ def _digit_rows(values):
             return None
         row[:] = np.frombuffer(digits, np.uint8)
     out -= ord("0")
-    return out
+    return [h[0] for h in heads], out, [t[1] for t in tails]
+
+
+def _table_rows(rows, dim: int):
+    """``(names, features, labels)`` of the rows, in one ``np.loadtxt`` call."""
+    table = np.loadtxt(
+        [line for _, line in rows],
+        dtype=[("id", object), ("x", np.float64, (dim,)), ("y", object)],
+        comments=None, ndmin=1, encoding="utf-8",
+    )
+    return table["id"].tolist(), table["x"].copy(), table["y"].tolist()
 
 
 def _parse_feature_rows(rows, path, dim=None, int_labels=False):
     """Parse 'id v1 ... vD label' rows; returns (names, features, labels).
 
-    One ``np.loadtxt`` call parses all values, unless every one is a single
-    digit (see :func:`_digit_rows`).  If it fails, a width is off or a label
-    is not an integer (with ``int_labels``), the loop below reads the rows
-    one by one and raises for the first bad one.
+    One ``np.loadtxt`` call parses the rows whole, unless every value is a
+    single digit (see :func:`_digit_rows`).  If it fails, a width differs
+    from ``dim`` or the first row's, or a label is not an integer (with
+    ``int_labels``), the loop below reads the rows one by one and raises for
+    the first bad one.
     """
-    heads = [line.split(None, 1) for _, line in rows]
-    tails = [h[-1].rsplit(None, 1) for h in heads]
-    if rows and all(len(t) == 2 for t in tails):
+    width = len(rows[0][1].split()) - 2 if rows else 0
+    if width > 0 and dim in (None, width):
         try:
-            values = [t[0] for t in tails]
-            feats = _digit_rows(values)
-            if feats is None:
-                feats = np.loadtxt(values, dtype=np.float64, ndmin=2, comments=None)
-            labels = [int(t[1]) if int_labels else t[1] for t in tails]
-            if dim in (None, feats.shape[1]):
-                return [h[0] for h in heads], feats, labels
+            names, feats, labels = _digit_rows(rows) or _table_rows(rows, width)
+            return names, feats, [int(x) for x in labels] if int_labels else labels
         except ValueError:
             pass
     for lineno, line in rows:
@@ -422,11 +495,16 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
     layout (same rows, string labels, no header).  Node ids are arbitrary
     strings interned in file order.  Values are read by NumPy's parser, so
     ``1_0`` and non-ASCII digits are rejected; only the edge file may hold
-    ``#`` comments.  A file whose values are all single ASCII digits, one
-    space or tab apart (Cora's 0/1 words), is converted from its bytes
-    instead, to the values NumPy's parser gives.  A native label of
-    ``UNLABELED`` (-1) keeps its node out of all three split masks, which
-    :func:`make_split_masks` draws from the fractions ``split_spec``.
+    ``#`` comments.  One ``np.loadtxt`` call reads all rows; a file whose
+    values are all single ASCII digits, one space or tab apart (Cora's 0/1
+    words), is converted from its bytes instead, to the values NumPy's
+    parser gives.  When every id is an integer as ``str`` writes it, one
+    ``np.loadtxt`` call reads the edge file too; other names and spellings
+    (``007``, ``+7``) are looked up by name.  Any row or line those calls
+    reject is read again one by one, which names the first bad one.  A
+    native label of ``UNLABELED`` (-1) keeps its node out of all three
+    split masks, which :func:`make_split_masks` draws from the fractions
+    ``split_spec``.
     """
     feature_path = Path(feature_path)
     with open(feature_path, "r", encoding="utf-8") as fh:
@@ -459,8 +537,7 @@ def load_dataset(edge_path, feature_path, split_spec, seed: int) -> Graph:
 
     if len(set(names)) != len(names):
         raise GadError(f"{feature_path}: duplicate node id")
-    name_to_idx = {name: i for i, name in enumerate(names)}
-    pairs = _read_edge_pairs(edge_path, name_to_idx)
+    pairs = _read_edge_pairs(edge_path, names)
     labeled = labels != UNLABELED
     train, val, test = (m & labeled for m in make_split_masks(len(names), split_spec, seed))
     return Graph.from_edges(

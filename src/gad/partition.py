@@ -194,6 +194,8 @@ def coarsen(g: Graph | CoarseGraph, target_fraction: float = 0.2, seed: int = 0)
         nxt = _contract(cur, _match_heavy_edges(cur, rng))
         if nxt.num_nodes > SHRINK_STALL * cur.num_nodes:
             break
+        if cur is not levels[0]:   # its cached rows are dead once it is contracted
+            vars(cur).pop("rows", None)
         levels.append(nxt)
         step += 1
     return levels

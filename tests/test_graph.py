@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import warnings
 
@@ -133,6 +134,17 @@ class TestArrayLengths:
         with pytest.raises(GadError, match="feature row count"):
             dataclasses.replace(triangle(), features=np.zeros(3))   # 1-D
 
+    @pytest.mark.parametrize(
+        "targets", [[2, 1, 0, 2, 0, 1], [1, 1, 0, 2, 0, 1], [1, 2, 2, 0, 1, 0]]
+    )
+    def test_rows_must_ascend(self, targets):
+        # a falling or repeated target inside a row; the steps across the
+        # row starts (2 -> 0, 2 -> 0) are allowed
+        g = triangle()
+        with pytest.raises(GadError, match="targets must ascend"):
+            dataclasses.replace(g, targets=np.array(targets, dtype=np.int64))
+        assert g.targets.tolist() == [1, 2, 0, 2, 0, 1]
+
     def test_rows_follow_csr(self):
         rng = np.random.default_rng(2)
         g = _graph(rng.integers(0, 25, size=(70, 2)), n=27)   # nodes 25, 26 isolated
@@ -213,12 +225,14 @@ class TestInduceSubgraph:
         n = int(rng.integers(1, 40))
         g = _graph(rng.integers(0, n, (int(rng.integers(0, 4 * n + 1)), 2)), n=n)
         if seed % 2:
-            # targets in arbitrary order inside each CSR row
+            # targets in another order inside some CSR row are rejected
             targets = g.targets.copy()
             for u in range(n):
                 rng.shuffle(targets[g.offsets[u]:g.offsets[u + 1]])
-            g = Graph(n, g.offsets, targets, g.features, g.labels,
-                      g.train_mask, g.val_mask, g.test_mask)
+            if not np.array_equal(targets, g.targets):
+                with pytest.raises(GadError, match="targets must ascend"):
+                    Graph(n, g.offsets, targets, g.features, g.labels,
+                          g.train_mask, g.val_mask, g.test_mask)
         subsets = [[], [int(rng.integers(0, n))], np.arange(n)]
         subsets += [rng.integers(0, n, int(rng.integers(1, 2 * n + 1))) for _ in range(5)]
         for ids in subsets:
@@ -416,18 +430,29 @@ def _noise_lines(rng, end):
     return "".join(rng.choice(["", " ", "\t", " \t  "]) + end for _ in range(rng.integers(0, 3)))
 
 
-def _random_dataset(tmp_path, seed, layout, digits=False):
+def _random_dataset(tmp_path, seed, layout, digits=False, integers=False):
     """Seeded random feature and edge files in ``layout`` ('native' or 'content').
 
     With ``digits``, every value is one of ``0``-``9``, one space or tab
     from the next, as in Cora's word columns; for every third seed, one row
     (when there are two values or more) has a wider gap between two values.
+    With ``integers``, every node name is an integer as ``str`` writes it:
+    a dense span around 0 with one gap on even seeds, a sparse one on odd
+    seeds, over all of int64 on every fourth.
     Returns (edge_path, feature_path, feature_lines, edge_lines): the lines
     as written, so that a test can break one of them and write them again.
     """
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 25)), int(rng.integers(1, 6))
-    names = [f"{rng.choice(['n', 'paper-', 'x.', ''])}{i * 7 + 3}" for i in rng.permutation(n)]
+    if not integers:
+        names = [f"{rng.choice(['n', 'paper-', 'x.', ''])}{i * 7 + 3}" for i in rng.permutation(n)]
+    elif seed % 2 == 0:   # n of the n + 1 integers around 0, one inside missing
+        names = [str(v) for v in rng.permutation(np.delete(np.arange(n + 1), rng.integers(1, n)))
+                 - n // 2]
+    else:
+        top = 2**63 - 1 if seed % 4 == 3 else 10**6
+        pool = np.unique(np.r_[-top - 1, top, rng.integers(-top, top, 3 * n, endpoint=True)])
+        names = [str(v) for v in rng.choice(pool, n, replace=False)]
     classes = ["Neural_Networks", "Rule_Learning", "Theory", "x"]
     end = _ENDS[seed % 2]
     wide = int(rng.integers(n)) if digits and d > 1 and seed % 3 == 0 else -1
@@ -480,6 +505,7 @@ def _assert_same_graph(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape) == (y.dtype, y.shape), name
         assert x.tobytes() == y.tobytes(), name
+        assert x.flags.c_contiguous, name
     assert a.num_nodes == b.num_nodes
     assert a.node_names == b.node_names
     assert a.class_names == b.class_names
@@ -499,12 +525,16 @@ def _load_both(edge, feat, seed):
 class TestLoaderOracle:
     """``load_dataset`` against the row-by-row parser in ``loader_oracle``."""
 
-    DIGITS = False   # the value mode of every _random_dataset here
+    DIGITS = False     # the value mode of every _random_dataset here
+    INTEGERS = False   # and its name mode
+
+    def _dataset(self, tmp_path, seed, layout):
+        return _random_dataset(tmp_path, seed, layout, self.DIGITS, self.INTEGERS)
 
     @pytest.mark.parametrize("layout", ["native", "content"])
     @pytest.mark.parametrize("seed", range(12))
     def test_random_files_identical(self, tmp_path, seed, layout):
-        edge, feat, _, _ = _random_dataset(tmp_path, seed, layout, self.DIGITS)
+        edge, feat, _, _ = self._dataset(tmp_path, seed, layout)
         new, old = _load_both(edge, feat, seed)
         assert not isinstance(old, str), old
         _assert_same_graph(new, old)
@@ -532,7 +562,7 @@ class TestLoaderOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_errors_identical(self, tmp_path, seed, fault, layout):
         rng = np.random.default_rng(seed)
-        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, seed, layout, self.DIGITS)
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, seed, layout)
         first = 1 if layout == "native" else 0
         rows = feature_lines[first:]
         self.FAULTS[fault](rng, rows, edge_lines)
@@ -556,7 +586,7 @@ class TestLoaderOracle:
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_header_width_mismatch_identical(self, tmp_path, delta):
         # every row agrees with every other, but not with the header's dim
-        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 4, "native", self.DIGITS)
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, 4, "native")
         header = json.loads(feature_lines[0])
         header["dim"] += delta
         feature_lines[0] = json.dumps(header)
@@ -565,7 +595,7 @@ class TestLoaderOracle:
         assert new == old and "inconsistent feature dimension" in old
 
     def test_label_out_of_range_identical(self, tmp_path):
-        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 1, "native", self.DIGITS)
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, 1, "native")
         feature_lines[-1] = feature_lines[-1].rsplit(None, 1)[0] + " 3"
         edge, feat = _write_dataset(tmp_path, "native", feature_lines, edge_lines)
         new, old = _load_both(edge, feat, 1)
@@ -591,7 +621,7 @@ class TestDigitLoaderOracle(TestLoaderOracle):
     @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize("miss", sorted(NEAR_MISSES))
     def test_digit_near_misses_identical(self, tmp_path, miss, where, layout):
-        _, _, feature_lines, edge_lines = _random_dataset(tmp_path, 4, layout, self.DIGITS)
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, 4, layout)
         first = 1 if layout == "native" else 0
         rows = feature_lines[first:]
         assert len(rows[where].split()) > 4   # three values or more
@@ -604,6 +634,99 @@ class TestDigitLoaderOracle(TestLoaderOracle):
             _assert_same_graph(new, old)
 
 
+class TestIntegerLoaderOracle(TestLoaderOracle):
+    """The same checks on files whose node names are integers as ``str`` writes them."""
+
+    INTEGERS = True
+
+    # other spellings of a name v, or ids beyond int64; each stands in one
+    # edge line of a valid file, which no name then matches
+    SPELLINGS = {
+        "zero-padded": lambda v: f"-0{v[1:]}" if v.startswith("-") else f"00{v}",
+        "plus sign": lambda v: f"+{v}",
+        "minus zero": lambda v: "-0",
+        "underscore": lambda v: f"{v}_0",
+        "beyond int64": lambda v: "9" * 20,
+        "below int64": lambda v: "-" + "9" * 20,
+        "float": lambda v: f"{v}.0",
+        "non-ASCII digit": lambda v: "\u0663",
+    }
+
+    @pytest.mark.parametrize("layout", ["native", "content"])
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_other_spellings_identical(self, tmp_path, seed, spelling, layout):
+        rng = np.random.default_rng(seed)
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, seed, layout)
+        names = [line.split()[0] for line in feature_lines[layout == "native":]]
+        _insert(rng, edge_lines, f"{names[-1]} {self.SPELLINGS[spelling](names[0])} # odd")
+        edge, feat = _write_dataset(tmp_path, layout, feature_lines, edge_lines, rng)
+        new, old = _load_both(edge, feat, seed)
+        assert new == old and "unknown node id" in old
+
+    @pytest.mark.parametrize("where", ["below", "inside", "above"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unknown_ids_identical(self, tmp_path, seed, where):
+        # an id that no name holds, below, inside or above the names' span
+        rng = np.random.default_rng(seed)
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, seed, "native")
+        values = sorted(int(line.split()[0]) for line in feature_lines[1:])
+        absent = {"below": values[0] - 1, "above": values[-1] + 1,
+                  "inside": next(a + 1 for a, b in zip(values, values[1:]) if b > a + 1)}[where]
+        _insert(rng, edge_lines, f"{values[0]} {absent}")
+        edge, feat = _write_dataset(tmp_path, "native", feature_lines, edge_lines, rng)
+        new, old = _load_both(edge, feat, seed)
+        assert new == old and old.endswith(f"unknown node id {str(absent)!r}")
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x0b", "\x1c"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_other_spaces_identical(self, tmp_path, seed, space):
+        # str.split() splits at each of these spaces, so the file is valid
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, seed, "native")
+        names = [line.split()[0] for line in feature_lines[1:]]
+        edge_lines.append(f"{names[0]}{space}{names[-1]}\t# caf\u00e9")
+        edge, feat = _write_dataset(tmp_path, "native", feature_lines, edge_lines)
+        new, old = _load_both(edge, feat, seed)
+        assert not isinstance(old, str), old
+        _assert_same_graph(new, old)
+
+    # names int() reads but str() does not write, and the id str() writes
+    @pytest.mark.parametrize("name, written", [
+        ("007", "7"), ("+7", "7"), ("-0", "0"), ("7_0", "70"), ("\u0667", "7"),
+    ])
+    def test_other_name_spellings_identical(self, tmp_path, name, written):
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, 1, "content")
+        names = [line.split()[0] for line in feature_lines]
+        assert written not in names
+        feature_lines[0] = feature_lines[0].replace(names[0], name, 1)
+        edge_lines.append(f"{names[1]} {written}")
+        edge, feat = _write_dataset(tmp_path, "content", feature_lines, edge_lines)
+        new, old = _load_both(edge, feat, 1)
+        assert new == old and old.endswith(f"unknown node id {written!r}")
+
+    @pytest.mark.parametrize("ids", [1, 3])
+    def test_every_line_of_one_wrong_width_identical(self, tmp_path, ids):
+        _, _, feature_lines, _ = self._dataset(tmp_path, 0, "native")
+        names = [line.split()[0] for line in feature_lines[1:]]
+        edge_lines = [" ".join(names[i:i + ids]) for i in range(len(names) - ids + 1)]
+        edge, feat = _write_dataset(tmp_path, "native", feature_lines, edge_lines)
+        new, old = _load_both(edge, feat, 0)
+        assert new == old and "expected 'u v'" in old
+
+    def test_name_beyond_int64_identical(self, tmp_path):
+        _, _, feature_lines, edge_lines = self._dataset(tmp_path, 2, "content")
+        # the first row's name becomes one that int64 cannot hold, in every line
+        name = feature_lines[0].split()[0]
+        feature_lines, edge_lines = (
+            [" ".join("9" * 20 if t == name else t for t in ln.split()) for ln in lines]
+            for lines in (feature_lines, edge_lines)
+        )
+        edge, feat = _write_dataset(tmp_path, "content", feature_lines, edge_lines)
+        new, old = _load_both(edge, feat, 2)
+        assert not isinstance(old, str), old
+        _assert_same_graph(new, old)
+
+
 class _LoadtxtCalled(Exception):
     pass
 
@@ -613,6 +736,17 @@ def _forbid_loadtxt(monkeypatch):
     def loadtxt(*args, **kwargs):
         raise _LoadtxtCalled
     monkeypatch.setattr("gad.graph.np.loadtxt", loadtxt)
+
+
+class _DictPathCalled(Exception):
+    pass
+
+
+def _forbid_dict_path(monkeypatch):
+    """Make the edge file's dict path, ``gad.graph._named_pairs``, raise ``_DictPathCalled``."""
+    def named_pairs(*args):
+        raise _DictPathCalled
+    monkeypatch.setattr("gad.graph._named_pairs", named_pairs)
 
 
 class TestDigitRows:
@@ -634,6 +768,33 @@ class TestDigitRows:
         _forbid_loadtxt(monkeypatch)
         with pytest.raises(_LoadtxtCalled):
             load_dataset(edge, feat, (0.5, 0.5, 0.0), seed=0)
+
+
+class TestOneParse:
+    """Decimal rows and integer ids each take one ``np.loadtxt`` call, and no dict lookup."""
+
+    @pytest.mark.parametrize("layout", ["native", "content"])
+    @pytest.mark.parametrize("seed", range(4))   # dense and sparse spans of names
+    def test_one_loadtxt_per_file(self, tmp_path, monkeypatch, seed, layout):
+        edge, feat, _, edge_lines = _random_dataset(tmp_path, seed, layout, integers=True)
+        expected = loader_oracle.load_dataset(edge, feat, (0.4, 0.3, 0.3), seed)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr("gad.graph.np.loadtxt",
+                            lambda *args, **kwargs: calls.append(args) or loadtxt(*args, **kwargs))
+        _forbid_dict_path(monkeypatch)
+        _assert_same_graph(load_dataset(edge, feat, (0.4, 0.3, 0.3), seed), expected)
+        # the rows as a list of lines, then the edge file's ids, unless it has none
+        has_edges = any(ln.split("#")[0].strip() for ln in edge_lines)
+        assert [type(a[0]) for a in calls] == [list] + [io.StringIO] * has_edges
+
+    def test_other_spelling_reaches_dict(self, tmp_path, monkeypatch):
+        edge, feat, _, _ = _random_dataset(tmp_path, 0, "native", integers=True)
+        with open(edge, "a") as fh:
+            fh.write("0 007\n")
+        _forbid_dict_path(monkeypatch)
+        with pytest.raises(_DictPathCalled):
+            load_dataset(edge, feat, (0.4, 0.3, 0.3), 0)
 
 
 def _edit_row(rng, rows, edit):

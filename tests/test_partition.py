@@ -109,6 +109,15 @@ class TestCoarsen:
             internal = prev.edge_weights[(f2c[rows] == f2c[prev.targets])].sum()
             assert coarse_total + internal == fine_total
 
+    def test_intermediate_rows_dropped(self):
+        # an inner level's cached rows are dead once the next level is built;
+        # the finest keeps its own, which the final cut reads
+        levels = coarsen(sbm_graph([30, 30], 0.2, 0.05, seed=4), 0.1, seed=2)
+        assert len(levels) > 3
+        assert ["rows" in vars(lv) for lv in levels[:-1]] == [True] + [False] * (len(levels) - 2)
+        mid = levels[1]
+        assert np.array_equal(mid.rows, np.repeat(np.arange(mid.num_nodes), mid.degrees))
+
     def test_edgeless_graph_stops(self):
         levels = coarsen(_graph([], n=5), 0.2, seed=0)
         assert levels[-1].num_nodes == 5
