@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -358,13 +359,16 @@ def _named_pairs(text: str, names: list[str], path) -> np.ndarray:
 def _integer_pairs(text: str, names: list[str]) -> np.ndarray | None:
     """The pairs of comment-free ``text`` if every name and id is an integer as ``str`` writes it.
 
-    One ``np.loadtxt`` reads the ids.  Its parser also takes ``007``, ``+7``
-    and ``-0``, each longer than ``str`` of its value, so every id is
-    spelled as its name exactly when the text's non-space characters number
-    the sum of the names' lengths over the ids.  Ids map through a table
-    over the names' span, or a sorted search when the span is sparse.  Any
-    other text, a miss, a width error or an overflow returns None, for the
-    dict path to read or reject.
+    One ``np.loadtxt`` reads the ids.  Its integer parser also takes
+    ``007``, ``+7`` and ``-0``, each longer than ``str`` of its value, so
+    every id is spelled as its name exactly when the text's non-space
+    characters number the sum of the names' lengths over the ids.  numpy < 2
+    reads a token that fails that parser, such as ``1e3`` or one beyond
+    int64, as a float, to a value whose name may be longer than the token;
+    it warns as it does, so the warning is raised and turned away.  Ids map
+    through a table over the names' span, or a sorted search when the span
+    is sparse.  Any other text, a miss, a width error or an overflow returns
+    None, for the dict path to read or reject.
     """
     # str(v) is ASCII, and the character count below counts bytes
     if not names or not text.isascii():
@@ -380,14 +384,18 @@ def _integer_pairs(text: str, names: list[str]) -> np.ndarray | None:
     if width == 0:   # np.loadtxt warns on text without data
         return np.zeros((0, 2), dtype=np.int64)
     try:
-        ids = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2,
-                         encoding="utf-8")
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            ids = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2,
+                             encoding="utf-8")
+    except (ValueError, DeprecationWarning):
         return None
     lo, hi = int(values.min()), int(values.max())
     # lines of one or three ids each parse too
     if ids.shape[1] != 2 or ids.min() < lo or ids.max() > hi:
         return None
+    # a table of up to 4 entries a name: on planted-50k (500k ids, 50k
+    # names) its lookup takes 1.5 ms against the sorted search's 71 ms
     if hi - lo < 4 * len(values):
         table = np.full(hi - lo + 1, -1, dtype=np.int64)
         table[values - lo] = np.arange(len(values))

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import rngs
 from .errors import BalanceError, GadError
-from .graph import Csr, Graph
+from .graph import Csr, Graph, csr_rows
 
 SHRINK_STALL = 0.95   # stop coarsening when a level keeps > 95% of its nodes
 
@@ -159,7 +159,8 @@ def _contract(cg: CoarseGraph, partner: np.ndarray) -> CoarseGraph:
     coarse_id = (np.cumsum(leads) - 1)[np.minimum(ids, partner)]
 
     node_weight = np.bincount(coarse_id, weights=cg.node_weight, minlength=next_id)
-    cu = coarse_id[cg.rows]
+    # not cg.rows: cached, an inner level's rows would outlive its contraction
+    cu = coarse_id[csr_rows(cg.offsets)]
     cv = coarse_id[cg.targets]
     keep = cu != cv
     mat = sp.coo_matrix(
@@ -194,8 +195,6 @@ def coarsen(g: Graph | CoarseGraph, target_fraction: float = 0.2, seed: int = 0)
         nxt = _contract(cur, _match_heavy_edges(cur, rng))
         if nxt.num_nodes > SHRINK_STALL * cur.num_nodes:
             break
-        if cur is not levels[0]:   # its cached rows are dead once it is contracted
-            vars(cur).pop("rows", None)
         levels.append(nxt)
         step += 1
     return levels

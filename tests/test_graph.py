@@ -664,6 +664,37 @@ class TestIntegerLoaderOracle(TestLoaderOracle):
         new, old = _load_both(edge, feat, seed)
         assert new == old and "unknown node id" in old
 
+    @staticmethod
+    def _pair_dataset(tmp_path, line):
+        """A ``.content`` file named 1000, 7, 0 and int64's lowest value, and ``line`` as its edges."""
+        names = ["1000", "7", "0", str(-2**63)]
+        feature_lines = [f"{name} {i}.5 -{i}e-3 Theory" for i, name in enumerate(names)]
+        return _write_dataset(tmp_path, "content", feature_lines, ["1000 0", line])
+
+    # pairs whose lengths cancel: numpy < 2 reads a token its integer parser
+    # refuses as a float, '1e3' as 1000 and one beyond int64 as its lowest
+    # value, each shorter than str() of what it reads
+    @pytest.mark.parametrize("line", ["1e3 +7", "9999999999999999999 -0"])
+    def test_cancelling_spellings_identical(self, tmp_path, line):
+        new, old = _load_both(*self._pair_dataset(tmp_path, line), 0)
+        assert new == old and old.endswith(f"unknown node id {line.split()[0]!r}")
+
+    def test_integer_read_as_float_turned_away(self, tmp_path, monkeypatch):
+        # numpy < 2's np.loadtxt, which warns as it reads '1e3' as 1000
+        edge, feat = self._pair_dataset(tmp_path, "1e3 +7")
+        loadtxt = np.loadtxt
+
+        def numpy1_loadtxt(fname, *args, **kwargs):
+            if isinstance(fname, io.StringIO):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                fname = io.StringIO(fname.getvalue().replace("1e3", "1000"))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr("gad.graph.np.loadtxt", numpy1_loadtxt)
+        with pytest.raises(GadError, match="unknown node id '1e3'"):
+            load_dataset(edge, feat, (0.4, 0.3, 0.3), 0)
+
     @pytest.mark.parametrize("where", ["below", "inside", "above"])
     @pytest.mark.parametrize("seed", range(4))
     def test_unknown_ids_identical(self, tmp_path, seed, where):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -109,14 +110,19 @@ class TestCoarsen:
             internal = prev.edge_weights[(f2c[rows] == f2c[prev.targets])].sum()
             assert coarse_total + internal == fine_total
 
-    def test_intermediate_rows_dropped(self):
-        # an inner level's cached rows are dead once the next level is built;
-        # the finest keeps its own, which the final cut reads
-        levels = coarsen(sbm_graph([30, 30], 0.2, 0.05, seed=4), 0.1, seed=2)
+    def test_levels_hold_only_their_arrays(self):
+        # no level keeps a row id per entry once it is contracted
+        g = sbm_graph([200, 200], 0.1, 0.01, seed=4)
+        tracemalloc.start()
+        levels = coarsen(g, 0.1, seed=2)
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        tracemalloc.stop()
         assert len(levels) > 3
-        assert ["rows" in vars(lv) for lv in levels[:-1]] == [True] + [False] * (len(levels) - 2)
-        mid = levels[1]
-        assert np.array_equal(mid.rows, np.repeat(np.arange(mid.num_nodes), mid.degrees))
+        own = sum(a.nbytes for lv in levels
+                  for a in (lv.offsets, lv.targets, lv.edge_weights, lv.node_weight, lv.fine_to_coarse)
+                  if a is not None and a is not g.offsets and a is not g.targets)
+        assert sum(t.size for t in arrays.traces) == own
 
     def test_edgeless_graph_stops(self):
         levels = coarsen(_graph([], n=5), 0.2, seed=0)
