@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -86,28 +87,37 @@ def _load_graph(cfg: Config) -> Graph:
     return load_dataset(edge_path, feature_path, cfg.split, split_seed)
 
 
+_DEFAULTS = {f.name: f.default for f in fields(Config)}
+
+
 def _config_from_args(args) -> Config:
-    overrides = {
-        k: v for k, v in vars(args).items()
-        if k in Config.__dataclass_fields__ and v is not None
-    }
-    if getattr(args, "data", None):
-        overrides["data_dir"] = args.data
-    if not getattr(args, "config", None):
-        return Config.from_sources(None, overrides)
-    with _reading(args.config), open(args.config, "r", encoding="utf-8") as fh:
-        file_dict = json_checked(json.load(fh), "config", (dict,))
+    overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
+    overrides["data_dir"] = args.data
+    file_dict = None
+    if args.config:
+        with _reading(args.config), open(args.config, "r", encoding="utf-8") as fh:
+            file_dict = json_checked(json.load(fh), "config", (dict,))
     return Config.from_sources(file_dict, overrides)
 
 
-def _add_common(p: argparse.ArgumentParser, with_data: bool = True):
-    if with_data:
-        p.add_argument("data", nargs="?", help="dataset directory")
+def _add_stage(sub, name: str, summary: str, func, *knobs: str) -> argparse.ArgumentParser:
+    """The stage's subparser, with the dataset arguments and one flag per
+    :class:`Config` field in ``knobs``: ``--field-name``, of the field
+    default's type, three floats for ``split``, ``--x``/``--no-x`` for a
+    boolean.  An absent flag leaves its field to the config file or default."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
+    p.add_argument("data", nargs="?", help="dataset directory")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--edges", help="edge-list file")
-    p.add_argument("--features", help="feature file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--split", nargs=3, type=float, metavar=("TRAIN", "VAL", "TEST"))
+    for knob in ("edges", "features", "seed", "split") + knobs:
+        flag, default = "--" + knob.replace("_", "-"), _DEFAULTS[knob]
+        if isinstance(default, bool):
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+        elif isinstance(default, tuple):
+            p.add_argument(flag, nargs=3, type=float, metavar=("TRAIN", "VAL", "TEST"))
+        else:
+            p.add_argument(flag, type=str if default is None else type(default))
+    return p
 
 
 def cmd_partition(args) -> int:
@@ -300,44 +310,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gad", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    pp = sub.add_parser("partition", help="balanced multilevel partitioning")
-    _add_common(pp)
-    pp.add_argument("--k", type=int)
-    pp.add_argument("--epsilon", type=float)
-    pp.add_argument("--restarts", type=int)
-    pp.add_argument("--target-fraction", dest="target_fraction", type=float)
+    pp = _add_stage(sub, "partition", "balanced multilevel partitioning", cmd_partition,
+                    "k", "epsilon", "restarts", "target_fraction")
     pp.add_argument("--out", default="partition.json")
-    pp.set_defaults(func=cmd_partition)
 
-    pa = sub.add_parser("augment", help="replicate important halo nodes")
-    _add_common(pa)
+    pa = _add_stage(sub, "augment", "replicate important halo nodes", cmd_augment,
+                    "layers", "alpha", "z_c", "err_target", "augment")
     pa.add_argument("--partition", required=True)
-    pa.add_argument("--layers", type=int)
-    pa.add_argument("--alpha", type=float)
-    pa.add_argument("--z-c", dest="z_c", type=float)
-    pa.add_argument("--err-target", dest="err_target", type=float)
-    pa.add_argument("--no-augment", dest="augment", action="store_false", default=None)
     pa.add_argument("--out", default="augmented.json")
-    pa.set_defaults(func=cmd_augment)
 
-    pt = sub.add_parser("train", help="simulated multi-worker training")
-    _add_common(pt)
+    pt = _add_stage(sub, "train", "simulated multi-worker training", cmd_train,
+                    "layers", "hidden", "eta", "epochs", "eval_every", "workers", "beta",
+                    "pair_cap", "weighted")
     pt.add_argument("--augmented", required=True)
-    pt.add_argument("--layers", type=int)
-    pt.add_argument("--hidden", type=int)
-    pt.add_argument("--eta", type=float)
-    pt.add_argument("--epochs", type=int)
-    pt.add_argument("--eval-every", dest="eval_every", type=int)
-    pt.add_argument("--workers", type=int)
-    pt.add_argument("--beta", type=float)
-    pt.add_argument("--pair-cap", dest="pair_cap", type=int)
-    wt = pt.add_mutually_exclusive_group()
-    wt.add_argument("--weighted", dest="weighted", action="store_true", default=None)
-    wt.add_argument("--no-weighted", dest="weighted", action="store_false", default=None)
     pt.add_argument("--out", default="report.json")
-    pt.add_argument("--timing-out", dest="timing_out")
+    pt.add_argument("--timing-out")
     pt.add_argument("--curves", help="per-epoch CSV")
-    pt.set_defaults(func=cmd_train)
 
     pr = sub.add_parser("report", help="tabulate one or more training reports")
     pr.add_argument("reports", nargs="+")

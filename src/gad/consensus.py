@@ -28,6 +28,9 @@ DEFAULT_PAIR_CAP = 4096
 # On a 6250 x 32 block at pair_cap 2048 (2-core machine) this chunk ran
 # about 1.4x faster than 65,536, whose 16 MB blocks spill out of cache.
 PAIR_CHUNK = 16_384
+# Rows per Gram block of exact zeta: a block holds ZETA_BLOCK x n products
+# and its mask, where one n x n Gram matrix took 400 MB at n = 4,096.
+ZETA_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,22 +75,34 @@ def _pair_distances(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, chunk: int) -
 def _exact_zeta(x, p: np.ndarray, beta: float) -> float:
     """Sum of p_i p_j / (d_ij + beta) over all pairs i<j.
 
-    Squared distances come from the Gram matrix, sq_i + sq_j - 2 x_i.x_j,
+    Squared distances come from Gram products, sq_i + sq_j - 2 x_i.x_j,
     multiplied in the layout ``x`` arrives in: CSR as a sparse product, a
     dense array as a BLAS GEMM, so a subgraph's rows of the training run's
-    layer input keep that layout here too.  The terms are summed in
-    ``triu`` order, the order of ``pdist``'s condensed output, so features
-    with integer entries give pdist's distances and sum bit for bit.
+    layer input keep that layout here too.  Rows a..b-1 take
+    ``x[a:b] @ x[a:].T``, ZETA_BLOCK rows at a time and the last block first,
+    so each block finds the squared norms of its later columns already
+    taken from their own blocks' diagonals; no n x n array is made.  Each
+    block's terms with j > i go to their place in ``pdist``'s condensed
+    order, which is summed once, so features with integer entries give
+    pdist's distances and sum bit for bit.
     """
-    d2 = x @ x.T
-    d2 = d2.toarray() if sp.issparse(d2) else d2
-    sq = np.diagonal(d2).copy()
-    d2 *= -2.0
-    d2 += sq[:, None]
-    d2 += sq[None, :]
-    upper = np.triu(np.ones(d2.shape, dtype=bool), 1)
-    d = np.sqrt(np.maximum(d2[upper], 0.0))
-    return float((np.outer(p, p)[upper] / (d + beta)).sum())
+    n = x.shape[0]
+    sq = np.empty(n)
+    terms = np.empty(n * (n - 1) // 2)
+    for a in reversed(range(0, n, ZETA_BLOCK)):
+        b = min(a + ZETA_BLOCK, n)
+        d2 = x[a:b] @ x[a:].T
+        d2 = d2.toarray() if sp.issparse(d2) else d2
+        sq[a:b] = np.diagonal(d2)
+        d2 *= -2.0
+        d2 += sq[a:b, None]
+        d2 += sq[None, a:]
+        upper = np.triu(np.ones(d2.shape, dtype=bool), 1)
+        d = np.sqrt(np.maximum(d2[upper], 0.0))
+        # row i's pairs start at i*n - i*(i+1)/2 in the condensed order
+        terms[a * n - a * (a + 1) // 2:b * n - b * (b + 1) // 2] = (
+            np.outer(p[a:b], p[a:])[upper] / (d + beta))
+    return float(terms.sum())
 
 
 def _draw_pairs(rng: np.random.Generator, cdf: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,13 +65,7 @@ class Partitioning:
         return np.flatnonzero(self.assignment == i).astype(np.int64)
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "edge_cut": self.edge_cut,
-            "restarts_used": self.restarts_used,
-            "assignment": self.assignment.tolist(),
-        }
+        return {**asdict(self), "assignment": self.assignment.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Partitioning":

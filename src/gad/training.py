@@ -27,7 +27,7 @@ dimension.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -61,8 +61,8 @@ class CommMetrics:
     feature_dim: int
     per_part_remote: list[int]          # halo size per partition
     per_part_remote_after: list[int]    # halo minus locally replicated nodes
-    per_worker_remote: dict[int, int]
-    per_worker_remote_after: dict[int, int]
+    per_worker_remote: dict[str, int]   # keyed by str(worker), as in the JSON
+    per_worker_remote_after: dict[str, int]
 
     @property
     def remote_without(self) -> int:
@@ -81,27 +81,19 @@ class CommMetrics:
         return self.remote_with * self.feature_dim * 4
 
     def to_json_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "per_part_remote": list(map(int, self.per_part_remote)),
-            "per_part_remote_after": list(map(int, self.per_part_remote_after)),
-            "per_worker_remote": {str(k): int(v) for k, v in self.per_worker_remote.items()},
-            "per_worker_remote_after": {
-                str(k): int(v) for k, v in self.per_worker_remote_after.items()
-            },
-            "remote_without": self.remote_without,
-            "remote_with": self.remote_with,
-            "bytes_without": self.bytes_without,
-            "bytes_with": self.bytes_with,
-        }
+        return {**asdict(self), "remote_without": self.remote_without,
+                "remote_with": self.remote_with, "bytes_without": self.bytes_without,
+                "bytes_with": self.bytes_with}
 
 
 @dataclass(eq=False)
 class TrainReport:
     """Everything one training run produced, JSON-serializable.
 
-    Wall-clock timings are kept separate from the deterministic payload so
-    that identical (seed, config) runs write byte-identical artifacts.
+    The wall-clock ``epoch_seconds`` stay out of :meth:`to_json_dict`, so
+    that identical (seed, config) runs write byte-identical artifacts.  An
+    empty validation or test split gives None accuracies, and no validation
+    split no ``best_val_epoch``.
     """
 
     config: dict
@@ -122,24 +114,10 @@ class TrainReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "evaluation": "centralized_full_graph",
-            "seed": self.seed,
-            "worker_of": list(map(int, self.worker_of)),
-            "zetas": [float(z) for z in self.zetas],
-            "comm": self.comm.to_json_dict() if self.comm else None,
-            "train_loss": [float(x) for x in self.train_loss],
-            "val_acc": self.val_acc,
-            "test_acc": self.test_acc,
-            "initial_val_acc": self.initial_val_acc,
-            "initial_test_acc": self.initial_test_acc,
-            "final_val_acc": self.final_val_acc,
-            "final_test_acc": self.final_test_acc,
-            "best_val_epoch": self.best_val_epoch,
-            "epochs_run": self.epochs_run,
-            "notes": self.notes,
-        }
+        d = asdict(self)
+        del d["epoch_seconds"]
+        d["comm"] = self.comm.to_json_dict() if self.comm else None
+        return {**d, "evaluation": "centralized_full_graph"}
 
 
 def evaluate(params: GcnParams, batch: Batch, masks: np.ndarray, return_xw: bool = False,
@@ -204,11 +182,11 @@ def communication_size(
         replicas = aug.view.replica_ids
         per_part.append(len(halo))
         per_part_after.append(len(halo) - int(np.isin(replicas, halo).sum()))
-    per_worker: dict[int, int] = {}
-    per_worker_after: dict[int, int] = {}
-    for w, a, b in zip(worker_of, per_part, per_part_after):
-        per_worker[int(w)] = per_worker.get(int(w), 0) + a
-        per_worker_after[int(w)] = per_worker_after.get(int(w), 0) + b
+    per_worker: dict[str, int] = {}
+    per_worker_after: dict[str, int] = {}
+    for w, a, b in zip(map(str, worker_of), per_part, per_part_after):
+        per_worker[w] = per_worker.get(w, 0) + a
+        per_worker_after[w] = per_worker_after.get(w, 0) + b
     return CommMetrics(
         feature_dim=g.feature_dim,
         per_part_remote=per_part,
@@ -298,7 +276,8 @@ def train(
     block-diagonal batches and the evaluation's batch (the whole graph as
     one subgraph) all read rows of it.  A group's passes compute the output
     layer on its loss rows, each weighted by its subgraph's consensus
-    weight, and the evaluation's on the validation and test rows.  Each
+    weight, and the evaluation's on the validation and test rows (an empty
+    split is not evaluated, and its accuracies are None).  Each
     epoch runs every group once, in order: one forward and one backward of
     its weighted loss, and one SGD step.  Every pass, the evaluation's
     included, writes into one workspace sized by the whole graph or the
@@ -331,12 +310,21 @@ def train(
     if skipped:
         report.notes.append(f"subgraphs without owned training nodes: {skipped}")
 
-    eval_masks = np.stack([g.val_mask, g.test_mask])
+    shown = [m.any() for m in (g.val_mask, g.test_mask)]
+    eval_masks = np.stack([g.val_mask, g.test_mask])[shown]
     whole = make_batch(x, [full_view(g)], np.flatnonzero(eval_masks.any(axis=0)))
+
+    def evaluated(params):
+        """(val, test) accuracy, None for an empty split, and the pass's ``X @ W_0``."""
+        if not any(shown):
+            return (None, None), None
+        accs, xw = evaluate(params, whole, eval_masks, True, ws)
+        accs = iter(accs)
+        return tuple(next(accs) if s else None for s in shown), xw
+
     # xw: the last evaluation's X @ W_0 on every node (CSR input only), whose
     # rows the next group takes, as it runs under the same W_0
-    (report.initial_val_acc, report.initial_test_acc), xw = evaluate(
-        params, whole, eval_masks, True, ws)
+    (report.initial_val_acc, report.initial_test_acc), xw = evaluated(params)
     report.final_val_acc, report.final_test_acc = report.initial_val_acc, report.initial_test_acc
 
     for epoch in range(config.epochs):
@@ -358,8 +346,7 @@ def train(
         report.train_loss.append(float(np.mean(losses)))
         # the last epoch is always evaluated, and gives the final accuracies
         if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
-            (report.final_val_acc, report.final_test_acc), xw = evaluate(
-                params, whole, eval_masks, True, ws)
+            (report.final_val_acc, report.final_test_acc), xw = evaluated(params)
             report.val_acc.append(report.final_val_acc)
             report.test_acc.append(report.final_test_acc)
         else:

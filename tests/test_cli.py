@@ -1,9 +1,12 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gad.cli import main
+from gad.config import Config
 from gad.synthetic import citation_graph_arrays, write_citation_benchmark
 
 
@@ -228,6 +231,23 @@ class TestTrainCmd:
         assert err == "gad: error: no subgraph has an owned training node\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("split, empty", [(("0.5", "0.5", "0"), "test"),
+                                              (("0.5", "0", "0.5"), "val")],
+                             ids=["no_test", "no_val"])
+    def test_empty_evaluation_split_trains(self, dataset, staged, tmp_path, capsys, split, empty):
+        d, part, aug = staged
+        out = tmp_path / "r.json"
+        assert run(["train", dataset, "--augmented", aug, "--split", *split, "--layers", "2",
+                    "--hidden", "8", "--epochs", "3", "--workers", "2", "--seed", "2",
+                    "--out", out]) == 0
+        rep = json.loads(out.read_text())
+        kept = "val" if empty == "test" else "test"
+        assert rep[f"{empty}_acc"] == [None] * 3
+        assert rep[f"initial_{empty}_acc"] is rep[f"final_{empty}_acc"] is None
+        assert all(isinstance(a, float) for a in rep[f"{kept}_acc"] + [rep[f"final_{kept}_acc"]])
+        assert (rep["best_val_epoch"] is None) == (empty == "val")
+        assert run(["report", out]) == 0
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_update_exit_2_with_partial_report(self, dataset, staged, tmp_path,
                                                            capsys):
@@ -415,6 +435,40 @@ class TestBadDataset:
         assert "Traceback" not in err
 
 
+class TestArtifactFormats:
+    REPORT_KEYS = {
+        "config", "evaluation", "seed", "worker_of", "zetas", "comm", "train_loss", "val_acc",
+        "test_acc", "initial_val_acc", "initial_test_acc", "final_val_acc", "final_test_acc",
+        "best_val_epoch", "epochs_run", "notes",
+    }
+    COMM_KEYS = {
+        "feature_dim", "per_part_remote", "per_part_remote_after", "per_worker_remote",
+        "per_worker_remote_after", "remote_without", "remote_with", "bytes_without", "bytes_with",
+    }
+    PARTITION_KEYS = {"k", "epsilon", "edge_cut", "restarts_used", "assignment"}
+
+    def test_eleven_workers(self, dataset, tmp_path):
+        # per-worker keys are strings, written in lexicographic order: "10" before "2"
+        part, aug, out = tmp_path / "p.json", tmp_path / "a.json", tmp_path / "r.json"
+        assert run(["partition", dataset, "--k", "11", "--epsilon", "0.3", "--seed", "4",
+                    "--out", part]) == 0
+        assert run(["augment", dataset, "--partition", part, "--seed", "4", "--layers", "2",
+                    "--out", aug]) == 0
+        assert run(["train", dataset, "--augmented", aug, "--layers", "2", "--hidden", "8",
+                    "--epochs", "1", "--workers", "11", "--seed", "4", "--out", out]) == 0
+        assert set(json.loads(part.read_text())) == self.PARTITION_KEYS
+        report = json.loads(out.read_text())   # keys in the file's order
+        assert set(report) == self.REPORT_KEYS
+        assert set(report["comm"]) == self.COMM_KEYS
+        assert set(report["config"]) == {f.name for f in fields(Config)}
+        assert report["evaluation"] == "centralized_full_graph"
+        workers = sorted(map(str, set(report["worker_of"])))
+        assert len(workers) == 11 and workers[2] == "10"
+        for key in ("per_worker_remote", "per_worker_remote_after"):
+            assert list(report["comm"][key]) == workers
+        assert sum(report["comm"]["per_worker_remote"].values()) == report["comm"]["remote_without"]
+
+
 class TestReportCmd:
     def _train_two(self, dataset, tmp_path):
         part = tmp_path / "p.json"
@@ -574,6 +628,61 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert f"gad: error: {cfg}: not valid JSON" in err
         assert "Traceback" not in err
+
+
+class TestOptions:
+    # every stage's options as its --help lists them; --augment is the one
+    # spelling the config-field rule added
+    DATASET = ["--config", "--edges", "--features", "--help", "--seed", "--split"]
+    OPTIONS = {
+        "partition": DATASET + ["--epsilon", "--k", "--out", "--restarts", "--target-fraction"],
+        "augment": DATASET + ["--alpha", "--augment", "--err-target", "--layers", "--no-augment",
+                              "--out", "--partition", "--z-c"],
+        "train": DATASET + ["--augmented", "--beta", "--curves", "--epochs", "--eta",
+                            "--eval-every", "--hidden", "--layers", "--no-weighted", "--out",
+                            "--pair-cap", "--timing-out", "--weighted", "--workers"],
+        "report": ["--csv", "--help"],
+    }
+
+    @pytest.mark.parametrize("stage", sorted(OPTIONS))
+    def test_help_lists_the_options(self, stage, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([stage, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == set(self.OPTIONS[stage])
+
+    def test_flags_take_the_field_types(self, dataset, tmp_path):
+        # --k 3 is an int, --epsilon a float, and a config file's value yields to a flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.3, "split": [0.5, 0.2, 0.3]}))
+        out = tmp_path / "p.json"
+        assert run(["partition", dataset, "--config", cfg, "--k", "3", "--epsilon", "0.25",
+                    "--split", "0.6", "0.2", "0.2", "--seed", "1", "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["k"] == 3 and payload["epsilon"] == 0.25
+        with pytest.raises(SystemExit):
+            run(["partition", dataset, "--k", "2.5", "--out", out])
+
+    def test_last_boolean_flag_wins(self, dataset, tmp_path):
+        part = tmp_path / "p.json"
+        run(["partition", dataset, "--k", "2", "--seed", "1", "--out", part])
+        enabled = []
+        for flags in (["--no-augment", "--augment"], ["--augment", "--no-augment"], []):
+            out = tmp_path / "a.json"
+            assert run(["augment", dataset, "--partition", part, "--seed", "1", *flags,
+                        "--out", out]) == 0
+            enabled.append(json.loads(out.read_text())["augment_enabled"])
+        assert enabled == [True, False, True]
+        aug = out   # the last one, augmented by default
+        weighted = []
+        for flags in (["--weighted", "--no-weighted"], ["--no-weighted", "--weighted"]):
+            out = tmp_path / "r.json"
+            assert run(["train", dataset, "--augmented", aug, "--layers", "2", "--hidden", "8",
+                        "--epochs", "1", "--workers", "2", "--seed", "1", *flags,
+                        "--out", out]) == 0
+            weighted.append(json.loads(out.read_text())["config"]["weighted"])
+        assert weighted == [False, True]
 
 
 def test_console_script_installed(capsys):

@@ -221,6 +221,23 @@ class TestZeta:
             pdist_zeta(sub, dense, 0.5), rel=1e-12
         )
 
+    def test_exact_path_in_row_blocks_equals_pdist(self, monkeypatch):
+        # three Gram blocks, the last one short, on dense real-valued rows and
+        # on sparse binary ones, dense and CSR; then smaller blocks directly
+        rng = np.random.default_rng(43)
+        n = 2 * consensus.ZETA_BLOCK + 88
+        sub = skewed_sub(n, rng)
+        dense = rng.normal(0.5, 2.0, (n, 20))
+        binary = (rng.random((n, 300)) < 0.03).astype(np.float64)
+        for x, exact in ((dense, dense), (binary, binary), (sp.csr_matrix(binary), binary)):
+            expect = pdist_zeta(sub, exact, 0.5)
+            assert zeta(sub, x, beta=0.5).zeta == pytest.approx(expect, rel=1e-12)
+            for block in (1, 7, 64, n - 1, n):
+                monkeypatch.setattr(consensus, "ZETA_BLOCK", block)
+                got = consensus._exact_zeta(x, degree_probability(sub), 0.5)
+                assert got == pytest.approx(expect, rel=1e-12)
+            monkeypatch.undo()
+
     def test_dense_parts_multiply_dense(self, monkeypatch):
         # a dense graph in five parts whose part 0 is all zero rows: each
         # part's Gram product multiplies the float64 array that training

@@ -19,7 +19,7 @@ from gad.gcn import (
     loss_and_backward,
     sgd_update,
 )
-from gad.graph import Graph, full_view, normalized_adjacency
+from gad.graph import Graph, full_view, make_split_masks, normalized_adjacency
 from gad.partition import Partitioning, partition_graph
 from gad.synthetic import sbm_graph
 from gad.training import communication_size, evaluate, make_batch, train
@@ -264,7 +264,7 @@ class TestCommunicationSize:
             with pytest.raises(GadError, match=f"{len(worker_of)} entries for 2 parts"):
                 communication_size(g, p, augs, 2, worker_of)
         cm = communication_size(g, p, augs, 2, [0, 0])
-        assert cm.per_worker_remote == {0: sum(cm.per_part_remote)}
+        assert cm.per_worker_remote == {"0": sum(cm.per_part_remote)}
 
     def test_monotone_in_replicas(self):
         g = small_graph()
@@ -341,13 +341,37 @@ class TestTrain:
         assert rep.final_val_acc == evaluate(rep._final_params, whole(g), g.val_mask)
         assert rep.final_test_acc == evaluate(rep._final_params, whole(g), g.test_mask)
 
-    @pytest.mark.parametrize("empty", ["val_mask", "test_mask"])
-    def test_empty_evaluation_mask_rejected(self, empty):
+    @pytest.mark.parametrize("split", [(0.4, 0.0, 0.4), (0.4, 0.4, 0.0)],
+                             ids=["no_val", "no_test"])
+    def test_empty_evaluation_split_reports_none(self, split):
+        # the empty split's accuracies are None; the other split's, and the
+        # training, are those of a run whose empty split holds the left-over nodes
         g = small_graph(seed=4)
-        g = dataclasses.replace(g, **{empty: np.zeros(g.num_nodes, bool)})
+        train_mask, val_mask, test_mask = make_split_masks(g.num_nodes, split, seed=4)
+        g = dataclasses.replace(g, train_mask=train_mask, val_mask=val_mask, test_mask=test_mask)
+        empty, kept = ("val", "test") if split[1] == 0 else ("test", "val")
+        rest = ~(train_mask | val_mask | test_mask)
+        ref = dataclasses.replace(g, **{f"{empty}_mask": rest})
         p = single_partition(g)
-        with pytest.raises(GadError):
-            train(g, p, bare_subgraphs(g, p), 1, quick_config(k=1, workers=1))
+        rep, full = (train(h, p, bare_subgraphs(h, p), 1, quick_config(k=1, workers=1))
+                     for h in (g, ref))
+        assert rep.epochs_run == 5
+        assert getattr(rep, f"{empty}_acc") == [None] * 5
+        assert getattr(rep, f"initial_{empty}_acc") is getattr(rep, f"final_{empty}_acc") is None
+        assert getattr(full, f"final_{empty}_acc") is not None
+        for name in (f"{kept}_acc", f"initial_{kept}_acc", f"final_{kept}_acc", "train_loss"):
+            assert getattr(rep, name) == getattr(full, name)
+        assert rep.best_val_epoch == (None if empty == "val" else full.best_val_epoch)
+
+    def test_no_evaluation_split_trains(self):
+        g = small_graph(seed=4)
+        none = np.zeros(g.num_nodes, bool)
+        g = dataclasses.replace(g, val_mask=none, test_mask=none)
+        p = single_partition(g)
+        rep = train(g, p, bare_subgraphs(g, p), 1, quick_config(k=1, workers=1))
+        assert rep.epochs_run == len(rep.train_loss) == 5
+        assert rep.val_acc == rep.test_acc == [None] * 5
+        assert rep.final_val_acc is rep.final_test_acc is rep.best_val_epoch is None
 
     def test_workers_must_match_config(self):
         g = small_graph()
