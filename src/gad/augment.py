@@ -6,12 +6,17 @@ score candidates by the fraction of boundary-rooted random walks that visit
 them (two-phase Monte-Carlo with a walk count chosen from the error formula
 E = z_c * sigma / (mean * sqrt(n))), then copy the best walk prefixes into
 the partition up to a density-scaled budget.  Selected replicas always lie
-on a walk rooted inside the partition, so none of them dangle.
+on a walk rooted inside the partition, so none of them dangle.  Parts run
+on one thread per core when they are large (see :func:`map_parts`); each
+draws from its own seeded stream, so the records match a plain loop's bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,17 @@ from .partition import Partitioning
 Z_95 = 1.96
 DEFAULT_ERR_TARGET = 0.05
 DEFAULT_ALPHA = 0.01
+# Parts averaging fewer nodes run one after another: their NumPy calls are
+# short and hold the GIL, so threads only hand it back and forth.  Measured
+# as augment_partitions on 2 threads against 1 (2-core host, generated
+# planted graphs, median time ratio), by nodes a part:
+# - 4 parts, average degree 4, layers=3: 2.00 at 200, 1.32 at 700, 1.20 at
+#   1,250, 1.02-1.08 at 1,500-1,750, 0.91-1.04 at 2,000, 0.87 at 2,500;
+# - 8 parts, degree 4, layers=2: 1.37 at 700, 1.03 at 1,500, 0.86 at 2,000;
+# - 8 parts, degree 10, layers=2: 1.42 at 200, 0.96 at 550, 0.61 at 2,000
+#   and 0.49 at 6,000.
+# The sparse graphs break even near 2,000.
+PARALLEL_MIN_NODES = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,6 +343,32 @@ def assign_to_workers(subgraphs: list[AugmentedSubgraph], num_workers: int) -> n
     return out
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_parts(fn, parts, sizes) -> list:
+    """``[fn(part) for part in parts]``, on one thread per core for large parts.
+
+    ``sizes`` holds each part's node count.  With one core, or parts that
+    average fewer than ``PARALLEL_MIN_NODES`` nodes, it is that plain loop;
+    otherwise a thread pool runs the calls and the results come back in
+    part order.  The first part in order whose call raises gives the error
+    raised, as in the loop.  Each call must draw only from its own part's
+    streams, so that the results do not depend on the order calls run in.
+    """
+    parts = list(parts)
+    cores = min(_cores(), len(parts))
+    if cores < 2 or sum(sizes) < PARALLEL_MIN_NODES * len(parts):
+        return [fn(part) for part in parts]
+    with ThreadPoolExecutor(cores) as pool:
+        return list(pool.map(fn, parts))
+
+
 def augment_partitions(
     g: Graph,
     p: Partitioning,
@@ -349,8 +391,8 @@ def augment_partitions(
     # every part's internal edge count, from one pass over the entries
     src = p.assignment[g.rows]
     internal_edges = np.bincount(src[src == p.assignment[g.targets]], minlength=p.k) // 2
-    records = []
-    for i in range(p.k):
+
+    def augment_part(i: int) -> AugmentationRecord:
         ids = np.flatnonzero(p.assignment == i)
         halo = candidate_replication_nodes(g, p, i, layers) if enabled else np.zeros(0, np.int64)
         part_seed = rngs.stream(seed, rngs.AUGMENT, i).integers(0, 2**31 - 1)
@@ -360,5 +402,6 @@ def augment_partitions(
         budget = min(replication_budget(len(ids), internal_edges[i], alpha), len(halo))
         replicas = depth_first_select(table, walks, budget)
         aug = augment_subgraph(g, ids, replicas, i, budget, budget - len(replicas))
-        records.append(AugmentationRecord(subgraph=aug, table=table))
-    return records
+        return AugmentationRecord(subgraph=aug, table=table)
+
+    return map_parts(augment_part, range(p.k), p.part_sizes())

@@ -90,6 +90,8 @@ class Config:
         """Merge defaults < config file < explicit overrides, then validate.
 
         None leaves a key unset; other values must fit the field (:func:`_fits`).
+        A float field's value is stored as a float, so an integer given for it
+        is written back as one (``1`` as ``1.0``).
         """
         defaults = {f.name: f.default for f in fields(cls)}
         merged: dict = {}
@@ -101,7 +103,7 @@ class Config:
                     continue
                 if not _fits(val, defaults[key]):
                     raise GadError(f"config key {key!r} has the wrong type: {val!r}")
-                merged[key] = val
+                merged[key] = float(val) if isinstance(defaults[key], float) else val
         if "split" in merged:
             merged["split"] = tuple(float(x) for x in merged["split"])
         return cls(**merged).validate()

@@ -115,6 +115,10 @@ class Batch:
     part: np.ndarray | None         # the part of each of ``rows``
     weights: np.ndarray | None      # each part's loss weight c_i
     ids: np.ndarray | None = None   # the caller's own id of each row, carried as given
+    # what every backward over a training batch reads: 0..len(rows)-1, and
+    # each loss row's weight c_i as a column
+    loss_index: np.ndarray | None = None
+    row_weights: np.ndarray | None = None
 
     @property
     def propagated(self) -> bool:
@@ -166,12 +170,14 @@ def build_batch(adj: sp.csr_matrix, x, labels, n_classes: int, rows=None, part=N
             raise GadError("label out of range on a loss row")
         if part.min() < 0 or part.max() >= len(weights):
             raise GadError("every loss row's part needs a weight")
+        loss_index, row_weights = np.arange(len(rows)), weights[part][:, None]
     else:
-        part = None
+        part = loss_index = row_weights = None
     x = layer_input(x) if sp.issparse(x) else adj @ np.asarray(x, dtype=np.float64)
     adj_rows = adj if len(rows) == n else adj[rows]
     return Batch(adj=adj, x=x, rows=rows, adj_rows=adj_rows, adj_rows_t=adj_rows.T,
-                 labels=labels, part=part, weights=weights, ids=ids)
+                 labels=labels, part=part, weights=weights, ids=ids,
+                 loss_index=loss_index, row_weights=row_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,8 +327,7 @@ def loss_and_backward(cache: ForwardCache, params: GcnParams,
     n, last = batch.adj.shape[0], params.num_layers - 1
     ws = ws or workspace(params, n)
     ws.check(n)
-    ys = batch.labels
-    t = np.arange(len(ys))
+    t, ys = batch.loss_index, batch.labels
     gz = cache.probs    # a fresh array: the softmax gradient is formed in it
     nll = -np.log(np.clip(gz[t, ys], PROB_FLOOR, 1.0))
     part_losses = np.bincount(batch.part, weights=nll, minlength=len(batch.weights))
@@ -330,7 +335,7 @@ def loss_and_backward(cache: ForwardCache, params: GcnParams,
     if not math.isfinite(loss):
         raise NumericalError("non-finite loss")
     gz[t, ys] -= 1.0
-    gz *= batch.weights[batch.part][:, None]
+    gz *= batch.row_weights
 
     grads = [None] * (last + 1)
     for l in range(last, -1, -1):

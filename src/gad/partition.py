@@ -116,27 +116,26 @@ def _match_heavy_edges(cg: CoarseGraph, rng: np.random.Generator) -> np.ndarray:
 
     Nodes are visited in random order; an unmatched node pairs with its
     unmatched neighbor along the maximum-weight edge, ties to lowest id.
+    Each row is ordered once, heaviest edge first and, as rows ascend,
+    lowest id on ties, so a node's partner is its first unmatched entry.
+    Equal weights (every edge of level 0) leave the rows as they are.
     """
-    # plain lists: this loop touches every edge, and indexing a list costs a
-    # fraction of reading one NumPy scalar
-    offsets, targets, weights = cg.offsets.tolist(), cg.targets.tolist(), cg.edge_weights.tolist()
+    targets, w = cg.targets, cg.edge_weights
+    top = int(w.max(initial=0))
+    if (w != top).any():
+        order = np.argsort(csr_rows(cg.offsets) * (top + 1) + (top - w), kind="stable")
+        targets = targets[order]
+    # plain lists: indexing a list costs a fraction of reading a NumPy scalar
+    offsets, targets = cg.offsets.tolist(), targets.tolist()
     partner = [-1] * cg.num_nodes
     for u in rng.permutation(cg.num_nodes).tolist():
         if partner[u] != -1:
             continue
-        best_v, best_w = -1, 0
-        for pos in range(offsets[u], offsets[u + 1]):
-            v = targets[pos]
-            if partner[v] != -1 or v == u:
-                continue
-            w = weights[pos]
-            if w > best_w or (w == best_w and (best_v == -1 or v < best_v)):
-                best_v, best_w = v, w
-        if best_v == -1:
-            partner[u] = u
-        else:
-            partner[u] = best_v
-            partner[best_v] = u
+        partner[u] = u   # also skips a self-loop
+        for v in targets[offsets[u]:offsets[u + 1]]:
+            if partner[v] == -1:
+                partner[u], partner[v] = v, u
+                break
     return np.asarray(partner, dtype=np.int64)
 
 

@@ -1,10 +1,10 @@
 """Simulated synchronous multi-worker training with gradient consensus.
 
-Workers run as deterministic in-process tasks.  Each round every worker
-trains on its next assigned subgraph (forward, masked loss over its owned
-training nodes, backward); the coordinator combines the gradients into one
-update with either zeta weighting or the plain mean, and all workers apply
-the same step.  The replicas are therefore identical between barriers, and
+Workers are simulated in one process.  Each round every worker trains on
+its next assigned subgraph (forward, masked loss over its owned training
+nodes, backward); the coordinator combines the gradients into one update
+with either zeta weighting or the plain mean, and all workers apply the
+same step.  The replicas are therefore identical between barriers, and
 the simulation keeps a single parameter set for all of them.  A round's
 subgraphs are stacked block-diagonally and run as one forward and one
 backward of one loss, each subgraph's loss rows weighted by its consensus
@@ -17,7 +17,9 @@ round's loss rows, and the evaluation's validation and test rows.  Each
 batch is made once, by :func:`make_batch`, for all its passes, every pass
 writes into the run's one workspace, and with CSR input the first round
 after an evaluation takes its rows of the evaluation's ``X @ W_0`` instead
-of multiplying (see :func:`train`).
+of multiplying (see :func:`train`).  The sampled zetas of large subgraphs
+are computed on one thread per core (:func:`gad.augment.map_parts`), each
+from its own part's stream, so they equal a plain loop's bit for bit.
 Communication is accounted analytically: a worker must fetch the features
 of every distinct remote node within ``layers`` hops of its boundary once
 per epoch, except those it holds as replicas; one feature costs 4 bytes per
@@ -33,7 +35,7 @@ from itertools import zip_longest
 import numpy as np
 import scipy.sparse as sp
 
-from .augment import AugmentedSubgraph, assign_to_workers, candidate_replication_nodes
+from .augment import AugmentedSubgraph, assign_to_workers, candidate_replication_nodes, map_parts
 from .consensus import plain_consensus, weighted_consensus, zeta
 from .errors import GadError, NumericalError
 from .gcn import (
@@ -227,20 +229,27 @@ def _prepare_groups(g, x, augmented, worker_of, workers, config):
     rows of the layer input ``x``.
     """
     total_train = int(g.train_mask.sum())
-    zetas, scales, trainable = [], [], []
-    for aug in augmented:
-        view = aug.view
-        zw = zeta(
-            aug, x[view.local_ids], beta=config.beta, pair_cap=config.pair_cap,
+
+    def weigh(aug: AugmentedSubgraph) -> float:
+        return zeta(
+            aug, x[aug.view.local_ids], beta=config.beta, pair_cap=config.pair_cap,
             seed=int(rngs.stream(config.seed, rngs.ZETA, aug.part).integers(2**31)),
-        )
-        n_train = int(view.local_train_mask().sum())
+        ).zeta
+
+    # sampled zetas on the pool; the exact ones are BLAS products that
+    # already use every core
+    sampled = [aug for aug in augmented if aug.view.num_nodes > config.pair_cap]
+    pooled = iter(map_parts(weigh, sampled, [aug.view.num_nodes for aug in sampled]))
+    zetas = [next(pooled) if aug.view.num_nodes > config.pair_cap else weigh(aug)
+             for aug in augmented]
+    scales, trainable = [], []
+    for aug in augmented:
+        n_train = int(aug.view.local_train_mask().sum())
         # Each subgraph's summed loss is rescaled to the full training
         # population, so every worker's gradient estimates the same global
         # objective regardless of how many train nodes its subgraph holds
         # (exactly 1.0 for a single whole-graph partition).
         scales.append(total_train / n_train if n_train > 0 else 1.0)
-        zetas.append(zw.zeta)
         trainable.append(n_train > 0)
     queues = [np.flatnonzero(worker_of == v) for v in range(workers)]
     groups = []

@@ -1,10 +1,13 @@
-"""Heap-based region growing, kept as the reference for ``_grow_parts``.
+"""Reference loops for the partitioner: heap-based region growing, kept
+for ``_grow_parts``, and the full-row heavy-edge scan, kept for
+``_match_heavy_edges``.
 
-Each part keeps a max-heap of its frontier edges, pushed as (-weight, node)
-while the node is free; a turn pops until it finds a free node, so it takes
-the heaviest edge out of the part, lowest node id on ties.  The part closes
-when its heap runs dry or the popped node would push it over the cap.
-Unassigned nodes are then attached by the same orphan pass as the program.
+In region growing, each part keeps a max-heap of its frontier edges, pushed
+as (-weight, node) while the node is free; a turn pops until it finds a
+free node, so it takes the heaviest edge out of the part, lowest node id on
+ties.  The part closes when its heap runs dry or the popped node would push
+it over the cap.  Unassigned nodes are then attached by the same orphan pass
+as the program.
 """
 
 import heapq
@@ -79,3 +82,30 @@ def grow_parts_heap(cg, k: int, cap: int, rng: np.random.Generator) -> np.ndarra
             rest = []
         orphans = rest
     return np.asarray(assign, dtype=np.int64)
+
+
+def match_heavy_edges_scan(cg, rng: np.random.Generator) -> np.ndarray:
+    """Heavy-edge matching that scans each row to its end.
+
+    Nodes are visited in random order; an unmatched node pairs with its
+    unmatched neighbor along the maximum-weight edge, ties to lowest id.
+    """
+    offsets, targets, weights = cg.offsets.tolist(), cg.targets.tolist(), cg.edge_weights.tolist()
+    partner = [-1] * cg.num_nodes
+    for u in rng.permutation(cg.num_nodes).tolist():
+        if partner[u] != -1:
+            continue
+        best_v, best_w = -1, 0
+        for pos in range(offsets[u], offsets[u + 1]):
+            v = targets[pos]
+            if partner[v] != -1 or v == u:
+                continue
+            w = weights[pos]
+            if w > best_w or (w == best_w and (best_v == -1 or v < best_v)):
+                best_v, best_w = v, w
+        if best_v == -1:
+            partner[u] = u
+        else:
+            partner[u] = best_v
+            partner[best_v] = u
+    return np.asarray(partner, dtype=np.int64)

@@ -559,6 +559,19 @@ class TestConfigPrecedence:
                     "--seed", "1", "--out", out]) == 0
         assert json.loads(out.read_text())["k"] == 3
 
+    def test_integer_for_a_float_knob_is_written_as_a_float(self, dataset, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "epsilon": 1, "alpha": 1}))
+        part, aug = tmp_path / "p.json", tmp_path / "a.json"
+        assert run(["partition", dataset, "--config", cfg, "--seed", "1", "--out", part]) == 0
+        assert run(["augment", dataset, "--config", cfg, "--partition", part, "--seed", "1",
+                    "--out", aug]) == 0
+        written = json.loads(part.read_text())
+        assert json.dumps(written, sort_keys=True) == json.dumps(
+            json.loads(aug.read_text())["partition"], sort_keys=True)
+        assert type(written["epsilon"]) is float
+        assert type(json.loads(aug.read_text())["alpha"]) is float
+
     def test_unknown_config_key_exit_1(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 2, "typo_key": 1}))

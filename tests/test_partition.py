@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from partition_oracle import grow_parts_heap
+from partition_oracle import grow_parts_heap, match_heavy_edges_scan
 
 from gad import partition, rngs
 from gad.errors import GadError
@@ -263,6 +263,35 @@ class TestGrowPartsOracle:
             want = partition_graph(g, k, epsilon=0.1, restarts=3, seed=seed)
             assert p.assignment.tolist() == want.assignment.tolist()
             assert p.edge_cut == want.edge_cut
+
+
+class TestMatchHeavyEdgesOracle:
+    """The early-stopping match against the full-row scan in partition_oracle."""
+
+    @pytest.mark.parametrize("top", [1, 3, 50])
+    def test_random_levels_match_scan(self, top):
+        for seed in range(12):
+            cg = random_level(seed, heavy=bool(seed % 2), isolated=5 * (seed % 3 == 0))
+            if top != 3:   # random_level's own weights are 1..3
+                # one weight per undirected edge, both directions alike
+                lo, hi = np.minimum(cg.rows, cg.targets), np.maximum(cg.rows, cg.targets)
+                edge = np.unique(lo * cg.num_nodes + hi, return_inverse=True)[1]
+                w = np.random.default_rng(seed).integers(1, top + 1, size=edge.max() + 1)
+                cg.edge_weights[:] = w[edge]
+            for step in range(3):
+                want = match_heavy_edges_scan(cg, rngs.stream(seed, rngs.COARSEN, step))
+                got = partition._match_heavy_edges(cg, rngs.stream(seed, rngs.COARSEN, step))
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_coarse_level_matches_scan(self, seed):
+        g = sbm_graph([200, 150, 120, 90], 0.08, 0.01, seed=seed)
+        levels = coarsen(g, target_fraction=0.05, seed=seed)
+        assert len(levels) >= 3 and (levels[-1].edge_weights > 1).any()
+        for step, cg in enumerate(levels):
+            want = match_heavy_edges_scan(cg, rngs.stream(seed, rngs.COARSEN, step))
+            got = partition._match_heavy_edges(cg, rngs.stream(seed, rngs.COARSEN, step))
+            assert got.tolist() == want.tolist()
 
 
 class TestUncoarsen:
